@@ -278,7 +278,6 @@ var (
 	ErrRunNotRunning = supervisor.ErrNotRunning
 )
 
-
 // MaxIdempotencyKeyLen is the longest accepted idempotency key in bytes.
 const MaxIdempotencyKeyLen = admission.MaxKeyLen
 

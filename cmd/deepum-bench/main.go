@@ -6,13 +6,6 @@
 //	deepum-bench -run table5 -scale 4 -iters 8
 //	deepum-bench -list
 //
-// -json instead runs the robustness micro-bench (see robust.go) and writes
-// its throughput report — faults/sec, events/sec, admissions/sec,
-// checkpoint save/load MB/s, HandleGroups ns/op, and the prefetch-policy
-// tournament — to the given path:
-//
-//	deepum-bench -json BENCH_9.json
-//
 // -tournament races every registered prefetch policy (-policy-list) over a
 // small workload suite and prints the per-workload ranking; any policy
 // that fails to complete cleanly, or that perturbs the workload's
@@ -43,7 +36,6 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "wall-clock budget for the whole bench; experiments past it are skipped")
 		chaosN  = flag.String("chaos", "", "fault-injection scenario for UM-side runs (baselines stay clean); \"list\" enumerates")
 		chaosS  = flag.Int64("chaos-seed", 0, "seed for chaos injection draws (0 = reuse -seed)")
-		jsonOut = flag.String("json", "", "run the robustness micro-bench and write its JSON report here (e.g. BENCH_9.json)")
 		policyN = flag.String("policy", "", "prefetch policy for the DeepUM runs (see -policy-list; default correlation)")
 		listPol = flag.Bool("policy-list", false, "list registered prefetch policies and exit")
 		tourney = flag.Bool("tournament", false, "race every prefetch policy over a workload suite and print the ranking")
@@ -67,14 +59,6 @@ func main() {
 			os.Exit(1)
 		}
 		printTournament(rows)
-		return
-	}
-
-	if *jsonOut != "" {
-		if err := runRobustBench(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "deepum-bench: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

@@ -13,20 +13,20 @@ import (
 // secondary figure — a policy can buy speed with prefetch traffic, so the
 // table keeps both visible.
 type tournamentRow struct {
-	Policy         string `json:"policy"`
-	IterTimeNs     int64  `json:"iter_time_ns"`
-	FaultsPerIter  int64  `json:"faults_per_iter"`
-	PrefetchIssued int64  `json:"prefetch_issued"`
-	PrefetchUseful int64  `json:"prefetch_useful"`
-	Rank           int    `json:"rank"`
-	Winner         bool   `json:"winner,omitempty"`
+	Policy         string
+	IterTimeNs     int64
+	FaultsPerIter  int64
+	PrefetchIssued int64
+	PrefetchUseful int64
+	Rank           int
+	Winner         bool
 }
 
 // tournamentWorkload is one workload's full ranking.
 type tournamentWorkload struct {
-	Model   string          `json:"model"`
-	Batch   int64           `json:"batch"`
-	Ranking []tournamentRow `json:"ranking"`
+	Model   string
+	Batch   int64
+	Ranking []tournamentRow
 }
 
 // tournamentSuite is the fixed workload slate: one regular-access

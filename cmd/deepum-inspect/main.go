@@ -1,10 +1,13 @@
 // Command deepum-inspect runs a short training simulation under DeepUM and
 // dumps the driver's internal state: execution-ID table statistics, UM-block
 // correlation tables (entries, Start/End anchors), and driver counters. It
-// is the debugging lens a kernel-module developer would want.
+// is the debugging lens a kernel-module developer would want. -trace also
+// records the run's event trace and prints the same analysis the trace
+// subcommand prints, including the per-kernel fault and stall table.
 //
 //	deepum-inspect -model bert-base -batch 8
 //	deepum-inspect -model dlrm -batch 96000 -top 20
+//	deepum-inspect -model bert-large -batch 16 -scale 64 -trace
 //
 // The journal subcommand instead dumps and verifies a supervisor run
 // journal (record counts, per-run lifecycle, CRC failures, torn-tail
@@ -35,8 +38,8 @@ import (
 	"deepum/internal/correlation"
 	"deepum/internal/engine"
 	"deepum/internal/models"
+	"deepum/internal/obs"
 	"deepum/internal/sim"
-	"deepum/internal/trace"
 )
 
 func main() {
@@ -59,7 +62,7 @@ func main() {
 		scale   = flag.Int64("scale", 32, "size divisor")
 		iters   = flag.Int("iters", 2, "measured iterations")
 		top     = flag.Int("top", 10, "how many block tables to list")
-		doTrace = flag.Bool("trace", false, "record and summarize the event trace")
+		doTrace = flag.Bool("trace", false, "record the event trace and print its analysis; per kernel, migrated counts UM blocks in fault batches and prefetch counts prefetch transfers started")
 	)
 	flag.Parse()
 
@@ -68,9 +71,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var rec *trace.Recorder
+	var rec *obs.Recorder
 	if *doTrace {
-		rec = trace.NewRecorder(1 << 20)
+		rec = obs.NewRecorder(obs.DefaultCapacity)
 	}
 	res, err := engine.Run(engine.Config{
 		Params:        sim.DefaultParams().Scale(*scale),
@@ -80,7 +83,7 @@ func main() {
 		Iterations:    *iters,
 		Warmup:        3,
 		Seed:          1,
-		Tracer:        rec,
+		Obs:           rec,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -136,9 +139,8 @@ func main() {
 
 	if rec != nil {
 		fmt.Printf("\n== event trace ==\n")
-		fmt.Print(trace.Summarize(rec.Events()))
-		if rec.Dropped() > 0 {
-			fmt.Printf("(%d oldest events dropped)\n", rec.Dropped())
-		}
+		a := obs.Analyze(rec.Events())
+		a.Dropped = rec.Dropped()
+		fmt.Print(a.String())
 	}
 }

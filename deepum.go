@@ -127,7 +127,7 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  sim.Duration
 	// Health enables the closed-loop health controller: windowed health
-	// scores per component (link, prefetcher, pipeline, migrator) drive a
+	// scores per component (link, prefetcher, migrator) drive a
 	// graduated degradation ladder — L0 full prefetch+pre-eviction, L1
 	// chained-correlation-only prefetch, L2 shrunk batches / no
 	// pre-eviction, L3 pure demand paging — with hysteresis, dwell times,

@@ -165,11 +165,11 @@ type Decision struct {
 
 // Stats is a point-in-time arbiter snapshot.
 type Stats struct {
-	Budget  int64   `json:"budget"`
-	Granted int64   `json:"granted"` // floors + bursts of running runs
-	Floors  int64   `json:"floors"`
-	Bursts  int64   `json:"bursts"`
-	Running int     `json:"running"`
+	Budget  int64 `json:"budget"`
+	Granted int64 `json:"granted"` // floors + bursts of running runs
+	Floors  int64 `json:"floors"`
+	Bursts  int64 `json:"bursts"`
+	Running int   `json:"running"`
 	// Pressure is the smoothed signal clamped to [0,1]; Raw is the
 	// instantaneous granted/budget ratio (exceeds 1 when oversubscribed).
 	Pressure    float64 `json:"pressure"`

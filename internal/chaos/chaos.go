@@ -13,8 +13,7 @@
 // order, so a run under any scenario is exactly reproducible: same seed,
 // same scenario, byte-identical event trace. The package also houses the
 // always-on invariant checker (invariants.go) the engine runs under every
-// scenario, and a real-time injector for the concurrent pipeline
-// (pipeline.go).
+// scenario.
 package chaos
 
 import (

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"sync"
 	"testing"
 
 	"deepum/internal/correlation"
@@ -268,32 +267,5 @@ func TestHostPressureWindow(t *testing.T) {
 	}
 	if in.Stats.PressureWindows != 2 {
 		t.Fatalf("PressureWindows = %d, want 2", in.Stats.PressureWindows)
-	}
-}
-
-// TestPipelineInjectorConcurrent: the real-time injector serves multiple
-// goroutines (fault handler, stage loops) without data races.
-func TestPipelineInjectorConcurrent(t *testing.T) {
-	sc, err := ByName("fault-storm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi := NewPipelineInjector(sc, 1)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				pi.DropFault()
-				pi.DupFault()
-				pi.StageDelay("migration")
-			}
-		}()
-	}
-	wg.Wait()
-	_, drops, dups := pi.Counts()
-	if drops == 0 || dups == 0 {
-		t.Fatalf("counts = (%d, %d): injector never fired at 20%%/10%% over 4000 trials", drops, dups)
 	}
 }

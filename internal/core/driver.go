@@ -10,9 +10,10 @@
 // (internal/policy/correlation) is the default, selected by Options.Policy.
 //
 // On a real system the driver is a Linux kernel module with four kernel
-// threads; here its policy logic is a deterministic state machine driven by
-// the simulation engine (internal/engine), while internal/pipeline provides
-// a faithful four-goroutine realization of the queue structure.
+// threads joined by queues, where fault work preempts prefetch work
+// (Fig. 4); here it is a deterministic state machine driven by the
+// simulation engine (internal/engine), which runs that queue discipline in
+// virtual time.
 package core
 
 import (
@@ -146,7 +147,7 @@ type Driver struct {
 
 	// obs receives a prefetch-issue event per enqueued command; obsClock
 	// supplies the timestamp (the driver itself has no clock — the engine
-	// drives it in virtual time, the pipeline in wall time).
+	// drives it in virtual time).
 	obs      *obs.Recorder
 	obsClock func() int64
 
@@ -213,7 +214,7 @@ func NewDriverFor(opts Options) (*Driver, error) {
 
 // NewDriver returns a driver with the given options, panicking on a policy
 // error. With a registered (or empty) Policy name and no hostile warm
-// payload, construction cannot fail; tests and the pipeline use this form.
+// payload, construction cannot fail; tests use this form.
 func NewDriver(opts Options) *Driver {
 	d, err := NewDriverFor(opts)
 	if err != nil {

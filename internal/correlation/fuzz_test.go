@@ -92,14 +92,14 @@ func FuzzReadCheckpoint(f *testing.F) {
 	tablesPayload := EncodeTables(buildWarmTables())
 	f.Add(envelopeV2(uint32(len("correlation")), "correlation", tablesPayload))
 	f.Add(envelopeV2(uint32(len("learned")), "learned", []byte{1, 2, 3}))
-	f.Add(envelopeV2(0, "", tablesPayload))                       // zero-length name
-	longName := string(bytes.Repeat([]byte{'p'}, 65))             // one over the cap
-	f.Add(envelopeV2(65, longName, nil))                          //
-	f.Add(envelopeV2(11, "corr\x00lation", tablesPayload))        // NUL inside the name
-	f.Add(envelopeV2(4, "tab\tx", tablesPayload))                 // control char
-	f.Add(envelopeV2(0xffffffff, "correlation", tablesPayload))   // nameLen lies huge
-	f.Add(envelopeV2(64, "correlation", tablesPayload))           // nameLen overruns into payload
-	f.Add(envelope(nil)[:13])                                     // v1 truncated inside version field
+	f.Add(envelopeV2(0, "", tablesPayload))                     // zero-length name
+	longName := string(bytes.Repeat([]byte{'p'}, 65))           // one over the cap
+	f.Add(envelopeV2(65, longName, nil))                        //
+	f.Add(envelopeV2(11, "corr\x00lation", tablesPayload))      // NUL inside the name
+	f.Add(envelopeV2(4, "tab\tx", tablesPayload))               // control char
+	f.Add(envelopeV2(0xffffffff, "correlation", tablesPayload)) // nameLen lies huge
+	f.Add(envelopeV2(64, "correlation", tablesPayload))         // nameLen overruns into payload
+	f.Add(envelope(nil)[:13])                                   // v1 truncated inside version field
 	v2 := envelopeV2(uint32(len("correlation")), "correlation", tablesPayload)
 	f.Add(v2[:14]) // v2 truncated before the name length completes
 

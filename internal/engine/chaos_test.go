@@ -6,8 +6,8 @@ import (
 	"deepum/internal/chaos"
 	"deepum/internal/core"
 	"deepum/internal/models"
+	"deepum/internal/obs"
 	"deepum/internal/sim"
-	"deepum/internal/trace"
 	"deepum/internal/workload"
 )
 
@@ -23,7 +23,7 @@ func chaosProgram(t *testing.T) *workload.Program {
 	return p
 }
 
-func chaosRun(t *testing.T, p *workload.Program, policy Policy, sc chaos.Scenario, seed int64, tr *trace.Recorder) *Result {
+func chaosRun(t *testing.T, p *workload.Program, policy Policy, sc chaos.Scenario, seed int64, rec *obs.Recorder) *Result {
 	t.Helper()
 	var inj *chaos.Injector
 	if sc.Active() {
@@ -37,7 +37,7 @@ func chaosRun(t *testing.T, p *workload.Program, policy Policy, sc chaos.Scenari
 		Iterations:    2,
 		Warmup:        2,
 		Seed:          seed,
-		Tracer:        tr,
+		Obs:           rec,
 		Chaos:         inj,
 	})
 	if err != nil {
@@ -162,10 +162,10 @@ func TestChaosDeterministicTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(seed int64) ([]trace.Event, *Result) {
-		tr := trace.NewRecorder(1 << 21)
-		res := chaosRun(t, p, PolicyDeepUM, sc, seed, tr)
-		return tr.Events(), res
+	run := func(seed int64) ([]obs.Event, *Result) {
+		rec := obs.NewRecorder(1 << 21)
+		res := chaosRun(t, p, PolicyDeepUM, sc, seed, rec)
+		return rec.Events(), res
 	}
 	ev1, r1 := run(1)
 	ev2, r2 := run(1)

@@ -26,7 +26,6 @@ import (
 	_ "deepum/internal/policy/learned"
 	"deepum/internal/sim"
 	"deepum/internal/torchalloc"
-	"deepum/internal/trace"
 	"deepum/internal/um"
 	"deepum/internal/umrt"
 	"deepum/internal/workload"
@@ -80,9 +79,6 @@ type Config struct {
 	// on the fault path (whole-block coalescing for dense faults) — an
 	// ablation point between naive UM and DeepUM.
 	UMDensityPrefetch bool
-	// Tracer, when set, records the run's event stream (launches, faults,
-	// migrations, evictions, prefetches, stalls) for offline analysis.
-	Tracer *trace.Recorder
 	// Obs, when set, attaches the structured observability layer: typed
 	// spans and instants (iterations, kernels, fault batches, the prefetch
 	// lifecycle, evictions, link occupancy, breaker transitions, queue
@@ -290,9 +286,7 @@ type exec struct {
 	// accessSum folds every touch in program order (see Result.AccessChecksum).
 	accessSum uint64
 
-	tracer        *trace.Recorder
-	obs           *obs.Recorder
-	currentKernel string
+	obs *obs.Recorder
 }
 
 func newExec(cfg Config) (*exec, error) {
@@ -398,7 +392,6 @@ func newExec(cfg Config) (*exec, error) {
 		e.alloc.OnActive = e.driver.OnPTActive
 		e.alloc.OnInactive = e.driver.OnPTInactive
 	}
-	e.tracer = cfg.Tracer
 	e.obs = cfg.Obs
 	e.handler = &um.Handler{
 		Params:          params,
@@ -438,8 +431,8 @@ func newExec(cfg Config) (*exec, error) {
 			e.driver.SetObserver(rec, func() int64 { return int64(e.now) })
 		}
 	}
-	e.handler.OnMigrated = func(b um.BlockID, at sim.Time) {
-		if e.driver != nil {
+	if e.driver != nil {
+		e.handler.OnMigrated = func(b um.BlockID) {
 			// Chaos can lose the notification (interrupt coalescing: the
 			// handler served the block but the driver never learns of it) or
 			// deliver it twice (a replayed interrupt; the correlator and
@@ -451,11 +444,8 @@ func newExec(cfg Config) (*exec, error) {
 				}
 			}
 		}
-		if e.tracer != nil {
-			e.tracer.Record(trace.Event{At: at, Kind: trace.KindMigrate, Kernel: e.currentKernel, Block: b})
-		}
 	}
-	e.handler.OnEvicted = func(b um.BlockID, invalidated bool) {
+	e.handler.OnEvicted = func(b um.BlockID) {
 		if e.prefetched[b] {
 			// Prefetched, never accessed, now evicted: the transfer was waste.
 			if e.obs != nil {
@@ -469,13 +459,6 @@ func newExec(cfg Config) (*exec, error) {
 		}
 		if e.driver != nil {
 			e.driver.NoteEviction(b)
-		}
-		if e.tracer != nil {
-			kind := trace.KindEvict
-			if invalidated {
-				kind = trace.KindInvalidate
-			}
-			e.tracer.Record(trace.Event{At: e.now, Kind: kind, Kernel: e.currentKernel, Block: b})
 		}
 	}
 	e.rt = umrt.New(space, e.driver)
@@ -622,8 +605,8 @@ func (e *exec) run() (*Result, error) {
 	res.Handler = e.handler.Stats
 	if e.driver != nil {
 		if e.status == StatusCancelled || e.status == StatusDeadlineExceeded {
-			// Shutdown policy (mirrors pipeline.Stop): demand work already
-			// drained at the event boundary; speculative work is discarded.
+			// Shutdown policy: demand work already drained at the event
+			// boundary; speculative work is discarded.
 			res.DiscardedPrefetches = e.driver.DiscardPrefetches()
 		}
 		res.Driver = e.driver.Stats
@@ -728,11 +711,7 @@ func (e *exec) kernel(k *workload.Kernel) error {
 	// deterministically in virtual time.
 	e.health.Tick(int64(e.now))
 	id := e.rt.Launch(k.Name, k.Args)
-	e.currentKernel = k.Name
 	kernelStart := e.now
-	if e.tracer != nil {
-		e.tracer.Record(trace.Event{At: e.now, Kind: trace.KindLaunch, Kernel: k.Name, Arg: int64(id)})
-	}
 	if e.obs != nil && e.driver != nil {
 		e.obs.Counter(obs.TrackDriver, int64(e.now), "prefetch-queue", int64(e.driver.PendingPrefetches()))
 	}
@@ -772,10 +751,6 @@ func (e *exec) kernel(k *workload.Kernel) error {
 			lead := int64(e.now) - int64(blk.ReadyAt)
 			if blk.ReadyAt > e.now {
 				// Prefetch in flight: stall until the transfer lands.
-				if e.tracer != nil {
-					e.tracer.Record(trace.Event{At: e.now, Kind: trace.KindStall,
-						Kernel: k.Name, Block: t.block, Arg: int64(blk.ReadyAt.Sub(e.now))})
-				}
 				if e.obs != nil {
 					e.obs.Instant(obs.KindStall, obs.TrackGPU, int64(e.now),
 						"", int64(t.block), int64(blk.ReadyAt.Sub(e.now)), 0)
@@ -842,14 +817,6 @@ func (e *exec) kernel(k *workload.Kernel) error {
 		// Let background transfers that start before the fault finish their
 		// reservations, then handle the fault with priority.
 		e.pump(e.now)
-		if e.tracer != nil {
-			var pages int64
-			for _, g := range e.groupBuf {
-				pages += g.PageCount()
-			}
-			e.tracer.Record(trace.Event{At: e.now, Kind: trace.KindFault,
-				Kernel: k.Name, Block: e.groupBuf[0].Block, Arg: pages})
-		}
 		if e.evictedInCycle == nil {
 			e.evictedInCycle = make(map[um.BlockID]bool)
 		} else {
@@ -1015,9 +982,6 @@ func (e *exec) pump(until sim.Time) {
 		if e.everPrefetched != nil {
 			e.everPrefetched[cmd.Block] = true
 		}
-		if e.tracer != nil {
-			e.tracer.Record(trace.Event{At: e.now, Kind: trace.KindPrefetch, Kernel: e.currentKernel, Block: cmd.Block})
-		}
 		if e.obs != nil {
 			e.obs.Span(obs.KindPrefetch, obs.TrackDriver, int64(at), int64(ready), "", int64(cmd.Block), need, 0)
 		}
@@ -1056,9 +1020,6 @@ func (e *exec) materialize(b um.BlockID) {
 	e.prefetched[b] = true
 	if e.everPrefetched != nil {
 		e.everPrefetched[b] = true
-	}
-	if e.tracer != nil {
-		e.tracer.Record(trace.Event{At: e.now, Kind: trace.KindPrefetch, Kernel: e.currentKernel, Block: b})
 	}
 	if e.obs != nil {
 		e.obs.Span(obs.KindPrefetch, obs.TrackDriver, int64(at), int64(ready), "", int64(b), need, 0)

@@ -3,8 +3,10 @@ package engine
 import (
 	"testing"
 
+	"deepum/internal/chaos"
 	"deepum/internal/core"
 	"deepum/internal/models"
+	"deepum/internal/obs"
 	"deepum/internal/sim"
 	"deepum/internal/workload"
 )
@@ -223,6 +225,32 @@ func TestDLRMIrregularDefeatsPrefetch(t *testing.T) {
 	speedup := float64(um.TotalTime) / float64(du.TotalTime)
 	if speedup < 0.4 || speedup > 2.5 {
 		t.Fatalf("DLRM speedup = %.2f, out of plausible band", speedup)
+	}
+}
+
+// TestTracedRunPerKernelTotals: the per-kernel table of a traced run's obs
+// analysis accounts for every fault page, kernel launch and critical-path
+// writeback that the run's own counters report.
+func TestTracedRunPerKernelTotals(t *testing.T) {
+	rec := obs.NewRecorder(obs.DefaultCapacity)
+	res := chaosRun(t, chaosProgram(t), PolicyDeepUM, chaos.Scenario{}, 1, rec)
+	if rec.Dropped() != 0 {
+		t.Fatalf("recorder overwrote %d events", rec.Dropped())
+	}
+	var pages, launches, evicted int64
+	for _, k := range obs.Analyze(rec.Events()).PerKernel {
+		pages += k.FaultPages
+		launches += k.Launches
+		evicted += k.Evicted
+	}
+	if pages == 0 || evicted == 0 {
+		t.Fatalf("run faulted %d pages and evicted %d blocks: not oversubscribed", pages, evicted)
+	}
+	if pages != res.Handler.PageFaults || launches != res.Driver.KernelLaunches ||
+		evicted != res.Handler.BlocksEvicted {
+		t.Fatalf("per-kernel sums (pages %d, launches %d, evicted %d) != run counters (%d, %d, %d)",
+			pages, launches, evicted,
+			res.Handler.PageFaults, res.Driver.KernelLaunches, res.Handler.BlocksEvicted)
 	}
 }
 

@@ -44,11 +44,6 @@ type Options struct {
 	Policy string
 }
 
-// DefaultOptions returns the configuration used by the bench harness.
-func DefaultOptions() Options {
-	return Options{Scale: 8, Iterations: 4, Warmup: 3, Seed: 1}
-}
-
 func (o Options) normalize() Options {
 	if o.Scale < 1 {
 		o.Scale = 8
@@ -228,6 +223,3 @@ func maxFeasibleBatch(lo, hi int64, feasible func(b int64) bool) int64 {
 	}
 	return lo
 }
-
-// fmtSscan wraps fmt.Sscan for the tests without importing fmt twice.
-func fmtSscan(s string, args ...any) (int, error) { return fmt.Sscan(s, args...) }

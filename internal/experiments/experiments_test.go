@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -125,7 +126,7 @@ func TestFig10AblationOrdering(t *testing.T) {
 	// optimizations must not be slower on the geometric mean.
 	parse := func(s string) float64 {
 		var v float64
-		if _, err := fmtSscan(s, &v); err != nil {
+		if _, err := fmt.Sscan(s, &v); err != nil {
 			t.Fatalf("bad gmean cell %q", s)
 		}
 		return v
@@ -216,7 +217,7 @@ func parseBatch(t *testing.T, s string) int64 {
 		s = strings.TrimSuffix(s, "k")
 	}
 	var v int64
-	if _, err := fmtSscan(s, &v); err != nil {
+	if _, err := fmt.Sscan(s, &v); err != nil {
 		t.Fatalf("bad batch cell %q", s)
 	}
 	return v * mult

@@ -2,9 +2,9 @@
 // It consumes the degradation telemetry the rest of the system already
 // produces — link transfer failures and retries, prefetch waste and late
 // hits, fault-batch latency, circuit-breaker transitions, migration-thread
-// stalls, pipeline stage restarts — folds each signal into a windowed EWMA
-// health score per component (link, prefetcher, pipeline, migrator), and
-// drives a graduated degradation ladder:
+// stalls, memory pressure — folds each signal into a windowed EWMA health
+// score per component (link, prefetcher, migrator), and drives a graduated
+// degradation ladder:
 //
 //	L0  full prefetch + pre-eviction (the paper's headline configuration)
 //	L1  chained-correlation-only prefetch: speculative re-queueing of
@@ -28,11 +28,10 @@
 // every forced ladder level.
 //
 // Like internal/obs, the package is clock-agnostic: timestamps are plain
-// int64 nanoseconds, so the engine feeds virtual (simulated) time while the
-// concurrent pipeline feeds wall time to its own controller instance. All
-// methods are safe for concurrent use and nil-safe — a nil *Controller
-// (health monitoring off) answers every gate permissively, mirroring the
-// nil-injector and nil-recorder conventions.
+// int64 nanoseconds on whatever clock the owner feeds (the engine feeds
+// virtual, simulated time). All methods are safe for concurrent use and
+// nil-safe — a nil *Controller (health monitoring off) answers every gate
+// permissively, mirroring the nil-injector and nil-recorder conventions.
 package health
 
 import (
@@ -80,8 +79,7 @@ type Component uint8
 const (
 	Link       Component = iota // transfer failures, retries, breaker opens
 	Prefetcher                  // waste, late hits, give-ups
-	Pipeline                    // concurrent-pipeline stage restarts
-	Migrator                    // fault-batch latency, injected stalls
+	Migrator                    // fault-batch latency, stalls, memory pressure
 	numComponents
 )
 
@@ -91,8 +89,6 @@ func (c Component) String() string {
 		return "link"
 	case Prefetcher:
 		return "prefetcher"
-	case Pipeline:
-		return "pipeline"
 	case Migrator:
 		return "migrator"
 	}
@@ -117,15 +113,14 @@ const (
 // component's score toward 1. Scores are clamped to [0,1], so weights
 // express "how many of these in one half-life mean trouble".
 const (
-	wTransferFail    = 0.30 // one failed transfer attempt
-	wPrefetchRetry   = 0.10 // a retried prefetch attempt
-	wPrefetchGiveUp  = 0.20 // a prefetch abandoned to demand faulting
-	wPrefetchWaste   = 0.08 // a prefetched block evicted unused
-	wLateHit         = 0.05 // a prefetch the GPU still stalled on
-	wBreakerOpen     = 0.90 // the circuit breaker tripping
-	wSlowFaultBatch  = 0.25 // a handler cycle far over its running mean
-	wMigratorStall   = 0.30 // an injected/observed migration-thread stall
-	wPipelineRestart = 0.50 // a stage goroutine panic-restart
+	wTransferFail   = 0.30 // one failed transfer attempt
+	wPrefetchRetry  = 0.10 // a retried prefetch attempt
+	wPrefetchGiveUp = 0.20 // a prefetch abandoned to demand faulting
+	wPrefetchWaste  = 0.08 // a prefetched block evicted unused
+	wLateHit        = 0.05 // a prefetch the GPU still stalled on
+	wBreakerOpen    = 0.90 // the circuit breaker tripping
+	wSlowFaultBatch = 0.25 // a handler cycle far over its running mean
+	wMigratorStall  = 0.30 // an injected/observed migration-thread stall
 	// wPressure scales the sampled memory-pressure gauge (0..1) into a
 	// migrator impulse. Sampled once per half-life, a sustained gauge of p
 	// holds the score near 2·wPressure·p, so full pressure (1.0) crosses
@@ -429,9 +424,6 @@ func (c *Controller) ObserveFaultBatch(ts, durNs int64) {
 
 // ObserveMigratorStall folds one migration-thread stall.
 func (c *Controller) ObserveMigratorStall(ts, durNs int64) { c.impulse(ts, Migrator, wMigratorStall) }
-
-// ObservePipelineRestart folds one panic-recovered stage restart.
-func (c *Controller) ObservePipelineRestart(ts int64) { c.impulse(ts, Pipeline, wPipelineRestart) }
 
 // Tick advances the controller's clock without an impulse: scores decay and
 // the ladder is re-evaluated (escalation on stale-but-high scores, recovery

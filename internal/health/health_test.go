@@ -136,7 +136,6 @@ func TestNilControllerPermissive(t *testing.T) {
 	c.ObserveBreaker(7, "closed", "open")
 	c.ObserveFaultBatch(8, 1000)
 	c.ObserveMigratorStall(9, 1000)
-	c.ObservePipelineRestart(10)
 	c.Tick(11)
 	c.SetObserver(obs.NewRecorder(0))
 	if c.Report() != nil || c.Transitions() != nil {

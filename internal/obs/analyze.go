@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Analysis is the offline digest of an event trace: the timing-overlap
@@ -14,7 +15,8 @@ import (
 // the handler amortizes over (Fig. 3); the prefetch lead-time distribution
 // separates prefetches that truly hid latency from those the GPU still
 // stalled on; the critical-path eviction count is the direct measure of
-// what pre-eviction (§5.1) failed to move off the fault path.
+// what pre-eviction (§5.1) failed to move off the fault path; the
+// per-kernel table shows which kernels the faults and stalls belong to.
 type Analysis struct {
 	Events  int
 	SpanNs  int64 // first to last event timestamp
@@ -67,6 +69,23 @@ type Analysis struct {
 
 	// QueueDepthMax holds the maximum sampled depth per queue name.
 	QueueDepthMax map[string]int64
+
+	// PerKernel aggregates the trace per kernel name, ordered by fault
+	// pages descending (see KernelProfile).
+	PerKernel []KernelProfile
+}
+
+// KernelProfile is one kernel name's share of a trace. Each event is
+// charged to the kernel span that started latest at or before it; events
+// before the first kernel span are charged to none.
+type KernelProfile struct {
+	Kernel     string
+	Launches   int64 // kernel spans
+	FaultPages int64 // pages faulted in the kernel's fault batches
+	Migrated   int64 // UM blocks in the kernel's fault batches
+	Evicted    int64 // critical-path evictions with writeback
+	Prefetches int64 // prefetch transfers started
+	StallNs    int64 // GPU time stalled on in-flight migrations
 }
 
 // HistBucket is one bucket of a power-of-two histogram: counts of samples
@@ -170,7 +189,72 @@ func Analyze(events []Event) *Analysis {
 		a.LeadNsP50 = leads[len(leads)/2]
 		a.LeadNsP90 = leads[len(leads)*9/10]
 	}
+	a.PerKernel = perKernel(events)
 	return a
+}
+
+// perKernel builds Analysis.PerKernel. A kernel span is recorded when the
+// kernel completes, after its own events, so the spans are sorted by start
+// before events are matched to them.
+func perKernel(events []Event) []KernelProfile {
+	type start struct {
+		ts   int64
+		prof *KernelProfile
+	}
+	byName := map[string]*KernelProfile{}
+	var starts []start
+	for _, e := range events {
+		if e.Kind != KindKernel {
+			continue
+		}
+		p := byName[e.Name]
+		if p == nil {
+			p = &KernelProfile{Kernel: e.Name}
+			byName[e.Name] = p
+		}
+		p.Launches++
+		starts = append(starts, start{e.TS, p})
+	}
+	if len(starts) == 0 {
+		return nil
+	}
+	sort.SliceStable(starts, func(i, j int) bool { return starts[i].ts < starts[j].ts })
+	for _, e := range events {
+		switch e.Kind {
+		case KindFaultBatch, KindEvict, KindPrefetch, KindStall:
+		default:
+			continue
+		}
+		i := sort.Search(len(starts), func(i int) bool { return starts[i].ts > e.TS })
+		if i == 0 {
+			continue
+		}
+		p := starts[i-1].prof
+		switch e.Kind {
+		case KindFaultBatch:
+			p.FaultPages += e.Arg
+			p.Migrated += e.Arg2
+		case KindEvict:
+			if e.Arg2&EvictCritical != 0 && e.Arg2&EvictInvalidated == 0 {
+				p.Evicted++
+			}
+		case KindPrefetch:
+			p.Prefetches++
+		case KindStall:
+			p.StallNs += e.Arg
+		}
+	}
+	out := make([]KernelProfile, 0, len(byName))
+	for _, p := range byName {
+		out = append(out, *p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].FaultPages != out[j].FaultPages {
+			return out[i].FaultPages > out[j].FaultPages
+		}
+		return out[i].Kernel < out[j].Kernel
+	})
+	return out
 }
 
 // pow2Hist buckets positive samples into power-of-two ranges [2^k, 2^(k+1)-1].
@@ -327,6 +411,19 @@ func (a *Analysis) String() string {
 			fmt.Fprintf(&b, " %s=%d", n, a.QueueDepthMax[n])
 		}
 		fmt.Fprintf(&b, "\n")
+	}
+	if len(a.PerKernel) > 0 {
+		n := min(len(a.PerKernel), 20)
+		fmt.Fprintf(&b, "\nper kernel: top %d of %d by fault pages\n", n, len(a.PerKernel))
+		fmt.Fprintf(&b, "  migrated = UM blocks in fault batches, evicted = critical-path writebacks,\n")
+		fmt.Fprintf(&b, "  prefetch = prefetch transfers started\n")
+		fmt.Fprintf(&b, "%-24s %8s %12s %10s %10s %10s %12s\n",
+			"kernel", "launches", "fault pages", "migrated", "evicted", "prefetch", "stall")
+		for _, p := range a.PerKernel[:n] {
+			fmt.Fprintf(&b, "%-24s %8d %12d %10d %10d %10d %12v\n",
+				p.Kernel, p.Launches, p.FaultPages, p.Migrated, p.Evicted,
+				p.Prefetches, time.Duration(p.StallNs))
+		}
 	}
 	return b.String()
 }

@@ -30,7 +30,7 @@ func goldenEvents() []Event {
 		{TS: 5_200, Dur: 700, Kind: KindLinkTransfer, Track: TrackLinkD2H, Name: "d2h", Arg: 2 << 20},
 		{TS: 6_000, Kind: KindStall, Track: TrackGPU, Block: 5, Arg: 250},
 		{TS: 7_000, Kind: KindBreaker, Track: TrackBreaker, Name: "closed->open"},
-		{TS: 8_000, Kind: KindQueueDepth, Track: TrackPipeline, Name: "faultq", Arg: 5},
+		{TS: 8_000, Kind: KindQueueDepth, Track: TrackDriver, Name: "faultq", Arg: 5},
 		{TS: 9_000, Kind: KindMark, Track: TrackRun, Name: "checkpoint"},
 	}
 }

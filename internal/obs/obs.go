@@ -3,15 +3,16 @@
 // prefetch lifecycle, evictions, link occupancy, circuit-breaker
 // transitions, and queue depths, accumulated in a lock-light bounded ring
 // buffer and exported as Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing) or as an offline analysis report.
+// chrome://tracing) or as an offline analysis report, including a
+// per-kernel breakdown of faults, evictions, prefetches and stalls.
 //
 // The package is deliberately dependency-free: timestamps are plain int64
 // nanoseconds so the same event stream carries the engine's virtual
-// (simulated) time and the pipeline's wall-clock time without importing
-// either clock. Attachment is designed to be zero-cost when disabled —
-// every emit site in the substrate guards on a nil *Recorder, so a run
-// without tracing pays one predictable branch per site and allocates
-// nothing.
+// (simulated) time and the serving stack's wall-clock time (shard and
+// arbiter tracks) without importing either clock. Attachment is designed
+// to be zero-cost when disabled — every emit site in the substrate guards
+// on a nil *Recorder, so a run without tracing pays one predictable branch
+// per site and allocates nothing.
 package obs
 
 import "sync"
@@ -165,8 +166,8 @@ const (
 	TrackDriver
 	// TrackBreaker carries circuit-breaker transitions.
 	TrackBreaker
-	// TrackPipeline carries the concurrent pipeline's wall-clock samples.
-	TrackPipeline
+	// Tid 7 is reserved: it named a track that no longer exists.
+	_
 	// TrackHealth carries degradation-ladder transitions and component
 	// score samples.
 	TrackHealth
@@ -195,8 +196,6 @@ func (t Track) String() string {
 		return "driver"
 	case TrackBreaker:
 		return "breaker"
-	case TrackPipeline:
-		return "pipeline"
 	case TrackHealth:
 		return "health"
 	case TrackShard:
@@ -209,7 +208,7 @@ func (t Track) String() string {
 
 // Event is one timestamped occurrence. TS and Dur are nanoseconds on the
 // recorder's clock (virtual time for the simulation, wall time for the
-// concurrent pipeline); Dur is zero for instants and counter samples.
+// serving stack); Dur is zero for instants and counter samples.
 // The per-kind payload conventions are documented on the Kind constants.
 type Event struct {
 	TS    int64

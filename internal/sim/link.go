@@ -46,7 +46,6 @@ type Link struct {
 	bytesD2H int64
 	nH2D     int64
 	nD2H     int64
-	failures int64
 }
 
 // TransferObserver receives every completed link reservation: the occupied
@@ -69,9 +68,6 @@ func (l *Link) SetPerturber(p TransferPerturber) { l.perturb = p }
 
 // SetObserver installs a transfer observer; nil removes it.
 func (l *Link) SetObserver(o TransferObserver) { l.observe = o }
-
-// Failures returns how many reservation attempts transiently failed.
-func (l *Link) Failures() int64 { return l.failures }
 
 // Reserve schedules a transfer of n bytes not earlier than at, returning the
 // interval [start, end) it occupies. A zero-byte transfer returns an empty
@@ -115,9 +111,6 @@ func (l *Link) ReserveChecked(at Time, n int64, dir Direction) (start, end Time,
 	case DeviceToHost:
 		l.bytesD2H += n
 		l.nD2H++
-	}
-	if fail {
-		l.failures++
 	}
 	if l.timeline != nil {
 		l.timeline.Add(start, end)
@@ -176,9 +169,6 @@ func (d *Duplex) SetObserver(o TransferObserver) {
 	d.h2d.SetObserver(o)
 	d.d2h.SetObserver(o)
 }
-
-// Failures returns transiently failed reservation attempts across lanes.
-func (d *Duplex) Failures() int64 { return d.h2d.Failures() + d.d2h.Failures() }
 
 // Reserve schedules a transfer on the lane of dir.
 func (d *Duplex) Reserve(at Time, n int64, dir Direction) (start, end Time) {

@@ -27,14 +27,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of two instants.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 const (
 	// KiB, MiB and GiB are byte-size units.
 	KiB int64 = 1 << 10

@@ -160,9 +160,9 @@ type Supervisor struct {
 
 	// arb is the oversubscription arbiter (nil when Oversubscribe is off;
 	// every arbiter method is nil-safe). arbStop ends its tick loop once.
-	arb      *arbiter.Arbiter
-	arbStop  chan struct{}
-	arbOnce  sync.Once
+	arb     *arbiter.Arbiter
+	arbStop chan struct{}
+	arbOnce sync.Once
 	// Store-GC accounting: gcBusy serializes background compactions;
 	// counters are read by Stats.
 	gcBusy      atomic.Bool
@@ -194,10 +194,10 @@ type run struct {
 	// the Suspend API). A real cancellation reason always wins over it.
 	suspendReason string
 	// force lets Resume bypass the arbiter's headroom gate once.
-	force bool
-	heartbeat    atomic.Int64 // unix nanos of last progress signal
-	healthLevel  atomic.Int64 // current degradation-ladder level (LiveRunner)
-	done         chan struct{}
+	force       bool
+	heartbeat   atomic.Int64 // unix nanos of last progress signal
+	healthLevel atomic.Int64 // current degradation-ladder level (LiveRunner)
+	done        chan struct{}
 }
 
 // journalSpec is the submitted-record payload: the spec plus the admitted
@@ -473,16 +473,6 @@ func (f *AdoptionFolder) Adoptions() []Adoption {
 		out = append(out, a)
 	}
 	return out
-}
-
-// AdoptionsFromRecords folds already-materialized records (see
-// AdoptionFolder; prefer streaming when the records come from a file).
-func AdoptionsFromRecords(recs []journal.Record) []Adoption {
-	f := NewAdoptionFolder()
-	for _, rec := range recs {
-		f.Add(rec)
-	}
-	return f.Adoptions()
 }
 
 // ReplayJournal reads the journal at path read-only — torn tail tolerated,
@@ -793,11 +783,6 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 	s.queued = append(s.queued, id)
 	s.qcond.Signal()
 	return id, false, nil
-}
-
-// LookupKey resolves an idempotency key to the run it is bound to.
-func (s *Supervisor) LookupKey(key string) (uint64, bool) {
-	return s.keys.Lookup(key)
 }
 
 // AdmissionKeys snapshots the key table (the federation rebuilds its

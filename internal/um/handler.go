@@ -93,6 +93,8 @@ type HandlerStats struct {
 // (1) fetch faults from the buffer, (2) preprocess (dedup, group per UM
 // block), then per faulted UM block (3) check space, (4) evict if needed,
 // (5) populate, (6) transfer, (7) map, (8) loop, and finally (9) replay.
+// Steps 1-2 cost FaultBatchOverhead; the caller passes the groups they
+// produce. The fault buffer's finite size is the caller's batch cap.
 //
 // A faulted block whose host side is unpopulated (first touch of a fresh
 // allocation) is zero-filled on the device: full handling cost, no
@@ -116,7 +118,7 @@ type Handler struct {
 
 	// OnMigrated, if set, is called for each block the handler maps onto the
 	// device (the DeepUM correlator records faulted blocks from here).
-	OnMigrated func(b BlockID, at sim.Time)
+	OnMigrated func(b BlockID)
 	// OnBatch, if set, is called once per fault-handling cycle with its
 	// interrupt-to-replay window (the health controller's fault-batch
 	// latency feed).
@@ -127,7 +129,7 @@ type Handler struct {
 	// as prefetch failures do).
 	OnTransferRetry func(at sim.Time)
 	// OnEvicted, if set, is called for each victim (dropped or transferred).
-	OnEvicted func(b BlockID, invalidated bool)
+	OnEvicted func(b BlockID)
 
 	// Ctx, if set, lets a supervisor interrupt fault handling between block
 	// groups: once the context is done, HandleGroups finishes the group in
@@ -144,19 +146,28 @@ type Handler struct {
 	Stats HandlerStats
 }
 
-// Handle runs one fault-handling cycle for the buffered faults, starting at
-// time now (when the interrupt is raised). It returns the time the replay
-// signal is delivered, i.e. when the GPU may re-execute the faulted
-// accesses. An empty batch returns now.
-func (h *Handler) Handle(now sim.Time, faults []Fault) sim.Time {
-	if len(faults) == 0 {
-		return now
-	}
-	groups := Preprocess(faults)
-	return h.HandleGroups(now, groups)
+// FaultGroup is the unit the fault handler processes: the distinct faulted
+// pages of one UM block. The engine builds groups from a kernel's touches,
+// so they arrive already deduplicated and grouped per block (step 2).
+type FaultGroup struct {
+	Block BlockID
+	// Count is the number of distinct faulted pages; zero counts as one.
+	Count int64
+	Write bool
 }
 
-// HandleGroups is Handle for pre-grouped faults.
+// PageCount returns the number of distinct faulted pages in the group.
+func (g FaultGroup) PageCount() int64 {
+	if g.Count > 0 {
+		return g.Count
+	}
+	return 1
+}
+
+// HandleGroups runs one fault-handling cycle for the grouped faults,
+// starting at time now (when the interrupt is raised). It returns the time
+// the replay signal is delivered, i.e. when the GPU may re-execute the
+// faulted accesses. An empty batch returns now.
 func (h *Handler) HandleGroups(now sim.Time, groups []FaultGroup) sim.Time {
 	if len(groups) == 0 {
 		return now
@@ -236,7 +247,7 @@ func (h *Handler) HandleGroups(now sim.Time, groups []FaultGroup) sim.Time {
 		h.Res.Touch(g.Block, g.Write)
 		h.Stats.BlocksMigrated++
 		if h.OnMigrated != nil {
-			h.OnMigrated(g.Block, t)
+			h.OnMigrated(g.Block)
 		}
 	}
 	// Step 9: replay.
@@ -275,7 +286,7 @@ func (h *Handler) evict(t sim.Time, need int64) sim.Time {
 						"", int64(v), 0, obs.EvictCritical|obs.EvictInvalidated)
 				}
 				if h.OnEvicted != nil {
-					h.OnEvicted(v, true)
+					h.OnEvicted(v)
 				}
 				continue
 			}
@@ -289,7 +300,7 @@ func (h *Handler) evict(t sim.Time, need int64) sim.Time {
 					"", int64(v), wb, obs.EvictCritical)
 			}
 			if h.OnEvicted != nil {
-				h.OnEvicted(v, false)
+				h.OnEvicted(v)
 			}
 		}
 	}

@@ -38,10 +38,6 @@ func (r *Residency) Count() int { return r.count }
 // Resident reports whether block b is mapped on the device.
 func (r *Residency) Resident(b BlockID) bool { return r.space.Block(b).Resident }
 
-// BlockBytes returns the allocated payload size of block b, a convenience
-// for eviction policies sizing their victim sets.
-func (r *Residency) BlockBytes(b BlockID) int64 { return r.space.Block(b).Bytes() }
-
 // BlockResidentBytes returns the device memory block b currently occupies.
 func (r *Residency) BlockResidentBytes(b BlockID) int64 {
 	return r.space.Block(b).ResidentBytes()
@@ -120,10 +116,6 @@ func (r *Residency) Touch(b BlockID, write bool) {
 
 // Oldest returns the least-recently-migrated resident block, or NoBlock.
 func (r *Residency) Oldest() BlockID { return r.head }
-
-// NextOlder returns the successor of b in LRM order (towards more recently
-// migrated), or NoBlock at the end.
-func (r *Residency) NextOlder(b BlockID) BlockID { return r.space.Block(b).next }
 
 // WalkLRM calls fn on resident blocks from least to most recently migrated
 // until fn returns false.

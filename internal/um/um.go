@@ -1,8 +1,8 @@
 // Package um models CUDA Unified Memory as described in §2.2-§2.3 of the
 // DeepUM paper: a single address space shared by CPU and GPU, 4 KiB pages
-// grouped into UM blocks of up to 512 contiguous pages (2 MiB), a hardware
-// fault buffer, and the NVIDIA driver's nine-step page-fault handling
-// pipeline with eviction on the critical path.
+// grouped into UM blocks of up to 512 contiguous pages (2 MiB), and the
+// NVIDIA driver's nine-step page-fault handling pipeline with eviction on
+// the critical path.
 //
 // The package is the substrate the DeepUM driver (internal/core) optimizes;
 // it is deliberately policy-free: eviction victim selection and invalidation
@@ -33,23 +33,6 @@ func PageOf(a Addr) int64 { return int64(a) / sim.PageSize }
 
 // Start returns the first byte address of the block.
 func (b BlockID) Start() Addr { return Addr(int64(b) * sim.BlockSize) }
-
-// AccessType distinguishes read and write faulted accesses; the NVIDIA
-// driver records it in the fault buffer together with the address.
-type AccessType uint8
-
-const (
-	// Read marks a read faulted access.
-	Read AccessType = iota
-	// Write marks a write faulted access.
-	Write
-)
-
-// Fault is one entry of the GPU fault buffer: a faulted page access.
-type Fault struct {
-	Page int64 // global page index
-	Type AccessType
-}
 
 // Block holds the driver-side state of one UM block. All pages of a block
 // are processed together by the fault handler, matching the NVIDIA driver's
@@ -165,9 +148,6 @@ func (s *Space) Block(b BlockID) *Block {
 	s.grow(b)
 	return &s.blocks[b]
 }
-
-// NumBlocks returns the current extent of the block table.
-func (s *Space) NumBlocks() int { return len(s.blocks) }
 
 // AllocatedBytes returns the total live UM allocation.
 func (s *Space) AllocatedBytes() int64 { return s.allocatedBytes }

@@ -203,50 +203,6 @@ func TestRangeAllocatorQuick(t *testing.T) {
 	}
 }
 
-func TestFaultBuffer(t *testing.T) {
-	fb := NewFaultBuffer(2)
-	fb.Push(Fault{Page: 1})
-	fb.Push(Fault{Page: 2})
-	fb.Push(Fault{Page: 3}) // overflow
-	if fb.Len() != 2 || fb.Dropped() != 1 || fb.Total() != 3 {
-		t.Fatalf("len=%d dropped=%d total=%d", fb.Len(), fb.Dropped(), fb.Total())
-	}
-	got := fb.Drain()
-	if len(got) != 2 || got[0].Page != 1 || got[1].Page != 2 {
-		t.Fatalf("drain = %v", got)
-	}
-	if fb.Len() != 0 {
-		t.Fatal("buffer not empty after drain")
-	}
-	if NewFaultBuffer(0).capacity != DefaultFaultBufferCap {
-		t.Fatal("default capacity not applied")
-	}
-}
-
-func TestPreprocess(t *testing.T) {
-	p0 := int64(0)                 // block 0
-	p1 := int64(1)                 // block 0
-	p2 := int64(sim.PagesPerBlock) // block 1
-	p3 := int64(sim.PagesPerBlock) + 1
-	faults := []Fault{
-		{Page: p0, Type: Read},
-		{Page: p2, Type: Read},
-		{Page: p0, Type: Write}, // duplicate page: dropped entirely
-		{Page: p1, Type: Write},
-		{Page: p3, Type: Read},
-	}
-	groups := Preprocess(faults)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
-	}
-	if groups[0].Block != 0 || len(groups[0].Pages) != 2 || !groups[0].Write {
-		t.Fatalf("group0 = %+v", groups[0])
-	}
-	if groups[1].Block != 1 || len(groups[1].Pages) != 2 || groups[1].Write {
-		t.Fatalf("group1 = %+v", groups[1])
-	}
-}
-
 func newTestHandler(gpuBlocks int64) (*Handler, *Space) {
 	p := sim.DefaultParams()
 	p.GPUMemory = gpuBlocks * sim.BlockSize
@@ -325,7 +281,7 @@ func TestHandlerMigratesFaultedBlocks(t *testing.T) {
 	s.Block(bs[0]).HostPopulated = true
 	s.Block(bs[1]).HostPopulated = true
 	var migrated []BlockID
-	h.OnMigrated = func(b BlockID, _ sim.Time) { migrated = append(migrated, b) }
+	h.OnMigrated = func(b BlockID) { migrated = append(migrated, b) }
 
 	end := h.HandleGroups(0, []FaultGroup{
 		{Block: bs[0], Count: sim.PagesPerBlock, Write: false},
@@ -401,7 +357,7 @@ func TestHandlerPartialPageMigration(t *testing.T) {
 
 func TestHandlerEmptyBatch(t *testing.T) {
 	h, _ := newTestHandler(2)
-	if end := h.Handle(42, nil); end != 42 {
+	if end := h.HandleGroups(42, nil); end != 42 {
 		t.Fatalf("empty batch end = %v, want 42", end)
 	}
 }
@@ -474,7 +430,7 @@ func TestHandlerResidentFaultWaitsForReady(t *testing.T) {
 	b := BlockOf(a)
 	// Simulate a prefetch in flight: resident but ready only at t=1000000.
 	h.Res.Insert(b, sim.PagesPerBlock, 0, 1_000_000)
-	end := h.Handle(0, []Fault{{Page: int64(b) * sim.PagesPerBlock}})
+	end := h.HandleGroups(0, []FaultGroup{{Block: b, Count: 1}})
 	if end < 1_000_000 {
 		t.Fatalf("fault on in-flight block finished at %v, want >= readyAt", end)
 	}
@@ -486,7 +442,7 @@ func TestHandlerResidentFaultWaitsForReady(t *testing.T) {
 func TestHandlerZeroPageFault(t *testing.T) {
 	h, _ := newTestHandler(4)
 	// Fault on a block with no allocation: maps a zero page, no transfer.
-	end := h.Handle(0, []Fault{{Page: 9999 * sim.PagesPerBlock}})
+	end := h.HandleGroups(0, []FaultGroup{{Block: 9999, Count: 1}})
 	h2d, _ := h.Link.Traffic()
 	if h2d != 0 {
 		t.Fatalf("zero-page fault transferred %d bytes", h2d)

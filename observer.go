@@ -59,8 +59,7 @@ func (o *Observer) recorder() *obs.Recorder {
 
 // WriteChromeTrace exports the recorded events as Chrome trace-event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Timestamps
-// are virtual (simulated) time except the pipeline track, which is
-// wall-clock relative to observer attachment.
+// are virtual (simulated) time.
 func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	return obs.WriteChromeTrace(w, o.rec.Events())
 }

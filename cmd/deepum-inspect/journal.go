@@ -53,8 +53,8 @@ func runJournal(args []string) {
 
 	fmt.Printf("== journal %s ==\n", path)
 	fmt.Printf("records      %d intact\n", stats.Records)
-	for _, t := range []journal.RecordType{journal.RecSubmitted, journal.RecStarted, journal.RecCheckpointed, journal.RecFinished, journal.RecAdmissionKey} {
-		fmt.Printf("  %-12s %d\n", t, stats.ByType[t])
+	for t := journal.RecSubmitted; t.Known(); t++ {
+		fmt.Printf("  %-13s %d\n", t, stats.ByType[t])
 	}
 	fmt.Printf("crc failures %d\n", stats.CRCFailures)
 	if stats.TornOffset >= 0 {
@@ -74,6 +74,7 @@ func runJournal(args []string) {
 		submitted   bool
 		attempts    int
 		checkpoints int
+		suspends    int
 		finished    bool
 		state       string
 	}
@@ -97,6 +98,8 @@ func runJournal(args []string) {
 			if len(r.Data) > 0 {
 				rs.checkpoints++
 			}
+		case journal.RecSuspended:
+			rs.suspends++
 		case journal.RecFinished:
 			rs.finished = true
 			// The finish payload is JSON with a "state" field; stay
@@ -112,7 +115,7 @@ func runJournal(args []string) {
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	fmt.Printf("\n%-8s %-10s %-8s %-11s %-22s %s\n", "run", "submitted", "starts", "checkpoints", "key", "state")
+	fmt.Printf("\n%-8s %-10s %-8s %-11s %-8s %-22s %s\n", "run", "submitted", "starts", "checkpoints", "suspends", "key", "state")
 	interrupted, keyed := 0, 0
 	for _, id := range order {
 		rs := runs[id]
@@ -129,7 +132,7 @@ func runJournal(args []string) {
 				key = key[:17] + "..."
 			}
 		}
-		fmt.Printf("%-8d %-10v %-8d %-11d %-22s %s\n", rs.id, rs.submitted, rs.attempts, rs.checkpoints, key, state)
+		fmt.Printf("%-8d %-10v %-8d %-11d %-8d %-22s %s\n", rs.id, rs.submitted, rs.attempts, rs.checkpoints, rs.suspends, key, state)
 	}
 	fmt.Printf("\n%d run(s), %d interrupted, %d keyed\n", len(order), interrupted, keyed)
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deepum/internal/store"
+	"deepum/internal/supervisor/journal"
 )
 
 func ckBlob(i int) []byte {
@@ -305,6 +306,119 @@ func TestCompactCrashSweep(t *testing.T) {
 					break
 				}
 			}
+		})
+	}
+}
+
+// jrec is the i'th record of the journal fault workloads.
+func jrec(i int) journal.Record {
+	return journal.Record{Type: journal.RecCheckpointed, RunID: uint64(i), Data: ckBlob(i)}
+}
+
+// replaySurviving reopens the journal on what a power cut would preserve
+// and returns the records it replays.
+func replaySurviving(t *testing.T, f *FaultFS) []journal.Record {
+	t.Helper()
+	var recs []journal.Record
+	j, stats, err := journal.OpenStream(f.Surviving(), "runs.journal", true, func(r journal.Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reopen journal on surviving state: %v", err)
+	}
+	j.Close()
+	if stats.CRCFailures != 0 {
+		t.Fatalf("surviving journal has a corrupt frame: %+v", stats)
+	}
+	return recs
+}
+
+func sameRecords(t *testing.T, got, want []journal.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Type != want[i].Type || got[i].RunID != want[i].RunID || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestJournalAppendFaultRollsBack: a torn write, an ENOSPC and a failed
+// fsync each fail one journal Append. The file is byte-identical to what it
+// was before that call, the journal keeps appending, and a reopen on the
+// surviving state replays every acknowledged record and nothing of the
+// failed one.
+func TestJournalAppendFaultRollsBack(t *testing.T) {
+	// Write and sync 1 are the header, 2 the first record; fault the second.
+	for _, c := range []struct {
+		name string
+		plan DiskFaults
+		want error
+	}{
+		{"torn-write", DiskFaults{TornWriteAt: 3, TornKeep: 9}, ErrTornWrite},
+		{"no-space", DiskFaults{NoSpaceAt: 3, NoSpaceKeep: 20}, ErrNoSpace},
+		{"failed-fsync", DiskFaults{FailSyncAt: 3}, ErrSyncFail},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := NewFaultFS(c.plan)
+			j, _, err := journal.OpenStream(f, "runs.journal", true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(jrec(1)); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := f.Inner().ReadFile("runs.journal")
+			if err := j.Append(jrec(2)); !errors.Is(err, c.want) {
+				t.Fatalf("append error = %v, want %v", err, c.want)
+			}
+			if after, _ := f.Inner().ReadFile("runs.journal"); !bytes.Equal(after, before) {
+				t.Fatalf("failed append changed the file: %d -> %d bytes", len(before), len(after))
+			}
+			if err := j.Append(jrec(3)); err != nil {
+				t.Fatalf("append after the failed one: %v", err)
+			}
+			j.Close()
+			sameRecords(t, replaySurviving(t, f), []journal.Record{jrec(1), jrec(3)})
+		})
+	}
+}
+
+// TestJournalAppendCrashSweep kills the filesystem at every fsync boundary
+// of a journal workload: the reopened journal holds exactly the records
+// whose Append returned nil before the crash.
+func TestJournalAppendCrashSweep(t *testing.T) {
+	const appends = 6
+	workload := func(f *FaultFS) (acked []journal.Record) {
+		j, _, err := journal.OpenStream(f, "runs.journal", true, nil)
+		if err != nil {
+			return nil
+		}
+		defer j.Close()
+		for i := 0; i < appends; i++ {
+			if err := j.Append(jrec(i)); err != nil {
+				break // crashed mid-workload
+			}
+			acked = append(acked, jrec(i))
+		}
+		return acked
+	}
+	clean := NewFaultFS(DiskFaults{})
+	if got := workload(clean); len(got) != appends {
+		t.Fatalf("clean run acknowledged %d of %d appends", len(got), appends)
+	}
+	total := clean.Boundaries()
+	for b := 1; b <= total; b++ {
+		t.Run(fmt.Sprintf("boundary=%d", b), func(t *testing.T) {
+			f := NewFaultFS(DiskFaults{CrashAtBoundary: b})
+			acked := workload(f)
+			if !f.Crashed() {
+				t.Fatalf("boundary %d of %d never hit", b, total)
+			}
+			sameRecords(t, replaySurviving(t, f), acked)
 		})
 	}
 }

@@ -10,7 +10,8 @@ package correlation
 // so a resumed run reproduces the prefetch decisions of an uninterrupted
 // one from its first post-resume iteration.
 //
-// Format (little-endian throughout):
+// Format (little-endian throughout; the header and the CRC trailer are
+// internal/store's frame codec):
 //
 //	magic   [8]byte  "DEEPUMCK"
 //	version uint32   (currently 2)
@@ -29,9 +30,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"deepum/internal/store"
 	"deepum/internal/um"
 )
 
@@ -70,14 +71,12 @@ func WriteEnvelope(w io.Writer, policyName string, payload []byte) error {
 	if !validPolicyName(policyName) {
 		return fmt.Errorf("correlation: invalid policy name %q in checkpoint envelope", policyName)
 	}
-	var buf bytes.Buffer
-	buf.Write(checkpointMagic[:])
-	writeU32(&buf, EnvelopeVersion)
-	writeU32(&buf, uint32(len(policyName)))
-	buf.WriteString(policyName)
-	buf.Write(payload)
-	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
-	_, err := w.Write(buf.Bytes())
+	buf := make([]byte, 0, store.HeaderLen+4+len(policyName)+len(payload)+4)
+	buf = store.AppendHeader(buf, checkpointMagic, EnvelopeVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(policyName)))
+	buf = append(buf, policyName...)
+	buf = append(buf, payload...)
+	_, err := w.Write(store.AppendCRC(buf, 0))
 	return err
 }
 
@@ -89,22 +88,21 @@ func ReadEnvelope(r io.Reader) (policyName string, payload []byte, err error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("correlation: reading checkpoint: %w", err)
 	}
-	const minLen = 8 + 4 + 4 // magic + version + crc
-	if len(raw) < minLen {
+	if len(raw) < store.HeaderLen+4 {
 		return "", nil, fmt.Errorf("correlation: checkpoint truncated (%d bytes)", len(raw))
 	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return "", nil, fmt.Errorf("correlation: checkpoint corrupt: crc mismatch (stored %08x, computed %08x)", sum, got)
+	body, err := store.CheckCRC(raw)
+	if err != nil {
+		return "", nil, fmt.Errorf("correlation: checkpoint corrupt: %w", err)
 	}
-	if !bytes.Equal(body[:8], checkpointMagic[:]) {
-		return "", nil, fmt.Errorf("correlation: not a checkpoint (bad magic %q)", body[:8])
+	v, err := store.CheckHeader(body, checkpointMagic, "checkpoint")
+	if err != nil {
+		return "", nil, fmt.Errorf("correlation: %w", err)
 	}
-	switch v := binary.LittleEndian.Uint32(body[8:12]); v {
+	switch rest := body[store.HeaderLen:]; v {
 	case CheckpointVersion:
-		return "correlation", body[12:], nil
+		return "correlation", rest, nil
 	case EnvelopeVersion:
-		rest := body[12:]
 		if len(rest) < 4 {
 			return "", nil, fmt.Errorf("correlation: checkpoint truncated before policy name")
 		}

@@ -60,3 +60,30 @@ func TestLegacyCheckpointLoad(t *testing.T) {
 		t.Fatalf("upgrade changed the payload: policy %q, %d vs %d bytes", name2, len(payload2), len(payload))
 	}
 }
+
+// TestEnvelopeV2Fixture pins the current envelope format the same way:
+// testdata/envelope_v2.ckpt is buildWarmTables' checkpoint as written before
+// the envelope moved onto internal/store's header and CRC helpers. It must
+// load, and checkpointing the same tables must reproduce it byte for byte.
+func TestEnvelopeV2Fixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "envelope_v2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name, _, err := ReadEnvelope(bytes.NewReader(raw)); err != nil || name != "correlation" {
+		t.Fatalf("ReadEnvelope on v2 fixture: policy %q, err %v", name, err)
+	}
+	tbl, err := ReadCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []*Tables{buildWarmTables(), tbl} {
+		var out bytes.Buffer
+		if err := WriteCheckpoint(&out, ts); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), raw) {
+			t.Fatalf("re-encoded envelope differs from the fixture (%d vs %d bytes)", out.Len(), len(raw))
+		}
+	}
+}

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // StateTransition records one state-machine transition with the virtual
@@ -77,53 +76,4 @@ func (l *TransitionLog) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SyncTransitionLog is a TransitionLog safe for concurrent use. The
-// single-threaded engine keeps the lock-free variant; the multi-run
-// supervisor, whose workers record run-state transitions from many
-// goroutines, uses this one. The zero value is ready to use.
-type SyncTransitionLog struct {
-	mu  sync.Mutex
-	log TransitionLog
-}
-
-// Record appends one transition.
-func (l *SyncTransitionLog) Record(at int64, from, to, reason string) {
-	l.mu.Lock()
-	l.log.Record(at, from, to, reason)
-	l.mu.Unlock()
-}
-
-// Transitions returns a copy of the recorded transitions in order (a copy,
-// unlike TransitionLog.Transitions, so the caller holds no reference into
-// a log that other goroutines keep appending to).
-func (l *SyncTransitionLog) Transitions() []StateTransition {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]StateTransition(nil), l.log.transitions...)
-}
-
-// Len returns how many transitions were recorded.
-func (l *SyncTransitionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Len()
-}
-
-// Count returns how many recorded transitions went from `from` to `to`; an
-// empty string matches any state on that side.
-func (l *SyncTransitionLog) Count(from, to string) int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Count(from, to)
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -61,48 +60,5 @@ func TestTransitionLogString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String %q missing %q", s, want)
 		}
-	}
-}
-
-// TestSyncTransitionLogConcurrent hammers the concurrent log from many
-// goroutines (run under -race in CI) and checks nothing is lost and
-// snapshots are copies.
-func TestSyncTransitionLogConcurrent(t *testing.T) {
-	var l SyncTransitionLog
-	const writers, each = 8, 100
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				l.Record(int64(i), "queued", "running", "worker")
-			}
-		}(w)
-	}
-	// Concurrent reads while writers run.
-	for i := 0; i < 10; i++ {
-		_ = l.Transitions()
-		_ = l.Count("queued", "running")
-	}
-	wg.Wait()
-	if l.Len() != writers*each {
-		t.Fatalf("Len = %d, want %d", l.Len(), writers*each)
-	}
-	if l.Count("queued", "running") != writers*each {
-		t.Fatalf("Count = %d, want %d", l.Count("queued", "running"), writers*each)
-	}
-	snap := l.Transitions()
-	snap[0].From = "mutated"
-	if l.Transitions()[0].From != "queued" {
-		t.Fatal("Transitions returned a shared slice, not a copy")
-	}
-}
-
-// TestSyncTransitionLogNil: nil reads are inert, matching TransitionLog.
-func TestSyncTransitionLogNil(t *testing.T) {
-	var l *SyncTransitionLog
-	if l.Transitions() != nil || l.Len() != 0 || l.Count("", "") != 0 {
-		t.Fatal("nil SyncTransitionLog reads are not inert")
 	}
 }

@@ -51,7 +51,7 @@ func (s *Store) Compact(live func(Key) bool) (CompactStats, error) {
 	if s.closed {
 		return st, errClosed
 	}
-	st.BytesBefore = s.size
+	st.BytesBefore = s.out.Size()
 
 	// Plan: keep live keys in ascending key order (deterministic layout —
 	// two compactions of the same state produce byte-identical files).
@@ -123,11 +123,10 @@ func (s *Store) Compact(live func(Key) bool) (CompactStats, error) {
 	// The rename made nf's inode the store; retire the old handle and
 	// swap the in-memory view. From here the compaction has happened —
 	// errors closing the old handle are not undoable and not fatal.
-	_ = s.f.Close()
-	s.f = nf
-	s.size = int64(len(buf))
+	_ = s.out.Close()
+	s.out = NewAppender(nf, int64(len(buf)), !s.opts.NoSync)
 	s.index = newIndex
 	s.order = newOrder
-	st.BytesAfter = s.size
+	st.BytesAfter = s.out.Size()
 	return st, nil
 }

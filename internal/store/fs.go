@@ -9,12 +9,13 @@ import (
 	"sync"
 )
 
-// The filesystem seam. The store talks to disk only through the File and
-// FS interfaces, so a test (or internal/chaos's disk-fault injector) can
-// substitute an in-memory filesystem that tears writes at arbitrary
-// offsets, fails fsyncs, runs out of space mid-append, or "crashes" at any
-// fsync/rename boundary and hands back only what a real power cut would
-// have preserved. Production uses OSFS, a thin wrapper over *os.File.
+// The filesystem seam. The store and the supervisor journal talk to disk
+// only through the File and FS interfaces, so a test (or internal/chaos's
+// disk-fault injector) can substitute an in-memory filesystem that tears
+// writes at arbitrary offsets, fails fsyncs, runs out of space
+// mid-append, or "crashes" at any fsync/rename boundary and hands back
+// only what a real power cut would have preserved. Production uses OSFS,
+// a thin wrapper over *os.File.
 
 // File is one open store file. The store never seeks: reads are positioned
 // (ReadAt) and writes always append at the current end.

@@ -59,9 +59,9 @@ func FuzzOpenStore(f *testing.F) {
 	f.Add(storeImage())                       // header only
 	f.Add([]byte("NOTSTORE\x01\x00\x00\x00")) // wrong magic
 	f.Add(valid[:len(valid)-3])               // torn tail: truncated CRC
-	f.Add(valid[:headerLen+2])                // torn tail: truncated length field
+	f.Add(valid[:HeaderLen+2])                // torn tail: truncated length field
 	flipped := bytes.Clone(valid)             // bit flip mid-blob: scanner must resync
-	flipped[headerLen+20] ^= 0x08
+	flipped[HeaderLen+20] ^= 0x08
 	f.Add(flipped)
 	// CRC-valid hostile frames: every defense must live in decodeFrame.
 	f.Add(storeImage(hostileFrame(0xFFFFFFFF, 0, 1, nil)))                                             // length ~4 GiB

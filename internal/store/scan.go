@@ -1,23 +1,14 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
-// Frame codec and file scanner. One store file is:
-//
-//	header  [8]byte  "DEEPUMCS"
-//	version uint32   (currently 1)
-//	frame*           appended content frames
-//
-// Each frame (little-endian):
-//
-//	length  uint32   bytes of payload (flags + key + blob)
-//	payload flags(1) key(8) blob(length-9)
-//	crc32   uint32   IEEE, over the length field and payload
+// The store's frames and file scanner. A store file is a framed file (see
+// frame.go) with magic "DEEPUMCS". In each frame the tag is a flags byte
+// (reserved, zero in v1), the ID is the blob's key and the data is the
+// blob.
 //
 // The key is the blob's content hash (FNV-1a finalized with splitmix64),
 // stored redundantly so a scan can verify the frame twice over: the CRC
@@ -39,18 +30,8 @@ var fileMagic = [8]byte{'D', 'E', 'E', 'P', 'U', 'M', 'C', 'S'}
 // other version rather than guessing at the frame layout.
 const Version uint32 = 1
 
-const (
-	headerLen = 8 + 4
-	// minPayload is flags + key: the smallest legal frame payload (an
-	// empty blob is legal — the hash of zero bytes is still a key).
-	minPayload = 1 + 8
-	// frameOverhead is the fixed cost of one frame on disk.
-	frameOverhead = 4 + minPayload + 4
-)
-
-// MaxBlobBytes bounds one blob so a corrupt length field can never drive
-// a huge allocation during a scan (checkpoint payloads are a few MiB).
-const MaxBlobBytes = 64 << 20
+// MaxBlobBytes bounds one blob: a blob is one frame's data.
+const MaxBlobBytes = MaxFrameData
 
 // Key is a blob's 64-bit content hash — the store's address space.
 type Key uint64
@@ -79,19 +60,11 @@ func mix64(z uint64) uint64 {
 }
 
 // appendHeader writes the file header into buf.
-func appendHeader(buf []byte) []byte {
-	buf = append(buf, fileMagic[:]...)
-	return binary.LittleEndian.AppendUint32(buf, Version)
-}
+func appendHeader(buf []byte) []byte { return AppendHeader(buf, fileMagic, Version) }
 
 // appendFrame encodes one frame into buf.
 func appendFrame(buf []byte, key Key, blob []byte) []byte {
-	start := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(minPayload+len(blob)))
-	buf = append(buf, 0) // flags: reserved, must be zero in v1
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(key))
-	buf = append(buf, blob...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	return AppendFrame(buf, 0, uint64(key), blob)
 }
 
 // frameRef locates one intact frame inside the file.
@@ -103,34 +76,15 @@ type frameRef struct {
 
 // decodeFrame validates the frame at data[off:]. It returns the frame's
 // key, the blob (aliasing data — callers copy if they retain), and the
-// total frame size. ok is false for any damage: implausible length, a
-// frame extending past the buffer, CRC mismatch, non-zero flags, or a key
-// that does not match the blob's content hash.
+// total frame size. ok is false for any damage DecodeFrame finds, for
+// non-zero flags, and for a key that does not match the blob's content
+// hash.
 func decodeFrame(data []byte, off int64) (key Key, blob []byte, n int64, ok bool) {
-	rest := data[off:]
-	if len(rest) < frameOverhead {
+	f, size, ok := DecodeFrame(data[off:])
+	if !ok || f.Tag != 0 || HashBytes(f.Data) != Key(f.ID) {
 		return 0, nil, 0, false
 	}
-	length := int64(binary.LittleEndian.Uint32(rest[:4]))
-	if length < minPayload || length > minPayload+MaxBlobBytes {
-		return 0, nil, 0, false
-	}
-	n = 4 + length + 4
-	if int64(len(rest)) < n {
-		return 0, nil, 0, false
-	}
-	if crc32.ChecksumIEEE(rest[:4+length]) != binary.LittleEndian.Uint32(rest[4+length:n]) {
-		return 0, nil, 0, false
-	}
-	if rest[4] != 0 { // flags
-		return 0, nil, 0, false
-	}
-	key = Key(binary.LittleEndian.Uint64(rest[5:13]))
-	blob = rest[13 : 4+length]
-	if HashBytes(blob) != key {
-		return 0, nil, 0, false
-	}
-	return key, blob, n, true
+	return Key(f.ID), f.Data, int64(size), true
 }
 
 // CorruptRegion is a byte range the scanner had to skip.
@@ -150,10 +104,10 @@ type scanResult struct {
 }
 
 // scanFrames walks data (a full store image including header, already
-// header-validated) from headerLen, resynchronizing past damage.
+// header-validated) from HeaderLen, resynchronizing past damage.
 func scanFrames(data []byte) scanResult {
 	res := scanResult{torn: -1}
-	off := int64(headerLen)
+	off := int64(HeaderLen)
 	for off < int64(len(data)) {
 		key, _, n, ok := decodeFrame(data, off)
 		if ok {
@@ -177,7 +131,7 @@ func scanFrames(data []byte) scanResult {
 // or -1. Validity includes the content-hash check, so garbage that happens
 // to carry a self-consistent CRC still cannot fool the scan.
 func resync(data []byte, from int64) int64 {
-	for off := from; off+frameOverhead <= int64(len(data)); off++ {
+	for off := from; off+FrameOverhead <= int64(len(data)); off++ {
 		if _, _, _, ok := decodeFrame(data, off); ok {
 			return off
 		}
@@ -188,14 +142,12 @@ func resync(data []byte, from int64) int64 {
 // checkHeader validates the file header, distinguishing "not a store at
 // all" (error) from an empty-but-valid file.
 func checkHeader(data []byte) error {
-	if len(data) < headerLen {
-		return fmt.Errorf("store: file too short for header (%d bytes)", len(data))
+	v, err := CheckHeader(data, fileMagic, "checkpoint store")
+	if err == nil && v != Version {
+		err = fmt.Errorf("unsupported version %d (want %d)", v, Version)
 	}
-	if string(data[:8]) != string(fileMagic[:]) {
-		return fmt.Errorf("store: bad magic %q (not a checkpoint store)", data[:8])
-	}
-	if v := binary.LittleEndian.Uint32(data[8:headerLen]); v != Version {
-		return fmt.Errorf("store: unsupported version %d (want %d)", v, Version)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }

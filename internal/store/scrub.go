@@ -56,7 +56,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	if s.closed {
 		return rep, errClosed
 	}
-	data, err := readAll(s.f)
+	data, err := readAll(s.out.f)
 	if err != nil {
 		return rep, fmt.Errorf("store: scrub read: %w", err)
 	}
@@ -73,13 +73,9 @@ func (s *Store) Scrub() (ScrubReport, error) {
 		// Tail damage: every intact frame precedes it (scan already tried
 		// to resync). Truncate so future appends extend a clean file.
 		rep.TornBytes = int64(len(data)) - res.torn
-		if err := s.f.Truncate(res.torn); err != nil {
+		if err := s.out.Truncate(res.torn); err != nil {
 			return rep, fmt.Errorf("store: scrub truncating torn tail at %d: %w", res.torn, err)
 		}
-		if err := s.f.Sync(); err != nil {
-			return rep, fmt.Errorf("store: scrub syncing truncated file: %w", err)
-		}
-		s.size = res.torn
 	}
 
 	// Rebuild the intact view and diff it against the index: repair what

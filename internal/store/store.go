@@ -13,8 +13,9 @@
 // reports the key lost so the owning run degrades to a cold restart), and
 // compaction commits through an atomic rename so a crash at any
 // fsync/rename boundary leaves either the old file or the new one — never
-// a hybrid. Open heals torn tails by truncation, exactly like the
-// supervisor WAL it borrows its framing idiom from.
+// a hybrid. Open heals torn tails by truncation. The frame codec and the
+// rollback-safe append path (frame.go) are shared with the supervisor WAL
+// and the checkpoint envelope.
 package store
 
 import (
@@ -54,8 +55,7 @@ type Store struct {
 	opts Options
 
 	mu    sync.RWMutex
-	f     File
-	size  int64
+	out   *Appender
 	index map[Key][]frameRef
 	// keys in first-Put order, for deterministic iteration/compaction.
 	order  []Key
@@ -109,23 +109,17 @@ func Open(path string, opts Options) (*Store, OpenStats, error) {
 	if err != nil {
 		return nil, stats, fmt.Errorf("store: open %s: %w", path, err)
 	}
-	s := &Store{path: path, fs: opts.FS, opts: opts, f: f, index: map[Key][]frameRef{}}
-
 	data, err := readAll(f)
 	if err != nil {
 		f.Close()
 		return nil, stats, fmt.Errorf("store: reading %s: %w", path, err)
 	}
+	s := &Store{path: path, fs: opts.FS, opts: opts, out: NewAppender(f, int64(len(data)), !opts.NoSync), index: map[Key][]frameRef{}}
 	if len(data) == 0 {
-		hdr := appendHeader(nil)
-		if _, err := f.Write(hdr); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
+		if err := s.out.Append(appendHeader(nil)); err != nil {
 			f.Close()
 			return nil, stats, fmt.Errorf("store: initializing %s: %w", path, err)
 		}
-		s.size = int64(len(hdr))
 	} else {
 		if err := checkHeader(data); err != nil {
 			f.Close()
@@ -133,20 +127,13 @@ func Open(path string, opts Options) (*Store, OpenStats, error) {
 		}
 		res := scanFrames(data)
 		stats.CorruptRegions = res.corrupt
-		end := int64(len(data))
 		if res.torn >= 0 {
 			stats.TornBytes = int64(len(data)) - res.torn
-			if err := f.Truncate(res.torn); err != nil {
+			if err := s.out.Truncate(res.torn); err != nil {
 				f.Close()
 				return nil, stats, fmt.Errorf("store: truncating torn tail of %s at %d: %w", path, res.torn, err)
 			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, stats, fmt.Errorf("store: syncing truncated %s: %w", path, err)
-			}
-			end = res.torn
 		}
-		s.size = end
 		for _, fr := range res.frames {
 			if len(s.index[fr.key]) == 0 {
 				s.order = append(s.order, fr.key)
@@ -201,7 +188,7 @@ var errClosed = fmt.Errorf("store: closed")
 // against hash collisions) and returns without writing — dedup. The blob
 // is durable (fsync'd, unless Options.NoSync) when Put returns nil.
 // A failed append rolls the file back to its previous size so a torn
-// frame never lingers past the call.
+// frame never lingers past the call (see Appender).
 func (s *Store) Put(blob []byte) (Key, error) {
 	if int64(len(blob)) > MaxBlobBytes {
 		return 0, fmt.Errorf("store: blob %d bytes exceeds limit %d", len(blob), MaxBlobBytes)
@@ -234,31 +221,20 @@ func (s *Store) Put(blob []byte) (Key, error) {
 	return key, nil
 }
 
-// appendLocked writes n replica frames for (key, blob) at the tail,
-// fsyncs, and indexes them. On failure it truncates back to the pre-append
-// size so the file never keeps a torn frame. Caller holds mu.
+// appendLocked writes n replica frames for (key, blob) in one append and
+// indexes them. Caller holds mu.
 func (s *Store) appendLocked(key Key, blob []byte, n int) error {
-	prev := s.size
-	buf := make([]byte, 0, n*(frameOverhead+len(blob)))
+	prev := s.out.Size()
+	buf := make([]byte, 0, n*(FrameOverhead+len(blob)))
 	refs := make([]frameRef, 0, n)
 	for i := 0; i < n; i++ {
 		off := prev + int64(len(buf))
 		buf = appendFrame(buf, key, blob)
 		refs = append(refs, frameRef{off: off, n: prev + int64(len(buf)) - off, key: key})
 	}
-	_, werr := s.f.Write(buf)
-	if werr == nil && !s.opts.NoSync {
-		werr = s.f.Sync()
+	if err := s.out.Append(buf); err != nil {
+		return fmt.Errorf("store: appending key %s: %w", key, err)
 	}
-	if werr != nil {
-		// Roll back: a partial frame at the tail would cost the next Open
-		// a torn-tail truncation; do it now while we know the clean size.
-		if terr := s.f.Truncate(prev); terr == nil {
-			_ = s.f.Sync()
-		}
-		return fmt.Errorf("store: appending key %s: %w", key, werr)
-	}
-	s.size = prev + int64(len(buf))
 	if len(s.index[key]) == 0 {
 		s.order = append(s.order, key)
 	}
@@ -273,7 +249,7 @@ func (s *Store) readGoodLocked(key Key, refs []frameRef) ([]byte, error) {
 	var corrupt int
 	for _, fr := range refs {
 		frame := make([]byte, fr.n)
-		if _, err := s.f.ReadAt(frame, fr.off); err != nil {
+		if _, err := s.out.f.ReadAt(frame, fr.off); err != nil {
 			corrupt++
 			continue
 		}
@@ -365,7 +341,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.RUnlock()
 	st := Stats{
 		Keys:        len(s.index),
-		Bytes:       s.size,
+		Bytes:       s.out.Size(),
 		Puts:        s.puts,
 		DedupHits:   s.dedupHits,
 		ReadCorrupt: s.getCorrupt,
@@ -385,7 +361,7 @@ func (s *Store) Sync() error {
 	if s.closed {
 		return errClosed
 	}
-	return s.f.Sync()
+	return s.out.f.Sync()
 }
 
 // Close stops the background scrubber (if any) and closes the file.
@@ -397,13 +373,13 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	stop, done := s.scrubStop, s.scrubDone
-	f := s.f
+	out := s.out
 	s.mu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
 	}
-	return f.Close()
+	return out.Close()
 }
 
 // sortedKeysLocked returns the index's keys ascending (deterministic

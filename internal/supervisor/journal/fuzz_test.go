@@ -3,49 +3,46 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
+
+	"deepum/internal/store"
 )
 
-// frame hand-encodes one journal frame exactly as Append lays it out
-// (length, type, runID, data, CRC over length+payload), so the fuzz corpus
-// can craft CRC-valid hostile frames the file-level API would refuse to
-// write.
+// frame encodes one journal frame exactly as Append lays it out, so the
+// fuzz corpus can craft CRC-valid hostile frames the file-level API would
+// refuse to write.
 func frame(typ RecordType, runID uint64, data []byte) []byte {
-	var buf bytes.Buffer
-	writeU32(&buf, uint32(1+8+len(data)))
-	buf.WriteByte(byte(typ))
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], runID)
-	buf.Write(id[:])
-	buf.Write(data)
-	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes()
+	return store.AppendFrame(nil, byte(typ), runID, data)
 }
 
 // rawFrame builds a frame from an already-encoded length field and payload,
 // with a correct CRC — for lying length fields the checksum cannot catch.
 func rawFrame(length uint32, payload []byte) []byte {
-	var buf bytes.Buffer
-	writeU32(&buf, length)
-	buf.Write(payload)
-	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes()
+	buf := binary.LittleEndian.AppendUint32(nil, length)
+	return store.AppendCRC(append(buf, payload...), 0)
 }
 
 // journalImage assembles a syntactically valid journal file: header plus
 // the given frames.
 func journalImage(frames ...[]byte) []byte {
-	var buf bytes.Buffer
-	buf.Write(fileMagic[:])
-	writeU32(&buf, Version)
+	buf := store.AppendHeader(nil, fileMagic, Version)
 	for _, f := range frames {
-		buf.Write(f)
+		buf = append(buf, f...)
 	}
-	return buf.Bytes()
+	return buf
 }
 
-// FuzzReplayJournal feeds Replay adversarial WAL bytes. Whatever the input
+// replay decodes an in-memory journal image, collecting its records.
+func replay(data []byte) ([]Record, ReplayStats, error) {
+	var recs []Record
+	stats, err := ReplayStream(bytes.NewReader(data), func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, stats, err
+}
+
+// FuzzReplayJournal feeds ReplayStream adversarial WAL bytes. Whatever the input
 // — torn tails, bit flips, lying length fields, confused record types —
 // the decoder must never panic, never size an allocation from an
 // unvalidated length, and must satisfy two fixed points: re-encoding the
@@ -68,18 +65,18 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Add(journalImage())                     // header only, no frames
 	f.Add([]byte("NOTAJRNL\x01\x00\x00\x00")) // wrong magic
 	f.Add(valid[:len(valid)-3])               // torn tail: truncated CRC
-	f.Add(valid[:headerLen+2])                // torn tail: truncated length field
+	f.Add(valid[:store.HeaderLen+2])          // torn tail: truncated length field
 	flipped := bytes.Clone(valid)             // bit flip mid-payload
-	flipped[headerLen+10] ^= 0x20
+	flipped[store.HeaderLen+10] ^= 0x20
 	f.Add(flipped)
 	// CRC-valid hostile frames: the checksum passes, so every defense must
 	// live in the frame decoder itself.
-	f.Add(journalImage(rawFrame(0xFFFFFFFF, []byte{byte(RecSubmitted)})))         // length ~4 GiB
-	f.Add(journalImage(rawFrame(MaxRecordBytes+1, []byte{byte(RecSubmitted)})))   // just over the cap
-	f.Add(journalImage(rawFrame(3, []byte{byte(RecSubmitted), 0, 0})))            // length below type+runID
-	f.Add(journalImage(frame(RecordType(99), 1, nil)))                            // unknown type, valid CRC
-	f.Add(journalImage(frame(RecStarted, 1, spec)))                               // type confusion: started with payload
-	f.Add(journalImage(frame(RecFinished, 1, nil), frame(RecordType(0), 2, nil))) // good frame then zero type
+	f.Add(journalImage(rawFrame(0xFFFFFFFF, []byte{byte(RecSubmitted)})))           // length ~4 GiB
+	f.Add(journalImage(rawFrame(1+8+MaxRecordBytes+1, []byte{byte(RecSubmitted)}))) // just over the cap
+	f.Add(journalImage(rawFrame(3, []byte{byte(RecSubmitted), 0, 0})))              // length below type+runID
+	f.Add(journalImage(frame(RecordType(99), 1, nil)))                              // unknown type, valid CRC
+	f.Add(journalImage(frame(RecStarted, 1, spec)))                                 // type confusion: started with payload
+	f.Add(journalImage(frame(RecFinished, 1, nil), frame(RecordType(0), 2, nil)))   // good frame then zero type
 	f.Add(journalImage(frame(RecAdmissionKey, 3, []byte("retry-key-3")), frame(RecSubmitted, 3, spec)))
 	f.Add(journalImage(frame(RecAdmissionKey, 3, nil))) // type confusion: key record with no key
 	// Suspended-run lifecycle: submit, start, checkpoint, suspend, restart,
@@ -100,12 +97,12 @@ func FuzzReplayJournal(f *testing.F) {
 		if len(data) > 1<<20 {
 			data = data[:1<<20]
 		}
-		recs, stats, err := Replay(bytes.NewReader(data))
+		recs, stats, err := replay(data)
 		if err != nil {
 			// Errors are reserved for "not a journal at all"; they must
 			// never come with replayed records.
 			if len(recs) != 0 {
-				t.Fatalf("Replay returned %d records alongside error %v", len(recs), err)
+				t.Fatalf("replay returned %d records alongside error %v", len(recs), err)
 			}
 			return
 		}
@@ -113,7 +110,7 @@ func FuzzReplayJournal(f *testing.F) {
 			t.Fatalf("stats.Records = %d, replayed %d", stats.Records, len(recs))
 		}
 		for i, r := range recs {
-			if !knownType(r.Type) {
+			if !r.Type.Known() {
 				t.Fatalf("record %d has unknown type %d", i, r.Type)
 			}
 			if len(r.Data) > MaxRecordBytes {
@@ -133,7 +130,7 @@ func FuzzReplayJournal(f *testing.F) {
 		for i, r := range recs {
 			frames[i] = frame(r.Type, r.RunID, r.Data)
 		}
-		again, astats, err := Replay(bytes.NewReader(journalImage(frames...)))
+		again, astats, err := replay(journalImage(frames...))
 		if err != nil {
 			t.Fatalf("re-encoded journal does not replay: %v", err)
 		}
@@ -151,12 +148,12 @@ func FuzzReplayJournal(f *testing.F) {
 		}
 
 		// Fixed point 2: truncating at the torn offset removes exactly the
-		// unreadable tail — what Open does to heal the file.
+		// unreadable tail — what OpenStream does to heal the file.
 		if stats.TornOffset >= 0 {
-			if stats.TornOffset < headerLen || stats.TornOffset > int64(len(data)) {
+			if stats.TornOffset < store.HeaderLen || stats.TornOffset > int64(len(data)) {
 				t.Fatalf("torn offset %d outside [header, len] of %d-byte file", stats.TornOffset, len(data))
 			}
-			healed, hstats, err := Replay(bytes.NewReader(data[:stats.TornOffset]))
+			healed, hstats, err := replay(data[:stats.TornOffset])
 			if err != nil {
 				t.Fatalf("healed journal does not replay: %v", err)
 			}

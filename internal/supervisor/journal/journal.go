@@ -4,36 +4,29 @@
 // CRC32-checksummed record and fsync'd before the transition takes effect,
 // so a restarted supervisor reconstructs every run's state by replay.
 //
-// File layout (little-endian throughout):
-//
-//	header  [8]byte  "DEEPUMWJ"
-//	version uint32   (currently 1)
-//	frame*           appended records
-//
-// Each frame:
-//
-//	length  uint32   bytes of payload (type + runID + data)
-//	payload type(1) runID(8) data(length-9)
-//	crc32   uint32   IEEE, over the length field and payload
+// A journal is a framed file (see internal/store's frame codec) with
+// magic "DEEPUMWJ" and version 1. In each frame the tag is the record type,
+// the ID is the run ID and the data is the record's payload. Appends go
+// through the store's rollback-safe append path, so a failed Append leaves
+// the file as it was.
 //
 // A kill -9 can tear the last frame (partial write) or leave a frame whose
 // fsync never completed (checksum mismatch at the tail). Replay tolerates
 // both: it stops at the first unreadable frame, reports its byte offset as
-// the torn tail, and Open truncates the file there so subsequent appends
-// produce a clean log again. There is no per-frame resync marker, so a
-// corrupt frame in the middle of the file also ends replay at that frame —
-// indistinguishable from a torn tail by construction, and handled the same
-// way.
+// the torn tail, and OpenStream truncates the file there so subsequent
+// appends produce a clean log again. There is no per-frame resync marker,
+// so a corrupt frame in the middle of the file also ends replay at that
+// frame — indistinguishable from a torn tail by construction, and handled
+// the same way.
 package journal
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"deepum/internal/store"
 )
 
 // fileMagic identifies a supervisor journal.
@@ -43,15 +36,9 @@ var fileMagic = [8]byte{'D', 'E', 'E', 'P', 'U', 'M', 'W', 'J'}
 // other version rather than guessing at the frame layout.
 const Version uint32 = 1
 
-const headerLen = 8 + 4
-
-// frameOverhead is the fixed cost of one frame: length + type + runID + crc.
-const frameOverhead = 4 + 1 + 8 + 4
-
-// MaxRecordBytes bounds one record's data so a corrupt length field can
-// never drive a huge allocation during replay (checkpoint payloads are a
-// few MiB at most in practice).
-const MaxRecordBytes = 64 << 20
+// MaxRecordBytes bounds one record's data: a record is one frame's data,
+// and Append and replay enforce the same limit.
+const MaxRecordBytes = store.MaxFrameData
 
 // RecordType tags what a record means to the supervisor.
 type RecordType uint8
@@ -105,10 +92,10 @@ func (t RecordType) String() string {
 	return fmt.Sprintf("type-%d", uint8(t))
 }
 
-// knownType reports whether t is a record type this version understands.
+// Known reports whether t is a record type this version understands.
 // Unknown types fail replay: with no compatibility story yet, a foreign
 // type means the file is not ours or is corrupt.
-func knownType(t RecordType) bool {
+func (t RecordType) Known() bool {
 	return t >= RecSubmitted && t <= RecSuspended
 }
 
@@ -119,133 +106,95 @@ type Record struct {
 	Data  []byte
 }
 
+// validate reports why a record can never be journaled, or nil.
+func (r Record) validate() error {
+	switch {
+	case !r.Type.Known():
+		return fmt.Errorf("unknown record type %d", r.Type)
+	case len(r.Data) > MaxRecordBytes:
+		return fmt.Errorf("record data %d bytes exceeds limit %d", len(r.Data), MaxRecordBytes)
+	case r.Type == RecStarted && len(r.Data) > 0:
+		// Started records carry no payload in this version; one with data
+		// is a checkpoint or spec frame whose type byte was corrupted.
+		return fmt.Errorf("started record carries %d payload bytes (must be empty)", len(r.Data))
+	case r.Type == RecAdmissionKey && len(r.Data) == 0:
+		// An admission-key record's payload IS the key.
+		return fmt.Errorf("admission-key record with empty payload")
+	}
+	return nil
+}
+
 // Journal is an append-only, fsync'd record log.
-type Journal struct {
-	f    *os.File
-	path string
-	// nosync skips the per-append fsync. Only test harnesses that simulate
-	// kills in-process (where the page cache survives) should set it; a
-	// real kill -9 needs the fsync for the write-ahead contract.
-	nosync bool
-}
+type Journal struct{ out *store.Appender }
 
-// Open opens (or creates) the journal at path for appending and replays
-// its existing records. A torn tail is truncated away so the file ends on
-// a frame boundary; the replayed prefix is returned along with its stats.
-func Open(path string) (*Journal, []Record, ReplayStats, error) {
-	return OpenSync(path, true)
-}
-
-// OpenSync is Open with the per-append fsync made optional. sync=false
-// trades the kill -9 durability guarantee for throughput; it is meant for
-// soak harnesses that kill supervisors in-process (Supervisor.Kill), where
-// the OS page cache survives and replay correctness does not depend on
-// the disk.
+// OpenSync opens (or creates) the journal at path on the OS filesystem
+// and replays its existing records. A torn tail is truncated away so the
+// file ends on a frame boundary; the replayed prefix is returned along
+// with its stats. sync=false skips the per-append fsync, trading the kill
+// -9 durability guarantee for throughput; it is meant for soak harnesses
+// that kill supervisors in-process (Supervisor.Kill), where the OS page
+// cache survives and replay correctness does not depend on the disk.
 func OpenSync(path string, sync bool) (*Journal, []Record, ReplayStats, error) {
 	var recs []Record
-	j, stats, err := OpenStream(path, sync, func(rec Record) error {
+	j, stats, err := OpenStream(store.OSFS{}, path, sync, func(rec Record) error {
 		recs = append(recs, rec)
 		return nil
 	})
 	return j, recs, stats, err
 }
 
-// OpenStream is OpenSync with the replayed records streamed through fn
-// instead of materialized: memory high-water during recovery is one frame,
-// which matters when the journal carries months of inline checkpoint
-// payloads. An error from fn aborts the open.
-func OpenStream(path string, sync bool, fn func(Record) error) (*Journal, ReplayStats, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// OpenStream is OpenSync on fs, with the replayed records streamed
+// through fn instead of materialized: memory high-water during recovery
+// is one frame, which matters when the journal carries months of inline
+// checkpoint payloads. An error from fn aborts the open.
+func OpenStream(fs store.FS, path string, sync bool, fn func(Record) error) (*Journal, ReplayStats, error) {
+	f, err := fs.OpenFile(path)
 	if err != nil {
 		return nil, ReplayStats{}, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	info, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		f.Close()
 		return nil, ReplayStats{}, fmt.Errorf("journal: stat %s: %w", path, err)
 	}
-	j := &Journal{f: f, path: path, nosync: !sync}
-	if info.Size() == 0 {
-		var hdr bytes.Buffer
-		hdr.Write(fileMagic[:])
-		writeU32(&hdr, Version)
-		if _, err := f.Write(hdr.Bytes()); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
+	j := &Journal{out: store.NewAppender(f, size, sync)}
+	if size == 0 {
+		if err := j.out.Append(store.AppendHeader(nil, fileMagic, Version)); err != nil {
 			f.Close()
 			return nil, ReplayStats{}, fmt.Errorf("journal: initializing %s: %w", path, err)
 		}
 		return j, ReplayStats{TornOffset: -1}, nil
 	}
-	stats, err := ReplayStream(f, fn)
+	stats, err := ReplayStream(io.NewSectionReader(f, 0, size), fn)
 	if err != nil {
 		f.Close()
 		return nil, stats, err
 	}
 	if stats.TornOffset >= 0 {
-		if err := f.Truncate(stats.TornOffset); err != nil {
+		if err := j.out.Truncate(stats.TornOffset); err != nil {
 			f.Close()
 			return nil, stats, fmt.Errorf("journal: truncating torn tail of %s at %d: %w", path, stats.TornOffset, err)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, stats, fmt.Errorf("journal: syncing truncated %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, stats, fmt.Errorf("journal: seeking to end of %s: %w", path, err)
 	}
 	return j, stats, nil
 }
 
 // Append frames, writes, and fsyncs one record. The record is durable when
-// Append returns nil — the caller may then act on the transition.
+// Append returns nil — the caller may then act on the transition. A failed
+// Append leaves the file as it was, or, if even that rollback fails, makes
+// every later Append fail.
 func (j *Journal) Append(r Record) error {
-	if !knownType(r.Type) {
-		return fmt.Errorf("journal: cannot append unknown record type %d", r.Type)
+	if err := r.validate(); err != nil {
+		return fmt.Errorf("journal: cannot append: %w", err)
 	}
-	if len(r.Data) > MaxRecordBytes {
-		return fmt.Errorf("journal: record data %d bytes exceeds limit %d", len(r.Data), MaxRecordBytes)
-	}
-	if r.Type == RecStarted && len(r.Data) > 0 {
-		// Started records carry no payload in this version; writing one
-		// with data would make the file unreplayable (the decoder treats
-		// it as record-type confusion), so refuse it at the source.
-		return fmt.Errorf("journal: started record carries %d payload bytes (must be empty)", len(r.Data))
-	}
-	if r.Type == RecAdmissionKey && len(r.Data) == 0 {
-		// An admission-key record's payload IS the key; an empty one is
-		// meaningless and the decoder treats it as type confusion.
-		return fmt.Errorf("journal: admission-key record with empty payload")
-	}
-	var buf bytes.Buffer
-	buf.Grow(frameOverhead + len(r.Data))
-	writeU32(&buf, uint32(1+8+len(r.Data)))
-	buf.WriteByte(byte(r.Type))
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], r.RunID)
-	buf.Write(id[:])
-	buf.Write(r.Data)
-	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
+	if err := j.out.Append(store.AppendFrame(nil, byte(r.Type), r.RunID, r.Data)); err != nil {
 		return fmt.Errorf("journal: appending %s record: %w", r.Type, err)
-	}
-	if j.nosync {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync after %s record: %w", r.Type, err)
 	}
 	return nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close closes the underlying file.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.out.Close() }
 
 // ReplayStats describes what a replay pass found.
 type ReplayStats struct {
@@ -265,77 +214,57 @@ type ReplayStats struct {
 	TruncatedFrame bool
 }
 
-// Replay decodes records from r until EOF or the first unreadable frame.
-// It only errors on I/O failures or a file that is not a journal at all;
-// torn tails and checksum failures are reported in the stats, not as
-// errors, because they are the expected residue of a kill -9.
-//
-// Replay materializes every record — including every checkpoint payload —
-// at once; callers that only fold records into state (the supervisor's
-// replay, a federation handoff) should use ReplayStream, which holds one
-// frame at a time.
-func Replay(r io.ReadSeeker) ([]Record, ReplayStats, error) {
-	var recs []Record
-	stats, err := ReplayStream(r, func(rec Record) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	return recs, stats, err
-}
-
 // ReplayStream decodes records from r one frame at a time, calling fn for
-// each intact record in file order. Memory high-water is a single frame,
-// not the file: a journal holding months of checkpoint history replays in
-// constant space when fn folds instead of accumulating. Stopping rules
-// match Replay; an error from fn aborts the stream and is returned.
-func ReplayStream(r io.ReadSeeker, fn func(Record) error) (ReplayStats, error) {
+// each intact record in file order, until EOF or the first unreadable
+// frame. Memory high-water is a single frame, not the file: a journal
+// holding months of checkpoint history replays in constant space when fn
+// folds instead of accumulating. It only errors on I/O failures, a file
+// that is not a journal at all, or an error from fn (which aborts the
+// stream); torn tails and checksum failures are reported in the stats,
+// not as errors, because they are the expected residue of a kill -9.
+func ReplayStream(r io.Reader, fn func(Record) error) (ReplayStats, error) {
 	stats := ReplayStats{TornOffset: -1, ByType: map[RecordType]int{}}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return stats, fmt.Errorf("journal: seek: %w", err)
-	}
 	br := bufio.NewReaderSize(r, 1<<16)
 
-	var hdr [headerLen]byte
-	if n, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return stats, fmt.Errorf("journal: file too short for header (%d bytes)", n)
-		}
+	hdr := make([]byte, store.HeaderLen)
+	n, err := io.ReadFull(br, hdr)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return stats, fmt.Errorf("journal: reading header: %w", err)
 	}
-	if !bytes.Equal(hdr[:8], fileMagic[:]) {
-		return stats, fmt.Errorf("journal: bad magic %q (not a supervisor journal)", hdr[:8])
+	v, err := store.CheckHeader(hdr[:n], fileMagic, "supervisor journal")
+	if err == nil && v != Version {
+		err = fmt.Errorf("unsupported version %d (want %d)", v, Version)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:headerLen]); v != Version {
-		return stats, fmt.Errorf("journal: unsupported version %d (want %d)", v, Version)
+	if err != nil {
+		return stats, fmt.Errorf("journal: %w", err)
 	}
 
-	off := int64(headerLen)
-	var frame []byte // reused across iterations: length + payload + crc
+	off := int64(store.HeaderLen)
+	var lenBuf [4]byte
+	var frame []byte // reused across iterations: one whole frame
 	for {
-		var lenBuf [4]byte
-		n, err := io.ReadFull(br, lenBuf[:])
+		_, err := io.ReadFull(br, lenBuf[:])
 		if err == io.EOF {
 			return stats, nil // clean end on a frame boundary
 		}
 		if err == io.ErrUnexpectedEOF {
-			_ = n
 			stats.TornOffset, stats.TruncatedFrame = off, true
 			return stats, nil
 		}
 		if err != nil {
 			return stats, fmt.Errorf("journal: reading frame length at %d: %w", off, err)
 		}
-		length := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		if length < 1+8 || length > MaxRecordBytes {
+		size := store.FrameSize(lenBuf[:])
+		if size == 0 {
 			// A garbage length field is indistinguishable from a torn
 			// frame; classify it as a checksum-grade failure.
 			stats.TornOffset, stats.CRCFailures = off, stats.CRCFailures+1
 			return stats, nil
 		}
-		if cap(frame) < 4+length+4 {
-			frame = make([]byte, 4+length+4)
+		if cap(frame) < size {
+			frame = make([]byte, size)
 		}
-		frame = frame[:4+length+4]
+		frame = frame[:size]
 		copy(frame, lenBuf[:])
 		if _, err := io.ReadFull(br, frame[4:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -344,56 +273,35 @@ func ReplayStream(r io.ReadSeeker, fn func(Record) error) (ReplayStats, error) {
 			}
 			return stats, fmt.Errorf("journal: reading frame at %d: %w", off, err)
 		}
-		sum := binary.LittleEndian.Uint32(frame[4+length:])
-		if crc32.ChecksumIEEE(frame[:4+length]) != sum {
+		f, _, ok := store.DecodeFrame(frame)
+		rec := Record{Type: RecordType(f.Tag), RunID: f.ID, Data: f.Data}
+		if !ok || rec.validate() != nil {
+			// A CRC-valid frame with an unknown type or a payload its
+			// type never carries (a CRC-colliding corruption, or a hostile
+			// file) would silently misfile run state; stop replay here
+			// like any other corrupt frame.
 			stats.TornOffset, stats.CRCFailures = off, stats.CRCFailures+1
 			return stats, nil
 		}
-		typ := RecordType(frame[4])
-		if !knownType(typ) {
-			stats.TornOffset, stats.CRCFailures = off, stats.CRCFailures+1
-			return stats, nil
-		}
-		if typ == RecStarted && length > 1+8 {
-			// Record-type confusion: a started record never carries a
-			// payload, so a "started" frame with data is a checkpoint or
-			// spec frame whose type byte was corrupted in a CRC-colliding
-			// way (or a hostile file). Trusting it would silently misfile
-			// run state; stop replay here like any other corrupt frame.
-			stats.TornOffset, stats.CRCFailures = off, stats.CRCFailures+1
-			return stats, nil
-		}
-		if typ == RecAdmissionKey && length == 1+8 {
-			// The inverse confusion: an admission-key record's payload is
-			// the key itself, so an empty one is a corrupted frame.
-			stats.TornOffset, stats.CRCFailures = off, stats.CRCFailures+1
-			return stats, nil
-		}
-		rec := Record{
-			Type:  typ,
-			RunID: binary.LittleEndian.Uint64(frame[5:13]),
-		}
-		if length > 1+8 {
-			rec.Data = append([]byte(nil), frame[13:4+length]...)
-		}
+		rec.Data = append([]byte(nil), rec.Data...) // nil when empty
 		stats.Records++
-		stats.ByType[typ]++
+		stats.ByType[rec.Type]++
 		if err := fn(rec); err != nil {
 			return stats, err
 		}
-		off += int64(4 + length + 4)
+		off += int64(size)
 	}
 }
 
 // ReplayFile replays the journal at path read-only (used by
 // deepum-inspect; the file is left untouched, torn tail included).
 func ReplayFile(path string) ([]Record, ReplayStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, ReplayStats{TornOffset: -1}, fmt.Errorf("journal: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return Replay(f)
+	var recs []Record
+	stats, err := ReplayStreamFile(path, func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, stats, err
 }
 
 // ReplayStreamFile is ReplayStream over the journal at path, read-only.
@@ -404,10 +312,4 @@ func ReplayStreamFile(path string, fn func(Record) error) (ReplayStats, error) {
 	}
 	defer f.Close()
 	return ReplayStream(f, fn)
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
 }

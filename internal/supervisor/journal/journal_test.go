@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"deepum/internal/store"
 )
 
 func tmpJournal(t *testing.T) string {
@@ -34,7 +36,7 @@ var sampleRecords = []Record{
 // clean stats.
 func TestAppendReplayRoundtrip(t *testing.T) {
 	path := tmpJournal(t)
-	j, recs, stats, err := Open(path)
+	j, recs, stats, err := OpenSync(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 // truncates it and appends land cleanly after.
 func TestTornTailTruncatedFrame(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, _, err := Open(path)
+	j, _, _, err := OpenSync(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestTornTailTruncatedFrame(t *testing.T) {
 	}
 
 	// Reopen for append: tail truncated, new append durable.
-	j, recs, stats, err = Open(path)
+	j, recs, stats, err = OpenSync(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestTornTailTruncatedFrame(t *testing.T) {
 // replay keeps the prefix and counts one CRC failure.
 func TestCRCFailureStopsReplay(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, _, err := Open(path)
+	j, _, _, err := OpenSync(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestCRCFailureStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one bit in the data of the third frame (the checkpoint payload).
-	raw[headerLen+frameOverhead+len(sampleRecords[0].Data)+frameOverhead+4+1+8+10] ^= 0x01
+	raw[store.HeaderLen+store.FrameOverhead+len(sampleRecords[0].Data)+store.FrameOverhead+4+1+8+10] ^= 0x01
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +163,10 @@ func TestCRCFailureStopsReplay(t *testing.T) {
 }
 
 // TestOversizedLengthRejected: a frame whose length field claims more than
-// MaxRecordBytes is classified as corruption, never allocated.
+// MaxRecordBytes of data is classified as corruption, never allocated.
 func TestOversizedLengthRejected(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, _, err := Open(path)
+	j, _, _, err := OpenSync(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestOversizedLengthRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var huge [4]byte
-	binary.LittleEndian.PutUint32(huge[:], uint32(MaxRecordBytes+1))
+	binary.LittleEndian.PutUint32(huge[:], uint32(1+8+MaxRecordBytes+1)) // type + run ID + data
 	raw = append(raw, huge[:]...)
 	raw = append(raw, 0xFF, 0xFF)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -203,10 +205,7 @@ func TestNotAJournal(t *testing.T) {
 		t.Fatal("replayed a non-journal without error")
 	}
 
-	var buf bytes.Buffer
-	buf.Write(fileMagic[:])
-	writeU32(&buf, Version+7)
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, store.AppendHeader(nil, fileMagic, Version+7), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReplayFile(path); err == nil {
@@ -216,7 +215,7 @@ func TestNotAJournal(t *testing.T) {
 
 // TestAppendValidation: unknown types and oversized data are refused.
 func TestAppendValidation(t *testing.T) {
-	j, _, _, err := Open(tmpJournal(t))
+	j, _, _, err := OpenSync(tmpJournal(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package supervisor
 
-import (
-	"fmt"
-
-	"deepum/internal/store"
-)
+import "deepum/internal/store"
 
 // Reference-counted checkpoint-store garbage collection. The store is
 // append-only and content-addressed, so superseded checkpoints and the
@@ -72,10 +68,8 @@ func (s *Supervisor) maybeStoreGC() {
 		st, err := s.cfg.Checkpoints.Compact(func(k store.Key) bool { return live[k] })
 		if err != nil {
 			// Compaction failure never loses data (the old file stays the
-			// truth); surface it in the transition log and move on.
-			s.mu.Lock()
-			s.record("", "", fmt.Sprintf("store gc failed: %v", err))
-			s.mu.Unlock()
+			// truth); count it in Stats and move on.
+			s.gcFailures.Add(1)
 			return
 		}
 		s.gcRuns.Add(1)

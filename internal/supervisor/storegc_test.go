@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"deepum/internal/chaos"
 	"deepum/internal/store"
 )
 
@@ -78,6 +79,55 @@ func TestStoreGCReclaimsFinishedCheckpoints(t *testing.T) {
 	}
 	if err := s.Cancel(hangID); err != nil {
 		t.Fatal(err)
+	}
+	drain(t, s)
+}
+
+// TestStoreGCFailureCounted: a background compaction that fails — the
+// disk fills while the compacted file is written — leaves the store as it
+// was and is counted in Stats().StoreGCFailures.
+func TestStoreGCFailureCounted(t *testing.T) {
+	// Write 1 is the store header, write 2 the run's checkpoint and write 3
+	// the compaction's new file.
+	fs := chaos.NewFaultFS(chaos.DiskFaults{NoSpaceAt: 3, NoSpaceKeep: 5})
+	st, _, err := store.Open("ck.store", store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ck := []byte("ck-gc-fails")
+	runner := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+		progress(ck)
+		return Outcome{Status: string(StateCompleted)}, nil
+	})
+	s, err := New(Config{Runner: runner, Workers: 1, Checkpoints: st, StoreGCThreshold: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	// The finished run's checkpoint is garbage (ratio 1 > 0.4), so its
+	// finalize kicked a compaction, which must fail and be counted.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().StoreGCFailures == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no failed compaction counted: stats %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if stats := s.Stats(); stats.StoreGCFailures != 1 || stats.StoreGCs != 0 {
+		t.Fatalf("StoreGCFailures %d StoreGCs %d, want 1 and 0", stats.StoreGCFailures, stats.StoreGCs)
+	}
+	if got, err := st.Get(store.HashBytes(ck)); err != nil || string(got) != string(ck) {
+		t.Fatalf("checkpoint after the failed compaction: %q, %v", got, err)
+	}
+	if _, err := st.Put([]byte("after")); err != nil {
+		t.Fatalf("store after the failed compaction: %v", err)
 	}
 	drain(t, s)
 }

@@ -115,7 +115,6 @@ type Config struct {
 type Supervisor struct {
 	cfg    Config
 	epoch  time.Time
-	log    metrics.SyncTransitionLog
 	wg     sync.WaitGroup
 	waitWG sync.Once
 
@@ -147,12 +146,14 @@ type Supervisor struct {
 	rng       *rand.Rand
 	recovered int
 	adopted   int
-	// Checkpoint-store accounting: payloads stored as references vs
-	// inlined (store rejected), and resumes degraded to cold restart
-	// because their reference no longer resolved.
-	ckptStored   int
-	ckptInlined  int
-	coldRestarts int
+	// Checkpoint accounting: payloads stored as references vs inlined
+	// (store rejected), resumes degraded to cold restart because their
+	// reference no longer resolved, and mid-run checkpoints the journal
+	// failed to append.
+	ckptStored         int
+	ckptInlined        int
+	coldRestarts       int
+	ckptAppendFailures int
 	// Oversubscription accounting: suspend-to-checkpoint cycles and
 	// resumptions of suspended runs.
 	suspends int64
@@ -168,6 +169,7 @@ type Supervisor struct {
 	gcBusy      atomic.Bool
 	gcRuns      atomic.Int64
 	gcReclaimed atomic.Int64
+	gcFailures  atomic.Int64
 
 	workersDone chan struct{}
 	killedCh    chan struct{}
@@ -285,7 +287,7 @@ func New(cfg Config) (*Supervisor, error) {
 		// full checkpoint history (with a store configured, the payloads
 		// are 16-byte references and even that shrinks to nothing).
 		folder := NewAdoptionFolder()
-		jl, _, err := journal.OpenStream(cfg.JournalPath, !cfg.JournalNoSync, func(rec journal.Record) error {
+		jl, _, err := journal.OpenStream(store.OSFS{}, cfg.JournalPath, !cfg.JournalNoSync, func(rec journal.Record) error {
 			folder.Add(rec)
 			return nil
 		})
@@ -304,9 +306,9 @@ func New(cfg Config) (*Supervisor, error) {
 		}
 		s.recovered, s.adopted = s.adopted, 0
 	}
-	for n := 0; n < cfg.Workers; n++ {
+	for range cfg.Workers {
 		s.wg.Add(1)
-		go s.worker(n)
+		go s.worker()
 	}
 	if s.arb != nil {
 		tick := cfg.ArbiterTick
@@ -616,7 +618,6 @@ func (s *Supervisor) admitAdoptionLocked(a Adoption, journalIt bool) (bool, erro
 		r.resume = a.Resume
 		s.committed += a.Demand
 		s.adopted++
-		s.record("", StateQueued, fmt.Sprintf("journal replay (attempt %d)", a.Attempts+1))
 		s.queued = append(s.queued, a.ID)
 		s.qcond.Signal()
 	}
@@ -778,7 +779,6 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 	s.runs[id] = r
 	s.order = append(s.order, id)
 	s.committed += demand
-	s.record("", StateQueued, "submitted")
 	s.noteSubmission("accepted")
 	s.queued = append(s.queued, id)
 	s.qcond.Signal()
@@ -803,7 +803,7 @@ func (s *Supervisor) RetryAfterHint() time.Duration {
 
 // worker drains the submission queue until Drain or Kill closes it; a
 // closing queue is still drained to empty so Drain finishes queued work.
-func (s *Supervisor) worker(n int) {
+func (s *Supervisor) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
@@ -820,7 +820,7 @@ func (s *Supervisor) worker(n int) {
 			s.qcond.Wait()
 		}
 		s.mu.Unlock()
-		s.execute(n, id)
+		s.execute(id)
 	}
 }
 
@@ -847,7 +847,7 @@ func (s *Supervisor) popRunnableLocked() uint64 {
 }
 
 // execute runs one queued run to a terminal state, surviving runner panics.
-func (s *Supervisor) execute(n int, id uint64) {
+func (s *Supervisor) execute(id uint64) {
 	s.mu.Lock()
 	r := s.runs[id]
 	if r == nil || (r.info.State != StateQueued && r.info.State != StateSuspended) || s.killed {
@@ -855,8 +855,7 @@ func (s *Supervisor) execute(n int, id uint64) {
 		s.mu.Unlock()
 		return
 	}
-	fromState := r.info.State
-	resumedFromSuspend := fromState == StateSuspended
+	resumedFromSuspend := r.info.State == StateSuspended
 	r.force = false
 	ctx, cancel := context.WithCancel(context.Background())
 	if s.arb != nil {
@@ -882,13 +881,12 @@ func (s *Supervisor) execute(n int, id uint64) {
 	s.arb.Acquire(now.UnixNano(), id, r.info.Demand, r.info.Spec.Priority)
 	r.info.Started = &now
 	r.info.Attempts++
-	resume := s.resolveResumeLocked(id, r.resume)
+	resume := s.resolveResumeLocked(r.resume)
 	r.resume = resume // a resolved (or degraded) reference stays resolved
 	r.info.Resumed = resume != nil
 	r.heartbeat.Store(now.UnixNano())
 	panicNow := s.cfg.Chaos.Active() && s.rng.Float64() < s.cfg.Chaos.WorkerPanicProb
 	jerr := s.appendLocked(journal.Record{Type: journal.RecStarted, RunID: id})
-	s.record(fromState, StateRunning, fmt.Sprintf("worker %d", n))
 	timeout := r.info.Spec.Timeout
 	if timeout <= 0 {
 		timeout = s.cfg.WatchdogTimeout
@@ -944,7 +942,7 @@ func (s *Supervisor) progress(r *run, ck []byte) {
 	if err := s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: s.checkpointPayloadLocked(ck)}); err != nil {
 		// A checkpoint that failed to persist is not a run failure; the
 		// run merely loses resume granularity. Keep the bytes in memory.
-		s.record(StateRunning, StateRunning, "checkpoint journal append failed")
+		s.ckptAppendFailures++
 	}
 	r.resume = ck
 	r.info.Checkpoints++
@@ -973,20 +971,18 @@ func (s *Supervisor) checkpointPayloadLocked(ck []byte) []byte {
 // here, blob scrub-degraded or compacted away, content verification
 // failed — degrades to nil, a cold restart: slower, never resumed from
 // corrupt state. Caller holds mu.
-func (s *Supervisor) resolveResumeLocked(id uint64, data []byte) []byte {
+func (s *Supervisor) resolveResumeLocked(data []byte) []byte {
 	key, ok := store.DecodeRef(data)
 	if !ok {
 		return data
 	}
 	if s.cfg.Checkpoints == nil {
 		s.coldRestarts++
-		s.record(StateQueued, StateQueued, fmt.Sprintf("run %d: checkpoint reference %s with no store; cold restart", id, key))
 		return nil
 	}
 	blob, err := s.cfg.Checkpoints.Get(key)
 	if err != nil {
 		s.coldRestarts++
-		s.record(StateQueued, StateQueued, fmt.Sprintf("run %d: checkpoint %s unresolvable (%v); cold restart", id, key, err))
 		return nil
 	}
 	return blob
@@ -1063,7 +1059,6 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 		r.info.Reason = reason
 		r.info.Suspends++
 		s.suspends++
-		s.record(StateRunning, StateSuspended, reason)
 		s.queued = append(s.queued, r.info.ID)
 		s.qcond.Broadcast()
 		return
@@ -1102,11 +1097,6 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 		_ = s.appendLocked(journal.Record{Type: journal.RecFinished, RunID: r.info.ID, Data: data})
 	}
 	s.committed -= r.info.Demand
-	reason := r.cancelReason
-	if reason == "" {
-		reason = "runner returned"
-	}
-	s.record(StateRunning, state, reason)
 	if panicked {
 		s.prom.Counter("deepum_supervisor_worker_panics_total", "", nil).Inc()
 	}
@@ -1118,7 +1108,6 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 // finalizeQueuedLocked cancels a run that never started (or is suspended,
 // waiting to resume). Caller holds mu.
 func (s *Supervisor) finalizeQueuedLocked(r *run, reason string) {
-	from := r.info.State
 	out := &Outcome{Status: string(StateCancelled)}
 	r.info.State = StateCancelled
 	r.info.Reason = reason
@@ -1129,7 +1118,6 @@ func (s *Supervisor) finalizeQueuedLocked(r *run, reason string) {
 		_ = s.appendLocked(journal.Record{Type: journal.RecFinished, RunID: r.info.ID, Data: data})
 	}
 	s.committed -= r.info.Demand
-	s.record(from, StateCancelled, reason)
 	s.noteFinished(StateCancelled, r.info.Started, now)
 	close(r.done)
 }
@@ -1303,6 +1291,10 @@ type Stats struct {
 	// resolved at execute time and restarted cold instead — degraded,
 	// never resumed from corrupt state.
 	ColdRestarts int
+	// CheckpointAppendFailures counts mid-run checkpoints the journal
+	// failed to append; the run kept the bytes in memory and lost only
+	// resume granularity.
+	CheckpointAppendFailures int
 	// DedupHits counts retried submissions resolved to an existing run by
 	// idempotency key; Sheds counts deadline-based admission rejections;
 	// AdmissionKeys is the number of bound idempotency keys.
@@ -1317,9 +1309,11 @@ type Stats struct {
 	// Oversubscribe is off).
 	Arbiter arbiter.Stats
 	// StoreGCs counts background checkpoint-store compactions;
-	// StoreGCReclaimed is the total bytes they reclaimed.
+	// StoreGCReclaimed is the total bytes they reclaimed; StoreGCFailures
+	// counts compactions that failed (the old file stays the truth).
 	StoreGCs         int64
 	StoreGCReclaimed int64
+	StoreGCFailures  int64
 }
 
 // Stats snapshots the aggregate state.
@@ -1327,25 +1321,27 @@ func (s *Supervisor) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		CommittedBytes:     s.committed,
-		Budget:             s.cfg.GPUMemoryBudget,
-		PerRunQuota:        s.cfg.PerRunQuota,
-		QueueCap:           s.cfg.QueueDepth,
-		Workers:            s.cfg.Workers,
-		Draining:           s.draining || s.killed,
-		Recovered:          s.recovered,
-		Adopted:            s.adopted,
-		CheckpointsStored:  s.ckptStored,
-		CheckpointsInlined: s.ckptInlined,
-		ColdRestarts:       s.coldRestarts,
-		DedupHits:          s.dedupHits.Load(),
-		Sheds:              s.shedder.Stats().Sheds,
-		AdmissionKeys:      s.keys.Len(),
-		Suspends:           s.suspends,
-		Resumes:            s.resumes,
-		Arbiter:            s.arb.Stats(),
-		StoreGCs:           s.gcRuns.Load(),
-		StoreGCReclaimed:   s.gcReclaimed.Load(),
+		CommittedBytes:           s.committed,
+		Budget:                   s.cfg.GPUMemoryBudget,
+		PerRunQuota:              s.cfg.PerRunQuota,
+		QueueCap:                 s.cfg.QueueDepth,
+		Workers:                  s.cfg.Workers,
+		Draining:                 s.draining || s.killed,
+		Recovered:                s.recovered,
+		Adopted:                  s.adopted,
+		CheckpointsStored:        s.ckptStored,
+		CheckpointsInlined:       s.ckptInlined,
+		ColdRestarts:             s.coldRestarts,
+		CheckpointAppendFailures: s.ckptAppendFailures,
+		DedupHits:                s.dedupHits.Load(),
+		Sheds:                    s.shedder.Stats().Sheds,
+		AdmissionKeys:            s.keys.Len(),
+		Suspends:                 s.suspends,
+		Resumes:                  s.resumes,
+		Arbiter:                  s.arb.Stats(),
+		StoreGCs:                 s.gcRuns.Load(),
+		StoreGCReclaimed:         s.gcReclaimed.Load(),
+		StoreGCFailures:          s.gcFailures.Load(),
 	}
 	for _, r := range s.runs {
 		switch r.info.State {
@@ -1361,10 +1357,6 @@ func (s *Supervisor) Stats() Stats {
 	}
 	return st
 }
-
-// Transitions returns the run-state transition log (timestamps are
-// nanoseconds since the supervisor started).
-func (s *Supervisor) Transitions() []metrics.StateTransition { return s.log.Transitions() }
 
 // Accepting reports whether Submit would be considered at all (the
 // /readyz signal): false once draining or killed.
@@ -1477,9 +1469,4 @@ func (s *Supervisor) appendLocked(rec journal.Record) error {
 		return nil
 	}
 	return s.jl.Append(rec)
-}
-
-// record logs one state transition (at = ns since supervisor start).
-func (s *Supervisor) record(from, to RunState, reason string) {
-	s.log.Record(time.Since(s.epoch).Nanoseconds(), string(from), string(to), reason)
 }

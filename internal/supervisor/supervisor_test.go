@@ -43,7 +43,7 @@ func drain(t *testing.T, s *Supervisor) {
 }
 
 // TestSubmitRunsToCompletion: the happy path — N runs through the pool,
-// all terminal, transitions logged.
+// all terminal, each started exactly once.
 func TestSubmitRunsToCompletion(t *testing.T) {
 	s, err := New(Config{Runner: instantRunner(), Workers: 4})
 	if err != nil {
@@ -62,20 +62,14 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.State != StateCompleted {
-			t.Fatalf("run %d state = %s, want completed", id, info.State)
+		if info.State != StateCompleted || info.Attempts != 1 {
+			t.Fatalf("run %d state = %s after %d attempts, want completed after 1", id, info.State, info.Attempts)
 		}
 	}
 	drain(t, s)
 	st := s.Stats()
 	if st.Terminal != 10 || st.Queued != 0 || st.Running != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if got := s.log.Count(string(StateQueued), string(StateRunning)); got != 10 {
-		t.Fatalf("queued->running transitions = %d, want 10", got)
-	}
-	if got := s.log.Count(string(StateRunning), string(StateCompleted)); got != 10 {
-		t.Fatalf("running->completed transitions = %d, want 10", got)
 	}
 }
 

@@ -20,33 +20,19 @@
 //	deepum-soak -seed 7 -schedules 5
 //	deepum-soak -trace soak.trace.json  # Chrome trace of the last run
 //
-// With -federation the harness instead soaks the sharded supervisor
-// federation: an admission storm across -fed-shards shards with one shard
-// killed and handed off mid-storm, asserting every run completes with the
-// uninterrupted checksum and no run ID is lost or duplicated (see
-// federation.go). The shard journals survive in -fed-dir so
-// deepum-inspect journal -audit can re-verify the same invariant from
-// disk.
+// With -storm the harness instead drills the serving layer under combined
+// faults (see storm.go): a 4-shard oversubscribed federation takes -runs
+// keyed submits over HTTP from clients that inject timeouts-after-send
+// and retry under idempotency keys, while the arbiters revoke and suspend
+// and one shard is killed and handed off mid-storm. One checker then
+// asserts exactly one execution per key, checksums equal to the
+// uninterrupted oracle, no run lost or duplicated, and no goroutine leak.
+// -store adds the shared checkpoint store and audits every journal
+// reference. The journals (and the store) survive in -dir for
+// deepum-inspect journal -audit and deepum-inspect store. -seed fixes the
+// injected fault draws, not the goroutine interleaving.
 //
-//	deepum-soak -federation -fed-runs 10000 -fed-shards 4 -fed-dir /tmp/fedsoak
-//
-// -fed-store additionally backs the federation with a shared
-// content-addressed checkpoint store and audits it after the storm: the
-// scrubber must find nothing to repair, every journaled checkpoint record
-// (including the dead shard's retired journal) must be a 16-byte store
-// reference, and every reference must resolve — the mid-storm kill and
-// handoff may not dangle a single checkpoint.
-//
-//	deepum-soak -federation -fed-store -fed-runs 10000 -fed-shards 4
-//
-// With -retry-storm the harness drills exactly-once admission instead:
-// clients whose transport injects timeouts-after-send retry every submit
-// under its idempotency key through a mid-storm shard kill and handoff,
-// and the harness asserts one execution per key, response/ID agreement,
-// and the clean-execution checksum oracle (see retrystorm.go). Shares the
-// -fed-* sizing flags and -seed.
-//
-//	deepum-soak -retry-storm -fed-runs 2000 -fed-shards 4 -fed-dir /tmp/storm
+//	deepum-soak -storm -store -runs 10000 -dir /tmp/storm
 package main
 
 import (
@@ -70,7 +56,7 @@ import (
 
 func main() {
 	var (
-		seed      = flag.Int64("seed", 1, "master seed; everything derives from it")
+		seed      = flag.Int64("seed", 1, "master seed; everything derives from it (under -storm it fixes the injected fault draws, not the goroutine interleaving)")
 		schedules = flag.Int("schedules", 3, "randomized chaos schedules to soak")
 		phasesN   = flag.Int("phases", 3, "chaos phases per schedule")
 		model     = flag.String("model", "bert-large", "workload model")
@@ -80,56 +66,18 @@ func main() {
 		warmup    = flag.Int("warmup", 1, "warmup iterations per run")
 		tracePath = flag.String("trace", "", "write a Chrome trace of the final run here")
 
-		federation = flag.Bool("federation", false, "run the federation failover soak instead of the chaos-schedule soak")
-		fedRuns    = flag.Int("fed-runs", 10000, "federation soak: admission-storm size")
-		fedShards  = flag.Int("fed-shards", 4, "federation soak: shard count")
-		fedWorkers = flag.Int("fed-workers", 4, "federation soak: workers per shard")
-		fedDir     = flag.String("fed-dir", "", "federation soak: shard journal directory, kept for post-hoc audit (empty = temp dir)")
-		fedStore   = flag.Bool("fed-store", false, "federation soak: back checkpoints with a shared content-addressed store and audit every journal reference after the storm")
-
-		retryStorm = flag.Bool("retry-storm", false, "run the exactly-once retry-storm soak (aggressive-timeout clients + idempotency keys through a mid-storm shard kill); shares the -fed-* sizing flags")
-
-		contention = flag.Bool("contention", false, "run the multi-tenant oversubscription soak: concurrent runs demanding a multiple of the GPU budget under the memory arbiter, suspend-to-checkpoint included")
-		conRuns    = flag.Int("con-runs", 8, "contention soak: concurrent runs (each demands 40% of the budget)")
-		conWorkers = flag.Int("con-workers", 8, "contention soak: worker pool size (raised to -con-runs if smaller)")
-		conIters   = flag.Int("con-iters", 300, "contention soak: wall-paced iterations per run")
+		stormMode  = flag.Bool("storm", false, "run the combined-fault storm instead of the chaos-schedule soak: an oversubscribed 4-shard federation under retried keyed submits, with a mid-storm shard kill")
+		stormRuns  = flag.Int("runs", 10000, "storm: keyed submits (at least 100)")
+		stormDir   = flag.String("dir", "", "storm: journal (and store) directory, kept for offline audit (empty = temp dir)")
+		stormStore = flag.Bool("store", false, "storm: back checkpoints with a shared content-addressed store and audit every journal reference afterwards")
 	)
 	flag.Parse()
 	if os.Getenv("DEEPUM_SOAK_SHORT") != "" {
 		*schedules, *phasesN = 2, 3
-		if *fedRuns > 2000 {
-			*fedRuns = 2000
-		}
-		if *conIters > 150 {
-			*conIters = 150
-		}
 	}
 
-	if *contention {
-		os.Exit(runContentionSoak(contentionOptions{
-			runs:    *conRuns,
-			workers: *conWorkers,
-			iters:   *conIters,
-			seed:    *seed,
-		}))
-	}
-	if *retryStorm {
-		os.Exit(runRetryStorm(retryStormOptions{
-			runs:    *fedRuns,
-			shards:  *fedShards,
-			workers: *fedWorkers,
-			dir:     *fedDir,
-			seed:    *seed,
-		}))
-	}
-	if *federation {
-		os.Exit(runFederationSoak(fedSoakOptions{
-			runs:    *fedRuns,
-			shards:  *fedShards,
-			workers: *fedWorkers,
-			dir:     *fedDir,
-			store:   *fedStore,
-		}))
+	if *stormMode {
+		os.Exit(runStorm(stormOptions{runs: *stormRuns, dir: *stormDir, store: *stormStore, seed: *seed}))
 	}
 
 	h := &harness{

@@ -422,13 +422,3 @@ func TestJournalAppendCrashSweep(t *testing.T) {
 		})
 	}
 }
-
-func TestDiskFaultScenarioRegistered(t *testing.T) {
-	sc, err := SupervisorScenarioByName("disk-fault")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sc.DiskFault {
-		t.Fatalf("disk-fault scenario does not mark DiskFault: %+v", sc)
-	}
-}

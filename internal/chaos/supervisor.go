@@ -4,12 +4,11 @@ import "fmt"
 
 // Supervisor-level chaos. The scenarios in scenario.go perturb the UM
 // substrate inside one run; these perturb the layer above — the multi-run
-// supervisor's worker pool, admission path, and crash recovery. They are
-// deliberately structural rather than PRNG-knob driven: a worker panic is
-// injected by probability, but kill-restart and admission storms are
-// orchestration patterns the supervisor tests (and the supervisor-soak CI
-// job) drive directly, so the registry documents their shape and the
-// deterministic seeds live with the injection sites.
+// supervisor's worker pool. Orchestrated faults (kill-restart, shard kill,
+// admission and retry storms, disk faults, oversubscription contention)
+// are not registry entries: the tests and the deepum-soak -storm drill
+// drive them directly, because a live supervisor cannot inject them by
+// itself.
 type SupervisorScenario struct {
 	Name        string
 	Description string
@@ -18,62 +17,10 @@ type SupervisorScenario struct {
 	// the run panics mid-flight. The supervisor recovers the worker, marks
 	// the run failed, releases its quota, and keeps serving.
 	WorkerPanicProb float64
-
-	// KillRestart marks the kill -9 pattern: the supervisor process dies
-	// with the journal intact and a restarted supervisor must replay it,
-	// resuming interrupted runs from their checkpoints. Driven by the
-	// kill-restart equivalence tests via Supervisor.Kill.
-	KillRestart bool
-
-	// AdmissionBurst is the submission-storm size the admission-control
-	// tests throw at a full queue: every rejection must be a typed error,
-	// never a block or a panic.
-	AdmissionBurst int
-
-	// ShardKill marks the federation failover pattern: one shard of a
-	// supervisor federation is kill-9'd mid-storm (journal intact) and a
-	// successor peer must adopt its runs by journal handoff — queued runs
-	// restart cold, interrupted runs resume from their latest checkpoint,
-	// finished runs stay finished, no run ID lost or duplicated. Driven by
-	// the federation failover tests and the deepum-soak -federation mode
-	// via Federation.Kill / Federation.Handoff.
-	ShardKill bool
-
-	// DiskFault marks the checkpoint-store durability pattern: torn
-	// writes, silent bit flips, refused fsyncs and ENOSPC injected under
-	// the content-addressed store via FaultFS, plus crash-at-boundary
-	// sweeps that kill the filesystem at every fsync/rename commit point.
-	// Driven by the disk-fault tests and the store-durability CI job; the
-	// contract is that no committed checkpoint is lost, every injected
-	// corruption is detected and either repaired from a surviving replica
-	// or degraded to a cold restart, and no run is lost or duplicated.
-	DiskFault bool
-
-	// ContentionStorm marks the multi-tenant oversubscription pattern:
-	// concurrent runs whose aggregate memory demand is a multiple of the
-	// GPU budget are admitted under the oversubscription arbiter, driving
-	// sustained pressure through burst revocation into suspend-to-
-	// checkpoint. Driven by the arbiter tests and the deepum-soak
-	// -contention mode; the contract is that every admitted run completes
-	// (no hard QuotaError for a run that fits the budget alone), at least
-	// one run survives a suspend/resume cycle, no run is lost or
-	// duplicated, and every AccessChecksum matches the solo oracle.
-	ContentionStorm bool
-
-	// RetryStorm marks the exactly-once admission pattern: aggressive-
-	// timeout HTTP clients whose transport injects timeouts-after-send
-	// (the server admitted the submission, the client never learned)
-	// retry every submit under the same idempotency key, through a
-	// mid-storm shard kill and journal handoff. Driven by FaultTransport
-	// plus the deepum-soak -retry-storm mode; the contract is exactly one
-	// execution per key, every response for a key naming the same run ID,
-	// and the AccessChecksum oracle bit-identical to clean execution.
-	RetryStorm bool
 }
 
 // Active reports whether the scenario injects anything into a live
-// supervisor (kill-restart and admission storms are test-orchestrated and
-// inject nothing by themselves).
+// supervisor.
 func (s SupervisorScenario) Active() bool { return s.WorkerPanicProb > 0 }
 
 // SupervisorScenarioNone is the name of the identity scenario.
@@ -89,36 +36,6 @@ func builtinSupervisor() []SupervisorScenario {
 			Name:            "worker-panic",
 			Description:     "each run's worker panics mid-run with 30% probability; pool recovers, run fails typed, quota released",
 			WorkerPanicProb: 0.30,
-		},
-		{
-			Name:        "kill-restart",
-			Description: "supervisor killed mid-flight (journal intact); restart replays the journal and resumes interrupted runs from checkpoints",
-			KillRestart: true,
-		},
-		{
-			Name:           "admission-storm",
-			Description:    "256 submissions against a full queue and exhausted quota; every rejection must be typed, non-blocking",
-			AdmissionBurst: 256,
-		},
-		{
-			Name:        "shard-kill",
-			Description: "one federation shard kill-9'd mid-storm (journal intact); a successor peer adopts its queued and interrupted runs by journal handoff, nothing lost or duplicated",
-			ShardKill:   true,
-		},
-		{
-			Name:        "disk-fault",
-			Description: "torn writes, bit flips, failed fsyncs, ENOSPC and crash-at-boundary kills injected under the checkpoint store; committed checkpoints survive, corruption is repaired or degraded to cold restart",
-			DiskFault:   true,
-		},
-		{
-			Name:            "contention-storm",
-			Description:     "concurrent runs demanding a multiple of the GPU budget under the oversubscription arbiter; bursts revoked, victims suspended to checkpoint and resumed, every run completes with its solo checksum",
-			ContentionStorm: true,
-		},
-		{
-			Name:        "retry-storm",
-			Description: "clients with injected timeouts-after-send retry every submit under idempotency keys through a mid-storm shard kill; exactly one execution per key, responses agree on the run ID, checksums match clean execution",
-			RetryStorm:  true,
 		},
 	}
 }

@@ -50,31 +50,52 @@ func GarbageRatio(st *store.Store, live map[store.Key]bool) float64 {
 
 // maybeStoreGC kicks a background compaction when the garbage ratio
 // exceeds Config.StoreGCThreshold. At most one compaction runs at a time;
-// callers may hold mu (the goroutine takes its own locks). Only wired when
-// this supervisor solely owns the store (see Config.StoreGCThreshold).
+// a trigger that arrives during one is recorded, and the running
+// goroutine makes one more pass when it ends, so the last run to finish
+// never leaves the store over the threshold. Callers may hold mu (the
+// goroutine takes its own locks). Only wired when this supervisor solely
+// owns the store (see Config.StoreGCThreshold).
 func (s *Supervisor) maybeStoreGC() {
 	if s.cfg.Checkpoints == nil || s.cfg.StoreGCThreshold <= 0 {
 		return
 	}
+	s.gcPending.Store(true)
 	if !s.gcBusy.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {
-		defer s.gcBusy.Store(false)
-		live := s.LiveCheckpointKeys()
-		if GarbageRatio(s.cfg.Checkpoints, live) <= s.cfg.StoreGCThreshold {
-			return
-		}
-		st, err := s.cfg.Checkpoints.Compact(func(k store.Key) bool { return live[k] })
-		if err != nil {
-			// Compaction failure never loses data (the old file stays the
-			// truth); count it in Stats and move on.
-			s.gcFailures.Add(1)
-			return
-		}
-		s.gcRuns.Add(1)
-		if d := st.BytesBefore - st.BytesAfter; d > 0 {
-			s.gcReclaimed.Add(d)
+		for {
+			for s.gcPending.Swap(false) {
+				s.storeGCPass()
+			}
+			s.gcBusy.Store(false)
+			// A trigger that landed after the last Swap saw the GC busy and
+			// left its pass to this goroutine.
+			if !s.gcPending.Load() || !s.gcBusy.CompareAndSwap(false, true) {
+				return
+			}
 		}
 	}()
+}
+
+// storeGCPass compacts the store down to the live keys when the garbage
+// ratio exceeds the threshold.
+func (s *Supervisor) storeGCPass() {
+	live := s.LiveCheckpointKeys()
+	if GarbageRatio(s.cfg.Checkpoints, live) <= s.cfg.StoreGCThreshold {
+		return
+	}
+	st, err := s.cfg.Checkpoints.Compact(func(k store.Key) bool { return live[k] })
+	if err != nil {
+		// Compaction failure never loses data (the old file stays the
+		// truth); count it in Stats and move on.
+		s.gcFailures.Add(1)
+		return
+	}
+	// Reclaimed before runs: a reader that sees the compaction counted
+	// also sees what it reclaimed.
+	if d := st.BytesBefore - st.BytesAfter; d > 0 {
+		s.gcReclaimed.Add(d)
+	}
+	s.gcRuns.Add(1)
 }

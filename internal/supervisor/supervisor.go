@@ -164,9 +164,11 @@ type Supervisor struct {
 	arb     *arbiter.Arbiter
 	arbStop chan struct{}
 	arbOnce sync.Once
-	// Store-GC accounting: gcBusy serializes background compactions;
-	// counters are read by Stats.
+	// Store-GC accounting: gcBusy serializes background compactions and
+	// gcPending records a trigger that arrived during one; counters are
+	// read by Stats.
 	gcBusy      atomic.Bool
+	gcPending   atomic.Bool
 	gcRuns      atomic.Int64
 	gcReclaimed atomic.Int64
 	gcFailures  atomic.Int64

@@ -73,15 +73,12 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
-// TestAdmissionStormTypedRejections: the admission-storm chaos pattern —
-// a burst of submissions against a full queue must come back as typed
+// TestAdmissionStormTypedRejections: an admission storm — a burst of
+// submissions against a full queue must come back as typed
 // *QueueFullError values, never block, never panic, and every admitted
 // run must still reach a terminal state.
 func TestAdmissionStormTypedRejections(t *testing.T) {
-	sc, err := chaos.SupervisorScenarioByName("admission-storm")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const burst = 256
 	release := make(chan struct{})
 	s, err := New(Config{Runner: gatedRunner(release), Workers: 1, QueueDepth: 2})
 	if err != nil {
@@ -91,7 +88,7 @@ func TestAdmissionStormTypedRejections(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < sc.AdmissionBurst; i++ {
+		for i := 0; i < burst; i++ {
 			_, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8, Seed: int64(i)})
 			switch {
 			case err == nil:

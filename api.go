@@ -97,12 +97,6 @@ const (
 	HealthL3 = health.L3
 )
 
-// CorrelationState is the warm state of a DeepUM run: the execution-ID and
-// UM-block correlation tables the driver learned. It is what checkpoint and
-// resume move between runs (the residency and link state rebuild themselves
-// within one iteration; the tables take a full warm-up epoch).
-type CorrelationState = correlation.Tables
-
 // DriverOptions re-exports the DeepUM driver knobs for callers tuning the
 // prefetch degree (Fig. 11) or table parameters (Table 6 / Fig. 12).
 type DriverOptions = core.Options
@@ -133,9 +127,14 @@ type PolicyInfo struct {
 	Summary string
 }
 
-// PolicyState is a prefetch policy's serialized warm state: the unit the
-// policy-agnostic checkpoint path moves between runs (SavePolicyCheckpoint,
-// LoadPolicyCheckpoint, Config.ResumeState, Result.WarmState).
+// PolicyState is a prefetch policy's serialized warm state, the one form in
+// which a run's learned state travels between runs: PolicyCheckpointOf
+// captures it from a Result, SavePolicyCheckpoint and LoadPolicyCheckpoint
+// move it through a checkpoint file, and Config.ResumeState seeds the next
+// run with it. Under the default correlation policy the payload holds the
+// execution-ID and UM-block correlation tables the driver learned. Those
+// are worth carrying: residency and link state rebuild themselves within
+// one iteration, while the tables take a full warm-up epoch.
 type PolicyState struct {
 	// Policy is the registered name of the policy that produced Payload.
 	Policy string

@@ -39,6 +39,7 @@ import (
 	"deepum/internal/engine"
 	"deepum/internal/models"
 	"deepum/internal/obs"
+	polcorr "deepum/internal/policy/correlation"
 	"deepum/internal/sim"
 )
 
@@ -107,11 +108,7 @@ func main() {
 	fmt.Printf("invalidations        %d\n", d.Invalidations)
 	fmt.Printf("window misses        %d\n\n", d.WindowMisses)
 
-	tables := res.Tables
-	if tables == nil {
-		fmt.Println("(no correlation tables: prefetch disabled)")
-		return
-	}
+	tables := res.Prefetcher.(*polcorr.Chaser).Tables() // DefaultOptions runs the correlation chaser
 	fmt.Printf("== correlation tables ==\n")
 	fmt.Printf("execution table: %d entries, %d records, %.1f KiB\n",
 		tables.Exec.Entries(), tables.Exec.Records(), float64(tables.Exec.SizeBytes())/1024)

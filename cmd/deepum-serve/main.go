@@ -49,6 +49,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -77,6 +78,15 @@ func main() {
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for chaos injection draws")
 	)
 	flag.Parse()
+
+	// A finished run frees its state, so a busy server's live heap is a
+	// few tens of MiB while each run allocates tens more. At Go's default
+	// GOGC=100 the collector then runs dozens of times a second and takes
+	// CPU from runs and submits. A 400% heap target cuts that several-fold
+	// for a few hundred MiB. GOGC set in the environment still wins.
+	if _, set := os.LookupEnv("GOGC"); !set {
+		debug.SetGCPercent(400)
+	}
 
 	if *chaosName == "list" {
 		for _, sc := range deepum.SupervisorChaosScenarios() {

@@ -25,6 +25,7 @@
 package deepum
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -103,11 +104,6 @@ type Config struct {
 	// with StatusDeadlineExceeded. Deterministic under a fixed seed, unlike
 	// a context deadline. Zero means unbounded. UM-side systems only.
 	Deadline sim.Duration
-	// Resume seeds the DeepUM driver with warm correlation tables restored
-	// from a checkpoint (LoadCheckpoint), skipping the table warm-up cost.
-	// SystemDeepUM only; the driver adopts the tables' own configuration.
-	// Requires the correlation policy (Policy empty or "correlation").
-	Resume *CorrelationState
 	// Policy names the prefetch policy the DeepUM driver runs; see
 	// Policies() for the registered set. Empty selects the default
 	// ("correlation", the paper's chaser). SystemDeepUM only: any other
@@ -115,9 +111,9 @@ type Config struct {
 	// unregistered name is rejected with *UnknownPolicyError.
 	Policy string
 	// ResumeState seeds the named policy with its checkpointed warm state
-	// (LoadPolicyCheckpoint) — the policy-agnostic resume path.
-	// SystemDeepUM only; ResumeState.Policy must agree with Policy, and
-	// setting both Resume and ResumeState is an error.
+	// (PolicyCheckpointOf, or LoadPolicyCheckpoint from a file), skipping
+	// the warm-up it took to learn. SystemDeepUM only; ResumeState.Policy
+	// must agree with Policy.
 	ResumeState *PolicyState
 	// BreakerThreshold and BreakerCooldown tune the prefetch circuit
 	// breaker: after BreakerThreshold consecutive prefetch-transfer
@@ -224,18 +220,14 @@ type Result struct {
 	// workload at different degradation levels must report identical
 	// checksums. UM-side systems only.
 	AccessChecksum uint64
-	// Warm exposes the driver's learned correlation tables for
-	// checkpointing with SaveCheckpoint (SystemDeepUM under the correlation
-	// policy only; nil under other prefetch policies).
-	Warm *CorrelationState
 	// Policy is the prefetch policy the driver ran ("correlation",
 	// "learned", ...); empty for non-DeepUM systems.
 	Policy string
-	// WarmState exposes the policy's serialized warm state for
-	// SavePolicyCheckpoint when the run used a non-correlation policy
-	// (correlation runs expose Warm instead; PolicyCheckpointOf bridges
-	// both). Nil for non-DeepUM systems.
-	WarmState *PolicyState
+
+	// prefetcher is the policy the driver ran, kept live so
+	// PolicyCheckpointOf can serialize its warm state on demand; nil for
+	// non-DeepUM systems.
+	prefetcher policy.Policy
 }
 
 // Succeeded reports whether the run completed every requested iteration
@@ -246,24 +238,9 @@ func (r *Result) Succeeded() bool {
 	return r.Status == StatusCompleted
 }
 
-// SaveCheckpoint serializes warm correlation state (Result.Warm) to w using
-// the versioned, CRC32-checksummed encoding of internal/correlation.
-func SaveCheckpoint(w io.Writer, st *CorrelationState) error {
-	return correlation.WriteCheckpoint(w, st)
-}
-
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint, verifying
-// magic, version, and checksum. Feed the result to Config.Resume. It
-// accepts both legacy (v1) checkpoints and current envelopes carrying the
-// correlation policy; envelopes written under another policy are rejected —
-// use LoadPolicyCheckpoint for those.
-func LoadCheckpoint(r io.Reader) (*CorrelationState, error) {
-	return correlation.ReadCheckpoint(r)
-}
-
-// SavePolicyCheckpoint serializes any prefetch policy's warm state to w
-// using the same versioned, CRC32-checksummed envelope as SaveCheckpoint,
-// with the policy's name recorded in the frame.
+// SavePolicyCheckpoint serializes any prefetch policy's warm state to w as
+// a versioned, CRC32-checksummed envelope with the policy's name recorded
+// in the frame.
 func SavePolicyCheckpoint(w io.Writer, st *PolicyState) error {
 	if st == nil {
 		return fmt.Errorf("deepum: cannot checkpoint nil policy state")
@@ -282,21 +259,20 @@ func LoadPolicyCheckpoint(r io.Reader) (*PolicyState, error) {
 	return &PolicyState{Policy: name, Payload: payload}, nil
 }
 
-// PolicyCheckpointOf extracts a run's warm policy state as a PolicyState
-// regardless of which policy ran: correlation runs are re-encoded from
-// Result.Warm, other policies pass Result.WarmState through. Nil when the
-// run kept no warm state (non-DeepUM systems).
+// PolicyCheckpointOf serializes a run's warm policy state, whichever policy
+// ran. Train encodes nothing, so each call runs the policy's Save afresh;
+// the encoding is deterministic, so every call returns the same payload.
+// Nil when the run had no policy (non-DeepUM systems) or its policy failed
+// to encode.
 func PolicyCheckpointOf(res *Result) *PolicyState {
-	if res == nil {
+	if res == nil || res.prefetcher == nil {
 		return nil
 	}
-	if res.WarmState != nil {
-		return res.WarmState
+	var buf bytes.Buffer
+	if err := res.prefetcher.Save(&buf); err != nil {
+		return nil
 	}
-	if res.Warm != nil {
-		return &PolicyState{Policy: "correlation", Payload: correlation.EncodeTables(res.Warm)}
-	}
-	return nil
+	return &PolicyState{Policy: res.Policy, Payload: buf.Bytes()}
 }
 
 // Train simulates training the workload under the configured system. It
@@ -346,9 +322,6 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Resume != nil && cfg.System != SystemDeepUM {
-		return nil, fmt.Errorf("deepum: Config.Resume carries DeepUM correlation tables; system %q has none to warm", cfg.System)
-	}
 	if cfg.System != SystemDeepUM {
 		if cfg.Policy != "" {
 			return nil, &PolicyUnsupportedError{System: cfg.System, Policy: cfg.Policy}
@@ -361,18 +334,12 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 		return nil, &UnknownPolicyError{Name: cfg.Policy}
 	}
 	if cfg.ResumeState != nil {
-		if cfg.Resume != nil {
-			return nil, fmt.Errorf("deepum: Config.Resume and Config.ResumeState are both set; pick one resume path")
-		}
 		if !policy.Known(cfg.ResumeState.Policy) {
 			return nil, &UnknownPolicyError{Name: cfg.ResumeState.Policy}
 		}
 		if cfg.Policy != "" && cfg.ResumeState.Policy != cfg.Policy {
 			return nil, fmt.Errorf("deepum: Config.ResumeState holds %q policy state but Config.Policy selects %q", cfg.ResumeState.Policy, cfg.Policy)
 		}
-	}
-	if cfg.Resume != nil && cfg.Policy != "" && cfg.Policy != "correlation" {
-		return nil, fmt.Errorf("deepum: Config.Resume carries correlation tables but Config.Policy selects %q; resume it through ResumeState", cfg.Policy)
 	}
 	switch cfg.System {
 	case SystemUM, SystemDeepUM, SystemIdeal:
@@ -388,7 +355,6 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 			if drv.Prefetch && drv.Degree < 1 {
 				return nil, fmt.Errorf("deepum: prefetch degree must be >= 1, got %d (the paper sweeps 1-128, headline N=32)", drv.Degree)
 			}
-			drv.WarmTables = cfg.Resume
 			drv.Policy = cfg.Policy
 			if cfg.ResumeState != nil {
 				drv.Policy = cfg.ResumeState.Policy
@@ -427,7 +393,7 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
+		res := &Result{
 			System:                 cfg.System,
 			Status:                 r.Status,
 			Iterations:             r.Iterations,
@@ -447,10 +413,12 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 			DiscardedPrefetches:    r.DiscardedPrefetches,
 			Health:                 r.Health,
 			AccessChecksum:         r.AccessChecksum,
-			Warm:                   r.Tables,
-			Policy:                 r.PrefetchPolicy,
-			WarmState:              warmStateOf(r),
-		}, nil
+			prefetcher:             r.Prefetcher,
+		}
+		if r.Prefetcher != nil {
+			res.Policy = r.Prefetcher.Name()
+		}
+		return res, nil
 	default:
 		if scenario.Active() {
 			return nil, fmt.Errorf("deepum: chaos scenario %q applies to the UM-side systems (um, deepum, ideal); %q manages memory at tensor level and has no UM substrate to perturb", scenario.Name, cfg.System)
@@ -489,16 +457,6 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 			EnergyJoules:  r.EnergyJoules,
 		}, nil
 	}
-}
-
-// warmStateOf wraps an engine result's serialized policy payload; nil for
-// correlation runs (Result.Warm carries the typed tables) and for runs with
-// no driver.
-func warmStateOf(r *engine.Result) *PolicyState {
-	if r.PolicyPayload == nil {
-		return nil
-	}
-	return &PolicyState{Policy: r.PrefetchPolicy, Payload: r.PolicyPayload}
 }
 
 func plannerFor(s System) (baselines.Planner, error) {

@@ -102,29 +102,31 @@ func TestTrainDeadlineRejectedForBaselines(t *testing.T) {
 	}
 }
 
-// TestTrainCheckpointResume: the full public checkpoint cycle — train, save
-// Result.Warm, load, resume — and the resumed run's very first iteration
-// already prefetches (warm tables), which a cold run's cannot.
+// TestTrainCheckpointResume: the full public checkpoint cycle — train,
+// capture the warm state with PolicyCheckpointOf, save, load, resume through
+// Config.ResumeState — and the resumed run's very first iteration already
+// prefetches (warm tables), which a cold run's cannot.
 func TestTrainCheckpointResume(t *testing.T) {
 	w := Workload{Model: "bert-large", Batch: 16}
 	first, err := Train(w, testConfig(SystemDeepUM))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Warm == nil {
+	st := PolicyCheckpointOf(first)
+	if st == nil {
 		t.Fatal("DeepUM run exposed no warm state")
 	}
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, first.Warm); err != nil {
+	if err := SavePolicyCheckpoint(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+	restored, err := LoadPolicyCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := testConfig(SystemDeepUM)
-	cfg.Resume = restored
+	cfg.ResumeState = restored
 	cfg.Warmup = 1
 	resumed, err := Train(w, cfg)
 	if err != nil {
@@ -149,8 +151,8 @@ func TestTrainCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestTrainResumeRejectedForNonDeepUM: warm correlation tables only mean
-// something to the DeepUM driver.
+// TestTrainResumeRejectedForNonDeepUM: warm policy state only means
+// something to the DeepUM driver, the one system that runs a policy.
 func TestTrainResumeRejectedForNonDeepUM(t *testing.T) {
 	w := Workload{Model: "bert-large", Batch: 16}
 	first, err := Train(w, testConfig(SystemDeepUM))
@@ -158,10 +160,10 @@ func TestTrainResumeRejectedForNonDeepUM(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(SystemUM)
-	cfg.Resume = first.Warm
+	cfg.ResumeState = PolicyCheckpointOf(first)
 	if _, err := Train(w, cfg); err == nil {
-		t.Fatal("Resume accepted for a non-DeepUM system")
-	} else if !strings.Contains(err.Error(), "Resume") {
+		t.Fatal("ResumeState accepted for a non-DeepUM system")
+	} else if !strings.Contains(err.Error(), "ResumeState") {
 		t.Fatalf("resume error not descriptive: %v", err)
 	}
 }

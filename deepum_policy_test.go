@@ -78,9 +78,6 @@ func TestTrainPolicyCheckpointCycle(t *testing.T) {
 	if first.Policy != "learned" {
 		t.Fatalf("Result.Policy = %q, want learned", first.Policy)
 	}
-	if first.Warm != nil {
-		t.Fatal("non-correlation run exposed typed correlation tables")
-	}
 	st := PolicyCheckpointOf(first)
 	if st == nil || st.Policy != "learned" {
 		t.Fatalf("PolicyCheckpointOf = %+v, want learned state", st)
@@ -120,31 +117,15 @@ func TestTrainPolicyCheckpointCycle(t *testing.T) {
 }
 
 // TestTrainResumeFromLegacyBlob resumes a run from the committed
-// pre-policy v1 checkpoint through BOTH public load paths: the typed
-// correlation path (LoadCheckpoint -> Config.Resume) and the generic
-// policy path (LoadPolicyCheckpoint -> Config.ResumeState). Old blobs
-// written before this API existed must keep working, unmodified.
+// pre-policy v1 checkpoint through LoadPolicyCheckpoint and
+// Config.ResumeState. Old blobs written before the envelope named its
+// policy must keep working, unmodified.
 func TestTrainResumeFromLegacyBlob(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("internal", "correlation", "testdata", "legacy_v1.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := Workload{Model: "bert-base", Batch: 32}
-
-	warm, err := LoadCheckpoint(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("LoadCheckpoint on v1 blob: %v", err)
-	}
-	typed := testConfig(SystemDeepUM)
-	typed.Resume = warm
-	typed.Warmup = 1
-	res, err := Train(w, typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusCompleted || res.Policy != "correlation" {
-		t.Fatalf("typed legacy resume: status %v policy %q", res.Status, res.Policy)
-	}
 
 	st, err := LoadPolicyCheckpoint(bytes.NewReader(raw))
 	if err != nil {
@@ -153,41 +134,31 @@ func TestTrainResumeFromLegacyBlob(t *testing.T) {
 	if st.Policy != "correlation" {
 		t.Fatalf("v1 blob decoded as policy %q", st.Policy)
 	}
-	generic := testConfig(SystemDeepUM)
-	generic.ResumeState = st
-	generic.Warmup = 1
-	res2, err := Train(w, generic)
+	cfg := testConfig(SystemDeepUM)
+	cfg.ResumeState = st
+	cfg.Warmup = 1
+	res, err := Train(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Status != StatusCompleted || res2.Policy != "correlation" {
-		t.Fatalf("generic legacy resume: status %v policy %q", res2.Status, res2.Policy)
+	if res.Status != StatusCompleted || res.Policy != "correlation" {
+		t.Fatalf("legacy resume: status %v policy %q", res.Status, res.Policy)
 	}
 }
 
-// TestPolicyCheckpointOfCorrelation: the bridge re-encodes typed
-// correlation warm state into the generic PolicyState, and the encoding
-// round-trips through the envelope.
+// TestPolicyCheckpointOfCorrelation: Train encodes nothing, so every
+// PolicyCheckpointOf call serializes the correlation tables afresh; two
+// calls on one Result must return equal payloads.
 func TestPolicyCheckpointOfCorrelation(t *testing.T) {
 	first, err := Train(Workload{Model: "bert-large", Batch: 16}, testConfig(SystemDeepUM))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Warm == nil {
-		t.Fatal("correlation run exposed no typed warm state")
+	a, b := PolicyCheckpointOf(first), PolicyCheckpointOf(first)
+	if a == nil || a.Policy != "correlation" || len(a.Payload) == 0 {
+		t.Fatalf("PolicyCheckpointOf = %+v", a)
 	}
-	st := PolicyCheckpointOf(first)
-	if st == nil || st.Policy != "correlation" || len(st.Payload) == 0 {
-		t.Fatalf("PolicyCheckpointOf = %+v", st)
-	}
-	var generic, typed bytes.Buffer
-	if err := SavePolicyCheckpoint(&generic, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCheckpoint(&typed, first.Warm); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(generic.Bytes(), typed.Bytes()) {
-		t.Fatal("generic and typed save paths produced different bytes for the same correlation state")
+	if b.Policy != a.Policy || !bytes.Equal(a.Payload, b.Payload) {
+		t.Fatal("two PolicyCheckpointOf calls on one Result returned different payloads")
 	}
 }

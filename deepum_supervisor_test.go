@@ -3,6 +3,7 @@ package deepum
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -62,54 +63,65 @@ func TestNewSupervisorRunsTrain(t *testing.T) {
 	}
 }
 
+// TestNewSupervisorChunkedCheckpoints: a chunked run journals exactly one
+// decodable checkpoint per chunk. The chunks it continues from are
+// journaled as progress; the last one only once, from the outcome.
 func TestNewSupervisorChunkedCheckpoints(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "runs.journal")
-	s, err := NewSupervisor(SupervisorConfig{Workers: 1, JournalPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec := fastSpec(7)
-	spec.Iterations = 4
-	spec.CheckpointEvery = 2 // two chunks -> at least one real mid-run checkpoint
-	id, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := s.Wait(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.State != RunCompleted {
-		t.Fatalf("state = %s (reason %q)", info.State, info.Reason)
-	}
-	if info.Outcome.Iterations != 4 {
-		t.Fatalf("chunked run measured %d iterations, want 4", info.Outcome.Iterations)
-	}
-	if info.Checkpoints < 2 {
-		t.Fatalf("chunked run journaled %d checkpoints, want >= 2 (one per chunk)", info.Checkpoints)
-	}
-	drainSupervisor(t, s)
-
-	// The checkpoints really hit the journal as decodable warm state.
-	recs, stats, err := journal.ReplayFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TornOffset != -1 {
-		t.Fatalf("journal torn at %d after clean drain", stats.TornOffset)
-	}
-	warm := 0
-	for _, r := range recs {
-		if r.Type == journal.RecCheckpointed && len(r.Data) > 0 {
-			if _, err := LoadCheckpoint(bytes.NewReader(r.Data)); err != nil {
-				t.Fatalf("journaled checkpoint does not decode: %v", err)
+	for _, tc := range []struct{ every, chunks int }{{1, 4}, {2, 2}, {3, 2}} {
+		t.Run(fmt.Sprintf("every%d", tc.every), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "runs.journal")
+			s, err := NewSupervisor(SupervisorConfig{Workers: 1, JournalPath: path})
+			if err != nil {
+				t.Fatal(err)
 			}
-			warm++
-		}
-	}
-	if warm < 2 {
-		t.Fatalf("journal holds %d decodable warm checkpoints, want >= 2", warm)
+			spec := fastSpec(7)
+			spec.Iterations = 4
+			spec.CheckpointEvery = tc.every
+			id, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := s.Wait(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.State != RunCompleted {
+				t.Fatalf("state = %s (reason %q)", info.State, info.Reason)
+			}
+			if info.Outcome.Iterations != 4 {
+				t.Fatalf("chunked run measured %d iterations, want 4", info.Outcome.Iterations)
+			}
+			if info.Checkpoints != tc.chunks {
+				t.Fatalf("chunked run counted %d checkpoints, want %d (one per chunk)", info.Checkpoints, tc.chunks)
+			}
+			drainSupervisor(t, s)
+
+			// The checkpoints really hit the journal as decodable warm state.
+			recs, stats, err := journal.ReplayFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.TornOffset != -1 {
+				t.Fatalf("journal torn at %d after clean drain", stats.TornOffset)
+			}
+			warm := 0
+			for _, r := range recs {
+				if r.Type != journal.RecCheckpointed {
+					continue
+				}
+				st, err := LoadPolicyCheckpoint(bytes.NewReader(r.Data))
+				if err != nil {
+					t.Fatalf("journaled checkpoint does not decode: %v", err)
+				}
+				if st.Policy != "correlation" {
+					t.Fatalf("journaled checkpoint holds %q state, want correlation", st.Policy)
+				}
+				warm++
+			}
+			if warm != tc.chunks {
+				t.Fatalf("journal holds %d checkpoint records, want %d (one per chunk)", warm, tc.chunks)
+			}
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"deepum/internal/correlation"
 	"deepum/internal/obs"
@@ -62,19 +61,12 @@ type Options struct {
 	// accessed soon"). Zero disables the throttle. The engine fills it in
 	// from the simulated machine.
 	CapacityBytes int64
-	// WarmTables, when set, seeds the correlation policy with tables restored
-	// from a checkpoint instead of empty ones; the driver adopts the tables'
-	// own configuration (overriding TableConfig) so the set-index hash and
-	// successor limits match the state being resumed. Policies without
-	// correlation tables reject it — resume them through WarmPayload.
-	WarmTables *correlation.Tables
 	// Policy names the prefetch policy deciding what to fetch next; the
 	// empty string selects the default ("correlation", the paper's chaser).
 	// See internal/policy for the registry.
 	Policy string
 	// WarmPayload, when set, seeds the policy with its own checkpoint
-	// payload (the policy-agnostic resume path; the envelope's policy name
-	// must match Policy). Ignored when WarmTables is set.
+	// payload (the envelope's policy name must match Policy).
 	WarmPayload []byte
 }
 
@@ -189,17 +181,10 @@ func NewDriverFor(opts Options) (*Driver, error) {
 		Prefetch:    opts.Prefetch,
 		Degree:      opts.Degree,
 		TableConfig: opts.TableConfig,
-		WarmTables:  opts.WarmTables,
 		WarmPayload: opts.WarmPayload,
 	})
 	if err != nil {
 		return nil, err
-	}
-	// A policy carrying correlation tables publishes their configuration;
-	// adopt it so Options() reflects the resumed state, exactly as the
-	// pre-policy driver adopted WarmTables' config.
-	if t := tablesOf(pol); t != nil {
-		opts.TableConfig = t.Config()
 	}
 	d := &Driver{
 		opts:        opts,
@@ -223,31 +208,13 @@ func NewDriver(opts Options) *Driver {
 	return d
 }
 
-// tablesOf extracts correlation tables from policies that keep them
-// (the correlation chaser); nil for every other policy.
-func tablesOf(p policy.Policy) *correlation.Tables {
-	if tp, ok := p.(interface{ Tables() *correlation.Tables }); ok {
-		return tp.Tables()
-	}
-	return nil
-}
-
 // Options returns the driver's configuration.
 func (d *Driver) Options() Options { return d.opts }
 
-// Tables exposes the correlation tables when the active policy keeps them
-// (Table 4 sizes, cmd/deepum-inspect); nil under table-less policies.
-func (d *Driver) Tables() *correlation.Tables { return tablesOf(d.pol) }
-
-// PolicyName returns the active prefetch policy's registered name.
-func (d *Driver) PolicyName() string { return d.pol.Name() }
-
-// PolicySizeBytes returns the active policy's state-memory estimate.
-func (d *Driver) PolicySizeBytes() int64 { return d.pol.SizeBytes() }
-
-// SavePolicyState writes the active policy's deterministic warm-state
-// payload (the body of a checkpoint envelope carrying PolicyName).
-func (d *Driver) SavePolicyState(w io.Writer) error { return d.pol.Save(w) }
+// Policy returns the active prefetch policy and the warm state it has
+// learned: its name, its state size (Table 4) and, through Save, the
+// payload of a checkpoint envelope.
+func (d *Driver) Policy() policy.Policy { return d.pol }
 
 // KernelLaunch receives the execution ID of the kernel about to run — the
 // ioctl callback of §3.1 — and forwards it to the policy's learner.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"deepum/internal/correlation"
+	polcorr "deepum/internal/policy/correlation"
 	"deepum/internal/sim"
 	"deepum/internal/um"
 )
@@ -101,7 +102,7 @@ func TestDriverPrefetchDisabled(t *testing.T) {
 		t.Fatal("prefetch disabled but commands issued")
 	}
 	// Correlation tables still learn (the correlator thread always runs).
-	if d.Tables().Block(0).Start == um.NoBlock {
+	if d.Policy().(*polcorr.Chaser).Tables().Block(0).Start == um.NoBlock {
 		t.Fatal("correlator must record misses even without prefetching")
 	}
 }

@@ -166,10 +166,6 @@ func ReadCheckpoint(r io.Reader) (*Tables, error) {
 	return DecodeTables(payload)
 }
 
-// Config returns the block-table configuration every table of this set is
-// built with.
-func (t *Tables) Config() BlockTableConfig { return t.cfg }
-
 // --- encoding ---
 
 func encodePayload(buf *bytes.Buffer, t *Tables) {

@@ -52,8 +52,8 @@ func TestCheckpointRoundtripLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Config() != ts.Config() {
-		t.Fatalf("config changed across roundtrip: %+v vs %+v", got.Config(), ts.Config())
+	if got.cfg != ts.cfg {
+		t.Fatalf("config changed across roundtrip: %+v vs %+v", got.cfg, ts.cfg)
 	}
 	var b bytes.Buffer
 	if err := WriteCheckpoint(&b, got); err != nil {

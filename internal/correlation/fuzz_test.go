@@ -124,8 +124,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 		}
-		if again.Config() != tbl.Config() {
-			t.Fatalf("config drifted across roundtrip: %+v vs %+v", again.Config(), tbl.Config())
+		if again.cfg != tbl.cfg {
+			t.Fatalf("config drifted across roundtrip: %+v vs %+v", again.cfg, tbl.cfg)
 		}
 	})
 }

@@ -34,7 +34,7 @@ func TestLegacyCheckpointLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCheckpoint on v1 blob: %v", err)
 	}
-	if cfg := tbl.Config(); cfg != (BlockTableConfig{NumRows: 8, Assoc: 2, NumSuccs: 4, NumLevels: 2}) {
+	if cfg := tbl.cfg; cfg != (BlockTableConfig{NumRows: 8, Assoc: 2, NumSuccs: 4, NumLevels: 2}) {
 		t.Fatalf("legacy config drifted: %+v", cfg)
 	}
 	ids := tbl.ExecIDs()

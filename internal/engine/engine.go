@@ -8,7 +8,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"deepum/internal/correlation"
 	"deepum/internal/health"
 	"deepum/internal/obs"
+	"deepum/internal/policy"
 
 	// All built-in prefetch policies register themselves so run configs and
 	// discovery listings resolve them anywhere the engine is linked.
@@ -146,21 +146,14 @@ type Result struct {
 	FaultsPerIter int64
 	Handler       um.HandlerStats
 	Driver        core.Stats
-	// PrefetchPolicy is the registered name of the prefetch policy the
-	// driver ran ("correlation", "learned", ...); empty for non-DeepUM
-	// system policies.
-	PrefetchPolicy string
 	// DriverTableBytes is the prefetch policy's state memory — the
 	// correlation-table bytes of Table 4 under the default policy.
 	DriverTableBytes int64
-	// Tables exposes the driver's correlation tables for inspection
-	// (cmd/deepum-inspect); nil for non-DeepUM policies and for prefetch
-	// policies that keep no correlation tables.
-	Tables *correlation.Tables
-	// PolicyPayload is the serialized warm state of a non-correlation
-	// prefetch policy (correlation state travels typed through Tables); nil
-	// otherwise.
-	PolicyPayload []byte
+	// Prefetcher is the prefetch policy the driver ran, holding the warm
+	// state it learned (the correlation tables under the default policy);
+	// nil for non-DeepUM system policies. The engine serializes nothing:
+	// a caller that checkpoints calls Prefetcher.Save.
+	Prefetcher policy.Policy
 
 	TrafficH2D, TrafficD2H int64
 	PeakAllocBytes         int64
@@ -610,16 +603,8 @@ func (e *exec) run() (*Result, error) {
 			res.DiscardedPrefetches = e.driver.DiscardPrefetches()
 		}
 		res.Driver = e.driver.Stats
-		res.PrefetchPolicy = e.driver.PolicyName()
-		res.DriverTableBytes = e.driver.PolicySizeBytes()
-		res.Tables = e.driver.Tables()
-		if res.Tables == nil {
-			var warm bytes.Buffer
-			if err := e.driver.SavePolicyState(&warm); err != nil {
-				return nil, fmt.Errorf("engine: serializing %s policy state: %w", res.PrefetchPolicy, err)
-			}
-			res.PolicyPayload = warm.Bytes()
-		}
+		res.Prefetcher = e.driver.Policy()
+		res.DriverTableBytes = res.Prefetcher.SizeBytes()
 	}
 	res.Breaker = e.breaker.snapshot()
 	res.Health = e.health.Report()

@@ -322,8 +322,8 @@ func TestCheckpointKillResumeEquivalence(t *testing.T) {
 	}
 
 	// Kill a second run mid-iteration-2 via a virtual deadline (deterministic,
-	// unaligned to an iteration boundary), then checkpoint its tables through
-	// the full save/load path.
+	// unaligned to an iteration boundary), then checkpoint its policy state
+	// through the full save/frame/load path.
 	acfg := base
 	acfg.Warmup, acfg.Iterations = 2, 4
 	acfg.Deadline = u.IterStats[0].Time + u.IterStats[1].Time + u.IterStats[2].Time/2
@@ -337,18 +337,22 @@ func TestCheckpointKillResumeEquivalence(t *testing.T) {
 	if len(a.IterStats) >= len(u.IterStats) {
 		t.Fatalf("killed run completed %d iterations, reference %d", len(a.IterStats), len(u.IterStats))
 	}
-	var ckpt bytes.Buffer
-	if err := correlation.WriteCheckpoint(&ckpt, a.Tables); err != nil {
+	var payload, ckpt bytes.Buffer
+	if err := a.Prefetcher.Save(&payload); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := correlation.ReadCheckpoint(&ckpt)
+	if err := correlation.WriteEnvelope(&ckpt, a.Prefetcher.Name(), payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	name, restored, err := correlation.ReadEnvelope(&ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Resume from the checkpoint: one warmup iteration rebuilds residency.
 	bcfg := base
-	bcfg.DriverOptions.WarmTables = restored
+	bcfg.DriverOptions.Policy = name
+	bcfg.DriverOptions.WarmPayload = restored
 	bcfg.Warmup, bcfg.Iterations = 1, 3
 	b, err := Run(bcfg)
 	if err != nil {

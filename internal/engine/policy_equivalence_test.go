@@ -74,8 +74,8 @@ func TestPolicyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s L%d: %v", g.model, g.level, err)
 		}
-		if res.PrefetchPolicy != policy.DefaultName {
-			t.Fatalf("%s L%d: ran policy %q, want %q", g.model, g.level, res.PrefetchPolicy, policy.DefaultName)
+		if got := res.Prefetcher.Name(); got != policy.DefaultName {
+			t.Fatalf("%s L%d: ran policy %q, want %q", g.model, g.level, got, policy.DefaultName)
 		}
 		d := res.Driver
 		got := golden{g.model, g.batch, g.level, res.AccessChecksum,

@@ -54,8 +54,8 @@ func TestPolicySuiteCleanInvariants(t *testing.T) {
 			if res.Invariant != nil {
 				t.Errorf("%s under %s: invariant violation: %v", w.model, name, res.Invariant)
 			}
-			if res.PrefetchPolicy != name {
-				t.Errorf("%s: ran %q, want %q", w.model, res.PrefetchPolicy, name)
+			if got := res.Prefetcher.Name(); got != name {
+				t.Errorf("%s: ran %q, want %q", w.model, got, name)
 			}
 			if checksum == 0 {
 				checksum = res.AccessChecksum

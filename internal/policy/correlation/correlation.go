@@ -48,28 +48,27 @@ type Chaser struct {
 	gate policy.Gate
 }
 
-// New builds the correlation policy. Warm state arrives either as decoded
-// tables (Options.WarmTables) or as a checkpoint payload (WarmPayload); the
-// policy adopts warm tables' own configuration so the set-index hash and
-// successor limits match the state being resumed.
+// New builds the correlation policy. Warm state arrives as a checkpoint
+// payload (Options.WarmPayload); decoded tables keep their own
+// configuration, so the set-index hash and successor limits match the state
+// being resumed whatever TableConfig says.
 func New(opts policy.Options) (policy.Policy, error) {
 	degree := opts.Degree
 	if degree < 1 {
 		degree = 1
 	}
-	cfg := opts.TableConfig
-	if cfg.NumRows == 0 {
-		cfg = corr.DefaultBlockTableConfig()
-	}
-	tables := opts.WarmTables
-	if tables == nil && len(opts.WarmPayload) > 0 {
+	var tables *corr.Tables
+	if len(opts.WarmPayload) > 0 {
 		t, err := corr.DecodeTables(opts.WarmPayload)
 		if err != nil {
 			return nil, fmt.Errorf("policy %s: decoding warm state: %w", Name, err)
 		}
 		tables = t
-	}
-	if tables == nil {
+	} else {
+		cfg := opts.TableConfig
+		if cfg.NumRows == 0 {
+			cfg = corr.DefaultBlockTableConfig()
+		}
 		tables = corr.NewTables(cfg)
 	}
 	c := &Chaser{
@@ -87,8 +86,7 @@ func New(opts policy.Options) (policy.Policy, error) {
 // Name implements policy.Policy.
 func (c *Chaser) Name() string { return Name }
 
-// Tables exposes the correlation tables (Table 4 sizes, the typed facade
-// checkpoint path, cmd/deepum-inspect).
+// Tables exposes the correlation tables (cmd/deepum-inspect).
 func (c *Chaser) Tables() *corr.Tables { return c.tables }
 
 // KernelLaunch records the transition of the previously running kernel and

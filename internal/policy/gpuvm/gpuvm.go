@@ -64,9 +64,6 @@ type Window struct {
 
 // New builds the demand-window policy; WarmPayload restores a Save snapshot.
 func New(opts policy.Options) (policy.Policy, error) {
-	if opts.WarmTables != nil {
-		return nil, fmt.Errorf("policy %s: WarmTables carries correlation tables; this policy has none to warm", Name)
-	}
 	w := &Window{
 		prefetch: opts.Prefetch,
 		window:   windowInit,

@@ -91,9 +91,6 @@ type Learned struct {
 
 // New builds the learned policy; WarmPayload restores a Save snapshot.
 func New(opts policy.Options) (policy.Policy, error) {
-	if opts.WarmTables != nil {
-		return nil, fmt.Errorf("policy %s: WarmTables carries correlation tables; this policy has none to warm", Name)
-	}
 	degree := opts.Degree
 	if degree < 1 {
 		degree = 1

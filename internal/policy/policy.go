@@ -123,11 +123,8 @@ type Options struct {
 	// TableConfig parameterizes correlation tables for policies that keep
 	// them.
 	TableConfig correlation.BlockTableConfig
-	// WarmTables seeds the correlation policy with already-decoded tables
-	// (the typed facade resume path). Policies without tables reject it.
-	WarmTables *correlation.Tables
-	// WarmPayload seeds the policy with its own Save output (the generic
-	// checkpoint resume path). Ignored when WarmTables is set.
+	// WarmPayload seeds the policy with its own Save output (the payload of
+	// a checkpoint envelope written under this policy's name).
 	WarmPayload []byte
 	// Seed is available to policies that need a deterministic tiebreaker.
 	Seed int64

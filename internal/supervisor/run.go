@@ -78,7 +78,9 @@ type Outcome struct {
 	// the health controller (nil otherwise).
 	Health *health.Report `json:"health,omitempty"`
 	// Checkpoint is the run's final warm state, if the runner produced
-	// one. Journaled as a checkpoint record, never inlined in JSON.
+	// one. The supervisor journals it as a checkpoint record. A suspended
+	// run keeps it as the state it resumes from; a finished run drops it,
+	// so RunInfo.Outcome never carries it. Never inlined in JSON.
 	Checkpoint []byte `json:"-"`
 }
 

@@ -1087,12 +1087,15 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	now := time.Now()
 	r.info.Finished = &now
 	r.info.Outcome = &out
+	// A finished run never resumes: its last checkpoint is journaled, then
+	// dropped from memory along with the resume state it superseded.
 	if len(out.Checkpoint) > 0 {
 		if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: s.checkpointPayloadLocked(out.Checkpoint)}) == nil {
-			r.resume = out.Checkpoint
 			r.info.Checkpoints++
 		}
+		out.Checkpoint = nil
 	}
+	r.resume = nil
 	if data, err := json.Marshal(journalFinish{State: state, Reason: r.info.Reason, Outcome: &out}); err == nil {
 		// Best effort: a failed finish append means the next replay re-runs
 		// this run — at-least-once, never lost.

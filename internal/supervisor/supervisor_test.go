@@ -490,6 +490,64 @@ func TestJournalRecordsLifecycle(t *testing.T) {
 	}
 }
 
+// TestFinishedRunsDropCheckpoints: a finished run's checkpoints are
+// journaled and then dropped from memory. Neither its outcome nor its
+// resume state keeps them, so memory does not grow with finished runs.
+func TestFinishedRunsDropCheckpoints(t *testing.T) {
+	const runs, size = 64, 1 << 20
+	final := make([]byte, size)
+	runner := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+		progress([]byte("mid-run"))
+		return Outcome{Status: string(StateCompleted), Checkpoint: final}, nil
+	})
+	path := filepath.Join(t.TempDir(), "runs.journal")
+	s, err := New(Config{Runner: runner, Workers: 2, QueueDepth: runs, JournalPath: path, JournalNoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for i := 0; i < runs; i++ {
+		id, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8, Seed: int64(i)})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		info, err := s.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != StateCompleted || info.Checkpoints != 2 {
+			t.Fatalf("run %d: state %s, %d checkpoints; want completed with 2", id, info.State, info.Checkpoints)
+		}
+		if got, _ := s.Get(id); got.Outcome.Checkpoint != nil {
+			t.Fatalf("run %d: finished outcome still holds %d checkpoint bytes", id, len(got.Outcome.Checkpoint))
+		}
+	}
+	s.mu.Lock()
+	for id, r := range s.runs {
+		if r.resume != nil {
+			t.Errorf("finished run %d still holds %d resume bytes", id, len(r.resume))
+		}
+	}
+	s.mu.Unlock()
+	drain(t, s)
+
+	finals := 0
+	if _, err := journal.ReplayStreamFile(path, func(rec journal.Record) error {
+		if rec.Type == journal.RecCheckpointed && len(rec.Data) == size {
+			finals++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if finals != runs {
+		t.Fatalf("journal holds %d final checkpoint records, want %d", finals, runs)
+	}
+}
+
 func types(recs []journal.Record) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {

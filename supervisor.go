@@ -140,50 +140,38 @@ func (trainRunner) run(ctx context.Context, spec RunSpec, resume []byte, progres
 	}
 	progress(nil) // liveness before the first (potentially long) chunk
 
+	// An unchunked run, and any run of a system without warm state, is one
+	// chunk of all its iterations.
+	total := cfg.Iterations
 	chunk := spec.CheckpointEvery
 	if chunk <= 0 || cfg.System != SystemDeepUM {
-		res, err := TrainContext(ctx, w, cfg)
-		if err != nil {
-			return supervisor.Outcome{}, err
-		}
-		var agg runAggregate
-		agg.add(res)
-		return agg.outcome(res, checkpointBytes(res)), nil
+		chunk = total
 	}
-
 	var agg runAggregate
-	total := cfg.Iterations
-	for agg.iterations < total {
+	for {
 		cfg.Iterations = min(chunk, total-agg.iterations)
 		res, err := TrainContext(ctx, w, cfg)
 		if err != nil {
 			return supervisor.Outcome{}, err
 		}
 		agg.add(res)
-		ck := checkpointBytes(res)
-		if ck != nil {
-			progress(ck)
-		} else {
-			progress(nil)
-		}
-		if res.Status.Interrupted() || res.Iterations == 0 {
+		// One encode per chunk serves both the checkpoint bytes and the next
+		// chunk's resume state.
+		st := PolicyCheckpointOf(res)
+		ck := checkpointBytes(st)
+		if res.Status.Interrupted() || res.Iterations == 0 || agg.iterations >= total {
+			// The supervisor journals the final checkpoint from the outcome.
 			return agg.outcome(res, ck), nil
 		}
-		cfg.Resume = nil
-		cfg.ResumeState = PolicyCheckpointOf(res)
+		progress(ck)
+		cfg.ResumeState = st
 		cfg.Warmup = 1
-		if agg.iterations >= total {
-			return agg.outcome(res, ck), nil
-		}
 	}
-	// Unreachable: the loop always returns; keep the compiler satisfied.
-	return supervisor.Outcome{}, fmt.Errorf("deepum: chunked run fell through")
 }
 
-// checkpointBytes serializes a run's warm policy state (any prefetch
-// policy), or nil when there is none.
-func checkpointBytes(res *Result) []byte {
-	st := PolicyCheckpointOf(res)
+// checkpointBytes frames warm policy state as checkpoint bytes, or nil when
+// there is none.
+func checkpointBytes(st *PolicyState) []byte {
 	if st == nil {
 		return nil
 	}

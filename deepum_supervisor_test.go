@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -146,5 +147,104 @@ func TestTrainRunnerRejectsForeignResume(t *testing.T) {
 	_, err := TrainRunner().Run(ctx, spec, []byte("not-a-checkpoint"), func([]byte) {})
 	if err == nil {
 		t.Fatal("TrainRunner resumed a non-deepum system from a checkpoint")
+	}
+}
+
+// TestSupervisorSeesLadderMoves: a health-enabled TrainRunner run under a
+// supervisor streams every in-run ladder move to the supervisor. The
+// deepum_health_transitions_total series sum to the outcome's transition
+// count, and RunInfo.HealthLevel holds the level of the last move.
+func TestSupervisorSeesLadderMoves(t *testing.T) {
+	s, err := NewSupervisor(SupervisorConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainSupervisor(t, s)
+
+	// Scale 32 is the cheapest bert-large b16 run whose ladder still moves
+	// under flaky-link.
+	id, err := s.Submit(RunSpec{Model: "bert-large", Batch: 16, Scale: 32, Health: true, Chaos: "flaky-link"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Outcome == nil || info.Outcome.Health == nil {
+		t.Fatalf("outcome %+v carries no health report", info.Outcome)
+	}
+	rep := info.Outcome.Health
+	if rep.Transitions == 0 {
+		t.Fatal("the ladder never moved; the run no longer exercises the reporter")
+	}
+	var sum int64
+	for _, level := range []string{"L0", "L1", "L2", "L3"} {
+		sum += s.Metrics().Counter("deepum_health_transitions_total", "", map[string]string{"level": level}).Value()
+	}
+	if sum != int64(rep.Transitions) {
+		t.Fatalf("deepum_health_transitions_total sums to %d, outcome reports %d transitions", sum, rep.Transitions)
+	}
+	last := rep.TransitionLog[len(rep.TransitionLog)-1]
+	if info.HealthLevel != int(last.To) {
+		t.Fatalf("RunInfo.HealthLevel = %d, want %d (the last move's target)", info.HealthLevel, last.To)
+	}
+}
+
+// TestFinishedRunsDoNotGrowHeap: a supervisor drops a finished run's
+// checkpoint once it is journaled. After N checkpointing correlation runs
+// and then 3N more, the live heap grows by less than a quarter of what
+// keeping each extra run's final checkpoint would cost.
+func TestFinishedRunsDoNotGrowHeap(t *testing.T) {
+	spec := fastSpec(1)
+	spec.CheckpointEvery = 1
+	res, err := Train(Workload{Model: spec.Model, Batch: spec.Batch}, Config{
+		Scale: spec.Scale, Iterations: spec.Iterations, Warmup: spec.Warmup, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckBytes := int64(len(checkpointBytes(PolicyCheckpointOf(res))))
+	if ckBytes == 0 {
+		t.Fatal("a correlation run produced no checkpoint")
+	}
+
+	s, err := NewSupervisor(SupervisorConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainSupervisor(t, s)
+	finish := func(n int) {
+		t.Helper()
+		ids := make([]uint64, n)
+		for i := range ids {
+			if ids[i], err = s.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range ids {
+			info, err := s.Wait(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.State != RunCompleted {
+				t.Fatalf("run %d: state %s (%q)", id, info.State, info.Reason)
+			}
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	const n = 4
+	finish(n)
+	before := heap()
+	finish(3 * n)
+	growth := heap() - before
+	t.Logf("heap growth %d bytes over %d runs; one checkpoint is %d bytes", growth, 3*n, ckBytes)
+	if kept := 3 * n * ckBytes; growth*4 >= kept {
+		t.Fatalf("heap grew %d bytes over %d more finished runs; keeping their checkpoints would cost %d", growth, 3*n, kept)
 	}
 }

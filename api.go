@@ -71,8 +71,9 @@ type InvariantError = chaos.InvariantError
 // --- health-controller types ---
 
 // HealthOptions re-exports the health controller's tuning knobs (half-life,
-// hysteresis thresholds, dwell, probe interval); the zero value selects the
-// defaults. Set Config.Health to enable the controller on a run.
+// dwell, probe interval, and the pressure gauge and transition hooks); the
+// zero value selects the defaults. The hysteresis thresholds are fixed.
+// Set Config.Health to enable the controller on a run.
 type HealthOptions = health.Options
 
 // HealthReport re-exports a finished run's degradation-ladder summary
@@ -436,21 +437,6 @@ func ChaosScenarios() []ChaosScenarioInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// SupervisorChaosScenario re-exports the supervisor-level fault-injection
-// scenario type for SupervisorConfig.Chaos.
-type SupervisorChaosScenario = chaos.SupervisorScenario
-
-// SupervisorChaosScenarios returns the named supervisor chaos scenarios.
-func SupervisorChaosScenarios() []SupervisorChaosScenario {
-	return chaos.SupervisorScenarios()
-}
-
-// SupervisorChaosScenarioByName resolves a supervisor chaos scenario; the
-// error enumerates the known names.
-func SupervisorChaosScenarioByName(name string) (SupervisorChaosScenario, error) {
-	return chaos.SupervisorScenarioByName(name)
 }
 
 // FaultTransport re-exports the chaos HTTP round-tripper that injects

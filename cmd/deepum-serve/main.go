@@ -12,6 +12,10 @@
 //
 //	deepum-serve -addr :8080 -shards 4 -journal-dir /var/lib/deepum
 //
+// A flag that only the other mode reads stops the server at startup:
+// -journal and -store-gc with -shards, -journal-dir and -handoff-grace
+// without.
+//
 // -store points both modes at a durable content-addressed checkpoint
 // store: journals then carry 16-byte references instead of checkpoint
 // blobs, identical checkpoints dedup across runs (and across shards in
@@ -56,28 +60,80 @@ import (
 	"deepum"
 )
 
+// serveFlags are deepum-serve's command-line settings.
+type serveFlags struct {
+	addr         string
+	workers      int
+	queue        int
+	gpuBudget    int64
+	oversub      bool
+	storeGC      float64
+	journalPath  string
+	storePath    string
+	storeReplica int
+	scrubEvery   time.Duration
+	shards       int
+	journalDir   string
+	handoffGrace time.Duration
+	watchdog     time.Duration
+	drainTimeout time.Duration
+	reqTimeout   time.Duration
+}
+
+func defineFlags(fs *flag.FlagSet) *serveFlags {
+	f := &serveFlags{}
+	fs.StringVar(&f.addr, "addr", ":8080", "HTTP listen address")
+	fs.IntVar(&f.workers, "workers", 4, "concurrent training runs")
+	fs.IntVar(&f.queue, "queue", 16, "submission queue depth (backpressure bound)")
+	fs.Int64Var(&f.gpuBudget, "gpu-budget", 0, "simulated GPU memory budget in bytes shared by all runs (0 = unlimited)")
+	fs.BoolVar(&f.oversub, "oversubscribe", false, "admit runs past -gpu-budget under the memory arbiter (soft grants, burst revocation, suspend-to-checkpoint) instead of hard quota rejections")
+	fs.Float64Var(&f.storeGC, "store-gc", 0, "compact the checkpoint store when its garbage ratio exceeds this fraction (0 = no automatic GC; single-supervisor mode with -store)")
+	fs.StringVar(&f.journalPath, "journal", "", "crash-safe run journal path (empty = no persistence; single-supervisor mode)")
+	fs.StringVar(&f.storePath, "store", "", "content-addressed checkpoint store path; journals then carry 16-byte references instead of blobs (empty = inline checkpoints)")
+	fs.IntVar(&f.storeReplica, "store-replicas", 2, "frames written per checkpoint blob; 2 lets the scrubber repair bit rot from the surviving twin")
+	fs.DurationVar(&f.scrubEvery, "scrub-every", 0, "background store scrub interval (0 = no background scrubbing; requires -store)")
+	fs.IntVar(&f.shards, "shards", 0, "shard count for federation mode (0 = one supervisor, no federation)")
+	fs.StringVar(&f.journalDir, "journal-dir", "", "per-shard journal directory (federation mode; required with -shards)")
+	fs.DurationVar(&f.handoffGrace, "handoff-grace", 30*time.Second, "how long a dead shard may answer 503 before rejections become hard failures (0 = forever; federation mode)")
+	fs.DurationVar(&f.watchdog, "watchdog", 0, "cancel runs with no progress for this long (0 = no watchdog)")
+	fs.DurationVar(&f.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain budget on shutdown before runs are cancelled")
+	fs.DurationVar(&f.reqTimeout, "request-timeout", 30*time.Second, "per-request context deadline for API handlers (0 = none)")
+	return f
+}
+
+// modeFlags maps each flag that only one serving mode reads to whether
+// that mode is federation mode (-shards). A sharded server journals per
+// shard under -journal-dir and never compacts the shared store by itself;
+// a single supervisor has no shards to hand off.
+var modeFlags = map[string]bool{
+	"journal":       false,
+	"store-gc":      false,
+	"journal-dir":   true,
+	"handoff-grace": true,
+}
+
+// checkMode rejects a flag set explicitly on fs that the chosen mode would
+// silently ignore.
+func checkMode(fs *flag.FlagSet, sharded bool) error {
+	mode := "without -shards"
+	if sharded {
+		mode = "with -shards"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if fed, ok := modeFlags[f.Name]; ok && fed != sharded && err == nil {
+			err = fmt.Errorf("-%s has no effect %s", f.Name, mode)
+		}
+	})
+	return err
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "HTTP listen address")
-		workers      = flag.Int("workers", 4, "concurrent training runs")
-		queue        = flag.Int("queue", 16, "submission queue depth (backpressure bound)")
-		gpuBudget    = flag.Int64("gpu-budget", 0, "simulated GPU memory budget in bytes shared by all runs (0 = unlimited)")
-		oversub      = flag.Bool("oversubscribe", false, "admit runs past -gpu-budget under the memory arbiter (soft grants, burst revocation, suspend-to-checkpoint) instead of hard quota rejections")
-		storeGC      = flag.Float64("store-gc", 0, "compact the checkpoint store when its garbage ratio exceeds this fraction (0 = no automatic GC; single-supervisor mode with -store)")
-		journalPath  = flag.String("journal", "", "crash-safe run journal path (empty = no persistence; single-supervisor mode)")
-		storePath    = flag.String("store", "", "content-addressed checkpoint store path; journals then carry 16-byte references instead of blobs (empty = inline checkpoints)")
-		storeReplica = flag.Int("store-replicas", 2, "frames written per checkpoint blob; 2 lets the scrubber repair bit rot from the surviving twin")
-		scrubEvery   = flag.Duration("scrub-every", 0, "background store scrub interval (0 = no background scrubbing; requires -store)")
-		shards       = flag.Int("shards", 0, "shard count for federation mode (0 = one supervisor, no federation)")
-		journalDir   = flag.String("journal-dir", "", "per-shard journal directory (federation mode; required with -shards)")
-		handoffGrace = flag.Duration("handoff-grace", 30*time.Second, "how long a dead shard may answer 503 before rejections become hard failures (0 = forever)")
-		watchdog     = flag.Duration("watchdog", 0, "cancel runs with no progress for this long (0 = no watchdog)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown before runs are cancelled")
-		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-request context deadline for API handlers (0 = none)")
-		chaosName    = flag.String("chaos", "", "supervisor chaos scenario (empty = none; -chaos list to enumerate)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for chaos injection draws")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkMode(flag.CommandLine, f.shards > 0); err != nil {
+		log.Fatalf("deepum-serve: %v", err)
+	}
 
 	// A finished run frees its state, so a busy server's live heap is a
 	// few tens of MiB while each run allocates tens more. At Go's default
@@ -88,45 +144,31 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 
-	if *chaosName == "list" {
-		for _, sc := range deepum.SupervisorChaosScenarios() {
-			fmt.Printf("%-16s %s\n", sc.Name, sc.Description)
-		}
-		return
-	}
 	cfg := deepum.SupervisorConfig{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		GPUMemoryBudget:  *gpuBudget,
-		Oversubscribe:    *oversub,
-		WatchdogTimeout:  *watchdog,
-		JournalPath:      *journalPath,
-		ChaosSeed:        *chaosSeed,
-		StoreGCThreshold: *storeGC,
+		Workers:          f.workers,
+		QueueDepth:       f.queue,
+		GPUMemoryBudget:  f.gpuBudget,
+		Oversubscribe:    f.oversub,
+		WatchdogTimeout:  f.watchdog,
+		JournalPath:      f.journalPath,
+		StoreGCThreshold: f.storeGC,
 	}
-	if *oversub && *gpuBudget <= 0 {
+	if f.oversub && f.gpuBudget <= 0 {
 		log.Fatalf("deepum-serve: -oversubscribe requires a positive -gpu-budget (the arbiter needs a budget to arbitrate)")
-	}
-	if *chaosName != "" {
-		sc, err := deepum.SupervisorChaosScenarioByName(*chaosName)
-		if err != nil {
-			log.Fatalf("deepum-serve: %v", err)
-		}
-		cfg.Chaos = sc
 	}
 	var handler http.Handler
 	var drain func(context.Context) error
-	if *shards > 0 {
-		if *journalDir == "" {
-			log.Fatalf("deepum-serve: federation mode (-shards %d) requires -journal-dir", *shards)
+	if f.shards > 0 {
+		if f.journalDir == "" {
+			log.Fatalf("deepum-serve: federation mode (-shards %d) requires -journal-dir", f.shards)
 		}
 		fed, err := deepum.NewFederation(deepum.FederationOptions{
-			Shards:          *shards,
+			Shards:          f.shards,
 			Supervisor:      cfg,
-			JournalDir:      *journalDir,
-			StorePath:       *storePath,
-			StoreReplicas:   *storeReplica,
-			StoreScrubEvery: *scrubEvery,
+			JournalDir:      f.journalDir,
+			StorePath:       f.storePath,
+			StoreReplicas:   f.storeReplica,
+			StoreScrubEvery: f.scrubEvery,
 		})
 		if err != nil {
 			log.Fatalf("deepum-serve: %v", err)
@@ -136,13 +178,13 @@ func main() {
 				log.Printf("shard %d journal replay re-admitted %d interrupted run(s)", sh.Ordinal, sh.Recovered)
 			}
 		}
-		handler = newFederationServer(fed, *reqTimeout, *handoffGrace)
+		handler = newFederationServer(fed, f.reqTimeout, f.handoffGrace)
 		drain = fed.Drain
 	} else {
-		if *storePath != "" {
-			st, stats, err := deepum.OpenCheckpointStore(*storePath, deepum.CheckpointStoreOptions{
-				Replicas:   *storeReplica,
-				ScrubEvery: *scrubEvery,
+		if f.storePath != "" {
+			st, stats, err := deepum.OpenCheckpointStore(f.storePath, deepum.CheckpointStoreOptions{
+				Replicas:   f.storeReplica,
+				ScrubEvery: f.scrubEvery,
 				OnScrub: func(rep deepum.StoreScrubReport, err error) {
 					if err != nil {
 						log.Printf("store scrub: %v", err)
@@ -169,7 +211,7 @@ func main() {
 		if st := sup.Stats(); st.Recovered > 0 {
 			log.Printf("journal replay re-admitted %d interrupted run(s)", st.Recovered)
 		}
-		handler = newServer(sup, *reqTimeout)
+		handler = newServer(sup, f.reqTimeout)
 		drain = sup.Drain
 	}
 
@@ -177,7 +219,7 @@ func main() {
 	// headers, dribbled bodies, and stalled response writes all get bounded
 	// even when a handler never looks at its context.
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              f.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       60 * time.Second,
@@ -186,22 +228,22 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	if *shards > 0 {
-		log.Printf("deepum-serve listening on %s (%d shards, %d workers/shard, queue %d)", *addr, *shards, *workers, *queue)
+	if f.shards > 0 {
+		log.Printf("deepum-serve listening on %s (%d shards, %d workers/shard, queue %d)", f.addr, f.shards, f.workers, f.queue)
 	} else {
-		log.Printf("deepum-serve listening on %s (%d workers, queue %d)", *addr, *workers, *queue)
+		log.Printf("deepum-serve listening on %s (%d workers, queue %d)", f.addr, f.workers, f.queue)
 	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
-		log.Printf("%s: draining (budget %v)", sig, *drainTimeout)
+		log.Printf("%s: draining (budget %v)", sig, f.drainTimeout)
 	case err := <-errc:
 		log.Fatalf("deepum-serve: %v", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), f.drainTimeout)
 	defer cancel()
 	if err := drain(ctx); err != nil {
 		log.Printf("drain: %v", err)

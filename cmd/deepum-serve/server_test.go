@@ -150,7 +150,6 @@ func TestServeAdmissionStatusCodes(t *testing.T) {
 		Workers:         1,
 		QueueDepth:      1,
 		GPUMemoryBudget: 4 << 20,
-		PerRunQuota:     2 << 20,
 	}, runner)
 	defer close(gate)
 

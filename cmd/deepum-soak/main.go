@@ -58,12 +58,6 @@ func main() {
 	var (
 		seed      = flag.Int64("seed", 1, "master seed; everything derives from it (under -storm it fixes the injected fault draws, not the goroutine interleaving)")
 		schedules = flag.Int("schedules", 3, "randomized chaos schedules to soak")
-		phasesN   = flag.Int("phases", 3, "chaos phases per schedule")
-		model     = flag.String("model", "bert-large", "workload model")
-		batch     = flag.Int64("batch", 16, "batch size (oversubscribed at the default scale)")
-		scale     = flag.Int64("scale", 8, "size divisor")
-		iters     = flag.Int("iters", 2, "measured iterations per run")
-		warmup    = flag.Int("warmup", 1, "warmup iterations per run")
 		tracePath = flag.String("trace", "", "write a Chrome trace of the final run here")
 
 		stormMode  = flag.Bool("storm", false, "run the combined-fault storm instead of the chaos-schedule soak: an oversubscribed 4-shard federation under retried keyed submits, with a mid-storm shard kill")
@@ -72,23 +66,12 @@ func main() {
 		stormStore = flag.Bool("store", false, "storm: back checkpoints with a shared content-addressed store and audit every journal reference afterwards")
 	)
 	flag.Parse()
-	if os.Getenv("DEEPUM_SOAK_SHORT") != "" {
-		*schedules, *phasesN = 2, 3
-	}
 
 	if *stormMode {
 		os.Exit(runStorm(stormOptions{runs: *stormRuns, dir: *stormDir, store: *stormStore, seed: *seed}))
 	}
 
-	h := &harness{
-		seed:   *seed,
-		model:  *model,
-		batch:  *batch,
-		scale:  *scale,
-		iters:  *iters,
-		warmup: *warmup,
-		pool:   eligibleScenarios(),
-	}
+	h := &harness{seed: *seed, pool: eligibleScenarios()}
 	if len(h.pool) < 6 {
 		fatalf("only %d non-interrupting chaos scenarios available; soak needs >= 6", len(h.pool))
 	}
@@ -104,13 +87,13 @@ func main() {
 	}
 	h.baseChecksum = base.checksum
 	fmt.Printf("baseline   %s batch %d scale 1/%d: checksum %016x, %d faults/iter\n",
-		h.model, h.batch, h.scale, base.checksum, base.faultsPerIter)
+		soakModel, soakBatch, soakScale, base.checksum, base.faultsPerIter)
 
 	failures := 0
 	phaseRot := 0 // global rotation over the pool guarantees scenario coverage
 	covered := map[string]bool{}
 	for s := 0; s < *schedules; s++ {
-		phases := h.buildSchedule(s, *phasesN, &phaseRot)
+		phases := h.buildSchedule(s, &phaseRot)
 		for _, p := range phases {
 			covered[p.Scenario.Name] = true
 		}
@@ -122,8 +105,7 @@ func main() {
 			failures++
 			min := h.minimize(phases)
 			fmt.Printf("FAIL schedule %d: %s\n", s, msg)
-			fmt.Printf("  reproducer: deepum-soak -seed %d -model %s -batch %d -scale %d -iters %d -warmup %d\n",
-				h.seed, h.model, h.batch, h.scale, h.iters, h.warmup)
+			fmt.Printf("  reproducer: deepum-soak -seed %d -schedules %d\n", h.seed, s+1)
 			fmt.Printf("  minimized phases: %s\n", chaos.FormatPhases(min))
 		}
 	}
@@ -133,7 +115,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		if err := h.writeTrace(*tracePath, *schedules, *phasesN); err != nil {
+		if err := h.writeTrace(*tracePath, *schedules); err != nil {
 			fatalf("trace: %v", err)
 		}
 		fmt.Printf("trace      written to %s\n", *tracePath)
@@ -154,14 +136,23 @@ func main() {
 		*schedules, len(covered), time.Since(start).Round(time.Millisecond))
 }
 
-// harness carries the fixed workload and the baseline fingerprint.
+// The soaked workload: bert-large at batch 16 oversubscribes the 1/8-scale
+// device, so every run faults, evicts and prefetches.
+const (
+	soakModel  = "bert-large"
+	soakBatch  = 16
+	soakScale  = 8
+	soakIters  = 2 // measured iterations per run
+	soakWarmup = 1 // warmup iterations per run
+	soakPhases = 3 // chaos phases per schedule
+)
+
+// harness carries the master seed, the scenario pool and the baseline
+// fingerprint.
 type harness struct {
-	seed          int64
-	model         string
-	batch, scale  int64
-	iters, warmup int
-	pool          []chaos.Scenario
-	baseChecksum  uint64
+	seed         int64
+	pool         []chaos.Scenario
+	baseChecksum uint64
 }
 
 // eligibleScenarios returns the active, non-interrupting builtin scenarios —
@@ -180,10 +171,10 @@ func eligibleScenarios() []chaos.Scenario {
 // master seed and schedule index: the scenario rotates through the pool
 // (coverage), onset and duration are drawn from the schedule's own PRNG so
 // phases overlap at random.
-func (h *harness) buildSchedule(idx, n int, rot *int) []chaos.Phase {
+func (h *harness) buildSchedule(idx int, rot *int) []chaos.Phase {
 	rng := rand.New(rand.NewSource(h.seed + int64(idx)*1_000_003))
-	phases := make([]chaos.Phase, 0, n)
-	for i := 0; i < n; i++ {
+	phases := make([]chaos.Phase, 0, soakPhases)
+	for i := 0; i < soakPhases; i++ {
 		sc := h.pool[*rot%len(h.pool)]
 		*rot++
 		// Onsets span the warm bulk of the run (the default workload runs
@@ -215,17 +206,17 @@ type digest struct {
 // clean, controller-less baseline) and fingerprints the run. rec, when
 // non-nil, captures the run's event trace.
 func (h *harness) runOnce(phases []chaos.Phase, rec *obs.Recorder) (digest, error) {
-	prog, err := models.Build(models.Spec{Model: h.model}, h.batch, h.scale)
+	prog, err := models.Build(models.Spec{Model: soakModel}, soakBatch, soakScale)
 	if err != nil {
 		return digest{}, err
 	}
 	cfg := engine.Config{
-		Params:        sim.DefaultParams().Scale(h.scale),
+		Params:        sim.DefaultParams().Scale(soakScale),
 		Program:       prog,
 		Policy:        engine.PolicyDeepUM,
 		DriverOptions: core.DefaultOptions(),
-		Iterations:    h.iters,
-		Warmup:        h.warmup,
+		Iterations:    soakIters,
+		Warmup:        soakWarmup,
 		Seed:          h.seed,
 		Obs:           rec,
 	}
@@ -322,9 +313,9 @@ func (h *harness) minimize(phases []chaos.Phase) []chaos.Phase {
 
 // writeTrace re-runs the last schedule with the observer attached and
 // writes its Chrome trace (the CI soak job feeds it to deepum-inspect).
-func (h *harness) writeTrace(path string, schedules, phasesN int) error {
-	rot := (schedules - 1) * phasesN
-	phases := h.buildSchedule(schedules-1, phasesN, &rot)
+func (h *harness) writeTrace(path string, schedules int) error {
+	rot := (schedules - 1) * soakPhases
+	phases := h.buildSchedule(schedules-1, &rot)
 	rec := obs.NewRecorder(0)
 	if _, err := h.runOnce(phases, rec); err != nil {
 		return err

@@ -115,13 +115,6 @@ type Config struct {
 	// the warm-up it took to learn. SystemDeepUM only; ResumeState.Policy
 	// must agree with Policy.
 	ResumeState *PolicyState
-	// BreakerThreshold and BreakerCooldown tune the prefetch circuit
-	// breaker: after BreakerThreshold consecutive prefetch-transfer
-	// failures prefetching is suspended (pure on-demand faulting) for
-	// BreakerCooldown of virtual time, then probed again. Zero selects the
-	// defaults (8 failures, 500us).
-	BreakerThreshold int
-	BreakerCooldown  sim.Duration
 	// Health enables the closed-loop health controller: windowed health
 	// scores per component (link, prefetcher, migrator) drive a
 	// graduated degradation ladder — L0 full prefetch+pre-eviction, L1
@@ -376,19 +369,17 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 			hc = health.NewController(*cfg.Health)
 		}
 		r, err := engine.RunContext(ctx, engine.Config{
-			Params:           params,
-			Program:          prog,
-			Policy:           policy,
-			DriverOptions:    drv,
-			Iterations:       cfg.Iterations,
-			Warmup:           cfg.Warmup,
-			Seed:             cfg.Seed,
-			Chaos:            inj,
-			Deadline:         cfg.Deadline,
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
-			Health:           hc,
-			Obs:              cfg.Observe.recorder(),
+			Params:        params,
+			Program:       prog,
+			Policy:        policy,
+			DriverOptions: drv,
+			Iterations:    cfg.Iterations,
+			Warmup:        cfg.Warmup,
+			Seed:          cfg.Seed,
+			Chaos:         inj,
+			Deadline:      cfg.Deadline,
+			Health:        hc,
+			Obs:           cfg.Observe.recorder(),
 		})
 		if err != nil {
 			return nil, err

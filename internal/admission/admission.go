@@ -132,47 +132,28 @@ func (e *ShedError) Error() string {
 // the rejection.
 func (e *ShedError) Retryable() bool { return true }
 
-// ShedOptions tune a Shedder; the zero value selects production defaults.
+// ShedOptions tune a Shedder.
 type ShedOptions struct {
-	// Headroom multiplies the predicted wait before comparing it to the
-	// deadline, so marginal requests are shed rather than admitted into a
-	// coin flip. Default 1.2.
-	Headroom float64
-	// HalfLife is the EWMA half-life in observations (not wall time): after
-	// this many samples an old observation's weight has halved. Default 16.
-	HalfLife int
-	// MinRetryAfter / MaxRetryAfter clamp the computed hint.
-	// Defaults 1s / 60s.
-	MinRetryAfter time.Duration
-	MaxRetryAfter time.Duration
-	// JitterFrac spreads Retry-After by ±JitterFrac of its value so rejected
-	// clients do not re-arrive as one synchronized wave. Default 0.25.
-	JitterFrac float64
 	// Seed makes the jitter stream deterministic (0 uses 1).
 	Seed int64
 }
 
-func (o ShedOptions) withDefaults() ShedOptions {
-	if o.Headroom <= 0 {
-		o.Headroom = 1.2
-	}
-	if o.HalfLife <= 0 {
-		o.HalfLife = 16
-	}
-	if o.MinRetryAfter <= 0 {
-		o.MinRetryAfter = time.Second
-	}
-	if o.MaxRetryAfter <= 0 {
-		o.MaxRetryAfter = 60 * time.Second
-	}
-	if o.JitterFrac <= 0 {
-		o.JitterFrac = 0.25
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The shedder's fixed tuning.
+const (
+	// shedHeadroom multiplies the predicted wait before comparing it to the
+	// deadline, so marginal requests are shed rather than admitted into a
+	// coin flip.
+	shedHeadroom = 1.2
+	// shedHalfLife is the EWMA half-life in observations (not wall time):
+	// after this many samples an old observation's weight has halved.
+	shedHalfLife = 16
+	// minRetryAfter and maxRetryAfter clamp the computed hint.
+	minRetryAfter = time.Second
+	maxRetryAfter = 60 * time.Second
+	// jitterFrac spreads Retry-After by ±jitterFrac of its value so
+	// rejected clients do not re-arrive as one synchronized wave.
+	jitterFrac = 0.25
+)
 
 // Shedder models the admission queue's drain from two observation streams —
 // inter-departure intervals (a run leaving the queue for a worker) and the
@@ -181,8 +162,6 @@ func (o ShedOptions) withDefaults() ShedOptions {
 // should a rejected client come back?". All methods are safe for concurrent
 // use.
 type Shedder struct {
-	opts ShedOptions
-
 	mu sync.Mutex
 	// interDepart is the EWMA of seconds between queue departures: the
 	// reciprocal of drain rate, already aggregated across all workers.
@@ -197,12 +176,14 @@ type Shedder struct {
 
 // NewShedder builds a shedder.
 func NewShedder(opts ShedOptions) *Shedder {
-	opts = opts.withDefaults()
+	seed := opts.Seed
+	if seed == 0 {
+		seed = 1
+	}
 	return &Shedder{
-		opts:        opts,
-		interDepart: newEWMA(opts.HalfLife),
-		queueWait:   newEWMA(opts.HalfLife),
-		rng:         rand.New(rand.NewSource(opts.Seed)),
+		interDepart: newEWMA(shedHalfLife),
+		queueWait:   newEWMA(shedHalfLife),
+		rng:         rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -253,7 +234,7 @@ func (s *Shedder) Decide(queueLen int, deadline time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	predicted := s.predictLocked(queueLen)
-	if float64(predicted)*s.opts.Headroom <= float64(deadline) {
+	if float64(predicted)*shedHeadroom <= float64(deadline) {
 		return nil
 	}
 	s.sheds++
@@ -265,9 +246,9 @@ func (s *Shedder) Decide(queueLen int, deadline time.Duration) error {
 }
 
 // RetryAfter prices a backoff hint from the drain rate: roughly the time
-// for the backlog to clear one slot, clamped to [Min, Max] and spread by
-// ±JitterFrac so a storm of rejected clients de-synchronizes instead of
-// re-arriving as one wave.
+// for the backlog to clear one slot, clamped to [minRetryAfter,
+// maxRetryAfter] and spread by ±jitterFrac so a storm of rejected clients
+// de-synchronizes instead of re-arriving as one wave.
 func (s *Shedder) RetryAfter(queueLen int) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,15 +264,9 @@ func (s *Shedder) retryAfterLocked(queueLen int) time.Duration {
 		// all waiting out the whole queue.
 		base = time.Duration(inter * float64(queueLen) / 2 * float64(time.Second))
 	}
-	if base < s.opts.MinRetryAfter {
-		base = s.opts.MinRetryAfter
-	}
-	if base > s.opts.MaxRetryAfter {
-		base = s.opts.MaxRetryAfter
-	}
-	// Uniform jitter in [1-f, 1+f].
-	f := s.opts.JitterFrac
-	scale := 1 - f + 2*f*s.rng.Float64()
+	base = min(max(base, minRetryAfter), maxRetryAfter)
+	// Uniform jitter in [1-jitterFrac, 1+jitterFrac].
+	scale := 1 - jitterFrac + 2*jitterFrac*s.rng.Float64()
 	d := time.Duration(float64(base) * scale)
 	if d < time.Second {
 		d = time.Second // Retry-After is whole seconds on the wire

@@ -129,19 +129,27 @@ func TestShedderQueueWaitFloorsPrediction(t *testing.T) {
 }
 
 func TestRetryAfterJitterAndClamp(t *testing.T) {
-	s := NewShedder(ShedOptions{Seed: 7, MinRetryAfter: time.Second, MaxRetryAfter: 8 * time.Second})
+	s := NewShedder(ShedOptions{Seed: 7})
 	feed(s, 50*time.Millisecond, 0, 64)
 
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 64; i++ {
 		d := s.RetryAfter(100)
-		if d < time.Second || d > time.Duration(float64(8*time.Second)*1.3) {
+		if d < minRetryAfter || d > time.Duration(float64(maxRetryAfter)*(1+jitterFrac)) {
 			t.Fatalf("RetryAfter = %v outside clamp+jitter envelope", d)
 		}
 		seen[d] = true
 	}
 	if len(seen) < 8 {
 		t.Fatalf("RetryAfter produced only %d distinct values over 64 draws; jitter is not spreading retries", len(seen))
+	}
+	// A backlog that would take hours to drain still prices a hint within
+	// jitter of the upper clamp.
+	for i := 0; i < 16; i++ {
+		d := s.RetryAfter(1 << 20)
+		if d < time.Duration(float64(maxRetryAfter)*(1-jitterFrac)) || d > time.Duration(float64(maxRetryAfter)*(1+jitterFrac)) {
+			t.Fatalf("RetryAfter(huge backlog) = %v, want within jitter of %v", d, maxRetryAfter)
+		}
 	}
 
 	// Deterministic under a fixed seed.

@@ -37,25 +37,29 @@ import (
 	"sync"
 )
 
-// Default tuning. Thresholds are ratios of granted bytes to budget; the
-// half-life is sized for a wall-clock supervisor tick of a few milliseconds.
+// Default tuning; the half-life is sized for a wall-clock supervisor tick
+// of a few milliseconds.
 const (
-	// DefaultFloorFraction is each run's guaranteed floor as a fraction of
-	// the budget. 0.25 means four floors fill the device exactly.
-	DefaultFloorFraction = 0.25
 	// DefaultHalfLife is the pressure EWMA half-life in nanoseconds.
 	DefaultHalfLife = int64(50_000_000) // 50ms
-	// DefaultRevokeAt: smoothed pressure that starts burst revocation.
-	DefaultRevokeAt = 0.85
-	// DefaultSuspendAt: smoothed pressure that starts suspensions once no
-	// bursts remain. Above 1.0 so floors that exactly fill the budget are
-	// stable (hysteresis against the resume gate at DefaultResumeAt).
-	DefaultSuspendAt = 1.05
-	// DefaultResumeAt: raw post-resume pressure a resumption may reach.
-	DefaultResumeAt = 1.0
 	// DefaultSustain is how long smoothed pressure must hold above a
 	// threshold before the arbiter acts on it.
 	DefaultSustain = int64(100_000_000) // 100ms
+)
+
+// Fixed tuning. Thresholds are ratios of granted bytes to budget.
+const (
+	// floorFraction is each run's guaranteed floor as a fraction of the
+	// budget. 0.25 means four floors fill the device exactly.
+	floorFraction = 0.25
+	// revokeAt: smoothed pressure that starts burst revocation.
+	revokeAt = 0.85
+	// suspendAt: smoothed pressure that starts suspensions once no bursts
+	// remain. Above 1.0 so floors that exactly fill the budget are stable
+	// (hysteresis against the resume gate at resumeAt).
+	suspendAt = 1.05
+	// resumeAt: raw post-resume pressure a resumption may reach.
+	resumeAt = 1.0
 )
 
 // Options tune an Arbiter. Budget must be positive; the zero value of every
@@ -63,17 +67,10 @@ const (
 type Options struct {
 	// Budget is the shared GPU memory budget in bytes.
 	Budget int64
-	// FloorFraction bounds each run's guaranteed floor to this fraction of
-	// Budget (a run demanding less gets its full demand as floor).
-	FloorFraction float64
 	// HalfLife is the pressure EWMA half-life in nanoseconds.
 	HalfLife int64
-	// RevokeAt and SuspendAt are smoothed-pressure thresholds for rungs 2
-	// and 3; ResumeAt caps the raw pressure a resumption may produce.
-	// Sane ordering is RevokeAt < ResumeAt <= SuspendAt.
-	RevokeAt, SuspendAt, ResumeAt float64
-	// Sustain is how long (ns) smoothed pressure must hold above RevokeAt /
-	// SuspendAt before the arbiter revokes / suspends.
+	// Sustain is how long (ns) smoothed pressure must hold above revokeAt /
+	// suspendAt before the arbiter revokes / suspends.
 	Sustain int64
 	// OnEvent, when set, is called (unlocked) for every grant-state change —
 	// the hook the supervisor's obs/metrics export rides on.
@@ -81,20 +78,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FloorFraction <= 0 || o.FloorFraction > 1 {
-		o.FloorFraction = DefaultFloorFraction
-	}
 	if o.HalfLife <= 0 {
 		o.HalfLife = DefaultHalfLife
-	}
-	if o.RevokeAt <= 0 {
-		o.RevokeAt = DefaultRevokeAt
-	}
-	if o.SuspendAt <= 0 {
-		o.SuspendAt = DefaultSuspendAt
-	}
-	if o.ResumeAt <= 0 {
-		o.ResumeAt = DefaultResumeAt
 	}
 	if o.Sustain <= 0 {
 		o.Sustain = DefaultSustain
@@ -194,8 +179,8 @@ type Arbiter struct {
 	smoothed float64 // EWMA of raw pressure
 	lastTS   int64   // clock of the last smoothing step
 
-	revokeSince  int64 // when smoothed first held >= RevokeAt (0 = below)
-	suspendSince int64 // when smoothed first held >= SuspendAt (0 = below)
+	revokeSince  int64 // when smoothed first held >= revokeAt (0 = below)
+	suspendSince int64 // when smoothed first held >= suspendAt (0 = below)
 
 	revocations, restores, suspensions int64
 	grantCount, releaseCount           int64
@@ -212,12 +197,12 @@ func New(opt Options) (*Arbiter, error) {
 }
 
 // FloorOf returns the guaranteed floor a run with the given demand would
-// hold: min(demand, FloorFraction*Budget).
+// hold: min(demand, floorFraction*Budget).
 func (a *Arbiter) FloorOf(demand int64) int64 {
 	if a == nil || demand <= 0 {
 		return 0
 	}
-	f := int64(a.opt.FloorFraction * float64(a.opt.Budget))
+	f := int64(floorFraction * float64(a.opt.Budget))
 	if demand < f {
 		return demand
 	}
@@ -301,14 +286,14 @@ func (a *Arbiter) PressureFor(id uint64) float64 {
 // CanResume reports whether a suspended run with the given demand may
 // re-enter execution now. The gate is raw, instantaneous headroom — not the
 // EWMA — so resumption is not delayed by decay latency: the run's floor must
-// fit under ResumeAt×Budget alongside the currently granted bytes.
+// fit under resumeAt×Budget alongside the currently granted bytes.
 func (a *Arbiter) CanResume(demand int64) bool {
 	if a == nil {
 		return true
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return float64(a.granted+a.FloorOf(demand)) <= a.opt.ResumeAt*float64(a.opt.Budget)
+	return float64(a.granted+a.FloorOf(demand)) <= resumeAt*float64(a.opt.Budget)
 }
 
 // Tick advances the pressure clock and resolves the escalation ladder for
@@ -324,10 +309,10 @@ func (a *Arbiter) Tick(ts int64) Decision {
 	a.stepLocked(ts)
 	var d Decision
 
-	// Rung 2: sustained pressure over RevokeAt revokes one burst per tick;
-	// decayed pressure under RevokeAt/2 restores one per tick.
+	// Rung 2: sustained pressure over revokeAt revokes one burst per tick;
+	// decayed pressure under revokeAt/2 restores one per tick.
 	switch {
-	case a.smoothed >= a.opt.RevokeAt:
+	case a.smoothed >= revokeAt:
 		if a.revokeSince == 0 {
 			a.revokeSince = ts
 		} else if ts-a.revokeSince >= a.opt.Sustain {
@@ -340,7 +325,7 @@ func (a *Arbiter) Tick(ts int64) Decision {
 				evs = append(evs, a.eventLocked(EventRevoke, g, b))
 			}
 		}
-	case a.smoothed < a.opt.RevokeAt/2:
+	case a.smoothed < revokeAt/2:
 		a.revokeSince = 0
 		if g := a.restoreCandidateLocked(); g != nil {
 			g.burst, g.revoked = g.fullBurst, false
@@ -353,9 +338,9 @@ func (a *Arbiter) Tick(ts int64) Decision {
 		a.revokeSince = 0
 	}
 
-	// Rung 3: bursts exhausted and pressure still sustained over SuspendAt
+	// Rung 3: bursts exhausted and pressure still sustained over suspendAt
 	// names one suspend victim per tick.
-	if a.smoothed >= a.opt.SuspendAt {
+	if a.smoothed >= suspendAt {
 		if a.suspendSince == 0 {
 			a.suspendSince = ts
 		} else if ts-a.suspendSince >= a.opt.Sustain && !a.anyBurstLocked() {

@@ -94,7 +94,7 @@ func TestSustainedPressureRevokesLowestPriorityLargestBurst(t *testing.T) {
 	a.Acquire(0, 1, 400, 1) // high priority, burst 150
 	a.Acquire(0, 2, 350, 0) // low priority, burst 100
 	a.Acquire(0, 3, 400, 0) // low priority, burst 150  <- first victim
-	// Raw 1.15: over RevokeAt once smoothed converges and sustains.
+	// Raw 1.15: over revokeAt once smoothed converges and sustains.
 	d, ts := tickUntil(t, a, 0, 100, func(d Decision) bool { return len(d.Revoked) > 0 })
 	if d.Revoked[0] != 3 {
 		t.Fatalf("first victim = run %d, want 3 (lowest priority, largest burst)", d.Revoked[0])
@@ -196,13 +196,13 @@ func TestCanResumeUsesRawHeadroom(t *testing.T) {
 	for id := uint64(1); id <= 3; id++ {
 		a.Acquire(0, id, 250, 0) // three floors of 250 => granted 750
 	}
-	// A 250-floor resume lands exactly at ResumeAt (1.0): allowed.
+	// A 250-floor resume lands exactly at resumeAt (1.0): allowed.
 	if !a.CanResume(400) {
-		t.Fatal("resume to exactly ResumeAt×budget must be allowed")
+		t.Fatal("resume to exactly resumeAt×budget must be allowed")
 	}
 	a.Acquire(ms, 4, 250, 0) // granted 1000
 	if a.CanResume(400) {
-		t.Fatal("resume past ResumeAt×budget must be denied")
+		t.Fatal("resume past resumeAt×budget must be denied")
 	}
 	// Raw gate: a release opens headroom immediately, no EWMA decay wait.
 	a.Release(2*ms, 4)

@@ -42,21 +42,6 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 }
 
-// TestSupervisorScenariosInject: every listed supervisor scenario except
-// the identity injects something into a live supervisor, so naming one
-// never starts a server that silently injects nothing, and an
-// orchestrated pattern such as shard-kill does not resolve at all.
-func TestSupervisorScenariosInject(t *testing.T) {
-	for _, sc := range SupervisorScenarios() {
-		if sc.Name != SupervisorScenarioNone && !sc.Active() {
-			t.Errorf("supervisor scenario %q is listed but injects nothing", sc.Name)
-		}
-	}
-	if sc, err := SupervisorScenarioByName("shard-kill"); err == nil {
-		t.Fatalf("shard-kill resolved to %+v, want an unknown-scenario error", sc)
-	}
-}
-
 // TestNilInjectorInert: every method is safe and inert on a nil *Injector,
 // so callers never branch on "chaos enabled".
 func TestNilInjectorInert(t *testing.T) {

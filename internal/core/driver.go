@@ -46,9 +46,6 @@ type Options struct {
 	Degree int
 	// TableConfig parameterizes the UM-block correlation tables (Table 6).
 	TableConfig correlation.BlockTableConfig
-	// PreevictWatermark is the fraction of device memory kept free by the
-	// pre-evictor, expressed as a divisor (free >= capacity/divisor).
-	PreevictWatermark int
 	// TakeWindow overrides the migration thread's service window (how many
 	// queue-front commands count as effectively in flight); zero keeps the
 	// default of 64, which models roughly ten milliseconds of link work at
@@ -74,12 +71,11 @@ type Options struct {
 // results: all optimizations on, N=32, Config9 tables.
 func DefaultOptions() Options {
 	return Options{
-		Prefetch:          true,
-		Preevict:          true,
-		Invalidate:        true,
-		Degree:            32,
-		TableConfig:       correlation.DefaultBlockTableConfig(),
-		PreevictWatermark: 48,
+		Prefetch:    true,
+		Preevict:    true,
+		Invalidate:  true,
+		Degree:      32,
+		TableConfig: correlation.DefaultBlockTableConfig(),
 	}
 }
 
@@ -170,9 +166,6 @@ var (
 func NewDriverFor(opts Options) (*Driver, error) {
 	if opts.Degree < 1 {
 		opts.Degree = 1
-	}
-	if opts.PreevictWatermark < 2 {
-		opts.PreevictWatermark = 48
 	}
 	if opts.TableConfig.NumRows == 0 {
 		opts.TableConfig = correlation.DefaultBlockTableConfig()
@@ -587,13 +580,17 @@ func blockBytes(r *um.Residency, b um.BlockID) int64 {
 	return r.BlockResidentBytes(b)
 }
 
+// preevictWatermark is the share of device memory the pre-evictor keeps
+// free, as a divisor: free >= capacity/preevictWatermark.
+const preevictWatermark = 48
+
 // PreevictTarget returns how many bytes the pre-evictor should free right
 // now to restore the watermark, or zero when disabled or satisfied.
 func (d *Driver) PreevictTarget(r *um.Residency) int64 {
 	if !d.opts.Preevict {
 		return 0
 	}
-	watermark := r.Capacity() / int64(d.opts.PreevictWatermark)
+	watermark := r.Capacity() / preevictWatermark
 	if r.Free() >= watermark {
 		return 0
 	}

@@ -24,12 +24,9 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestNewDriverClampsOptions(t *testing.T) {
-	d := NewDriver(Options{Degree: 0, PreevictWatermark: 1})
+	d := NewDriver(Options{Degree: 0})
 	if d.Options().Degree != 1 {
 		t.Fatalf("degree = %d", d.Options().Degree)
-	}
-	if d.Options().PreevictWatermark != 48 {
-		t.Fatalf("watermark = %d", d.Options().PreevictWatermark)
 	}
 	if d.Options().TableConfig.NumRows == 0 {
 		t.Fatal("table config not defaulted")
@@ -217,14 +214,13 @@ func TestSelectVictimsFallbackWhenAllProtected(t *testing.T) {
 
 func TestPreevictTarget(t *testing.T) {
 	opts := DefaultOptions()
-	opts.PreevictWatermark = 4 // keep 1/4 free
 	d := NewDriver(opts)
-	r, s := newResidency(8)
-	a, _ := s.Malloc(7 * sim.BlockSize)
-	for i, b := range um.BlocksOf(a, 7*sim.BlockSize) {
+	r, s := newResidency(2 * preevictWatermark)
+	a, _ := s.Malloc((2*preevictWatermark - 1) * sim.BlockSize)
+	for i, b := range um.BlocksOf(a, (2*preevictWatermark-1)*sim.BlockSize) {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
 	}
-	// 1 of 8 blocks free; watermark is 2 blocks.
+	// 1 block free; the watermark keeps 2 free.
 	if got := d.PreevictTarget(r); got != sim.BlockSize {
 		t.Fatalf("preevict target = %d, want one block", got)
 	}

@@ -12,7 +12,7 @@ import (
 // The prefetch circuit breaker. Prefetching is a pure optimization: when the
 // link is so unhealthy that prefetch transfers keep failing, continuing to
 // issue them wastes link occupancy and backoff time that the demand path —
-// which cannot give up — then has to wait behind. After BreakerThreshold
+// which cannot give up — then has to wait behind. After breakerThreshold
 // consecutive failed prefetch-transfer attempts the breaker opens and the
 // run falls back to pure on-demand faulting (correct, merely slower — the
 // same graceful-degradation contract as the rest of the chaos hardening).
@@ -29,15 +29,15 @@ const (
 )
 
 const (
-	// defaultBreakerThreshold is the consecutive-failure count that opens
-	// the breaker. The chaos injector's default MaxConsecutiveFails is 4, so
+	// breakerThreshold is the consecutive-failure count that opens the
+	// breaker. The chaos injector's default MaxConsecutiveFails is 4, so
 	// the builtin scenarios degrade via retries without ever tripping it;
-	// only a genuinely wedged link (or a test that asks for one) does.
-	defaultBreakerThreshold = 8
-	// defaultBreakerCooldown is the virtual time the breaker stays open
-	// before probing again — long enough to skip past a transient outage,
-	// short enough to re-enable prefetching within an iteration.
-	defaultBreakerCooldown = sim.Duration(500 * time.Microsecond)
+	// only a genuinely wedged link does.
+	breakerThreshold = 8
+	// breakerCooldown is the virtual time the breaker stays open before
+	// probing again — long enough to skip past a transient outage, short
+	// enough to re-enable prefetching within an iteration.
+	breakerCooldown = sim.Duration(500 * time.Microsecond)
 )
 
 // BreakerStats snapshots the prefetch circuit breaker for the run result.
@@ -61,9 +61,6 @@ type BreakerStats struct {
 // nil-safe: a nil breaker (non-DeepUM policies) always allows and records
 // nothing, mirroring the nil-injector convention in internal/chaos.
 type prefetchBreaker struct {
-	threshold int
-	cooldown  sim.Duration
-
 	state       string
 	consecFails int
 	openedAt    sim.Time
@@ -78,14 +75,8 @@ type prefetchBreaker struct {
 	onTransition func(now sim.Time, from, to string)
 }
 
-func newPrefetchBreaker(threshold int, cooldown sim.Duration) *prefetchBreaker {
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
-	return &prefetchBreaker{threshold: threshold, cooldown: cooldown, state: BreakerClosed}
+func newPrefetchBreaker() *prefetchBreaker {
+	return &prefetchBreaker{state: BreakerClosed}
 }
 
 // allow reports whether prefetch work may proceed at virtual time now. In
@@ -98,7 +89,7 @@ func (b *prefetchBreaker) allow(now sim.Time) bool {
 	if b.state != BreakerOpen {
 		return true
 	}
-	if now.Sub(b.openedAt) >= b.cooldown {
+	if now.Sub(b.openedAt) >= breakerCooldown {
 		b.transition(now, BreakerHalfOpen, "cooldown elapsed, probing")
 		return true
 	}
@@ -127,7 +118,7 @@ func (b *prefetchBreaker) failure(now sim.Time) {
 	case BreakerHalfOpen:
 		b.open(now, "probe transfer failed")
 	case BreakerClosed:
-		if b.consecFails >= b.threshold {
+		if b.consecFails >= breakerThreshold {
 			b.open(now, fmt.Sprintf("%d consecutive prefetch-transfer failures", b.consecFails))
 		}
 	}
@@ -156,8 +147,8 @@ func (b *prefetchBreaker) snapshot() BreakerStats {
 		return BreakerStats{}
 	}
 	return BreakerStats{
-		Threshold:      b.threshold,
-		Cooldown:       b.cooldown,
+		Threshold:      breakerThreshold,
+		Cooldown:       breakerCooldown,
 		State:          b.state,
 		Opens:          b.opens,
 		EverOpened:     b.opens > 0,

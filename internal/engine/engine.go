@@ -72,9 +72,6 @@ type Config struct {
 	Warmup int
 	// Seed drives the irregular-access sampler.
 	Seed int64
-	// MaxFaultBatch bounds how many UM blocks one fault-handling cycle
-	// covers (the fault buffer is finite). Defaults to 64.
-	MaxFaultBatch int
 	// UMDensityPrefetch enables the NVIDIA driver's neighborhood heuristic
 	// on the fault path (whole-block coalescing for dense faults) — an
 	// ablation point between naive UM and DeepUM.
@@ -102,22 +99,11 @@ type Config struct {
 	// gated, so correctness is identical at every level.
 	Health *health.Controller
 
-	// Ctx supervises the run: once it is cancelled or its deadline expires,
-	// the run stops at the next simulated event, drains demand work,
-	// discards prefetches, and returns a partial Result tagged with the
-	// matching RunStatus. RunContext fills it in; nil never interrupts.
-	Ctx context.Context
 	// Deadline bounds the run in VIRTUAL (simulated) time: the run stops at
 	// the first event at or past this budget with StatusDeadlineExceeded.
 	// Unlike a context deadline it is deterministic under a fixed seed —
 	// the chaos scenario "deadline-tight" uses it. Zero means unbounded.
 	Deadline sim.Duration
-	// BreakerThreshold is the consecutive prefetch-transfer-failure count
-	// that opens the prefetch circuit breaker (default 8); BreakerCooldown
-	// is the virtual time the breaker stays open before half-opening to
-	// probe (default 500us). See breaker.go.
-	BreakerThreshold int
-	BreakerCooldown  sim.Duration
 }
 
 // Result aggregates the measurements of a run. Interrupted runs (Status
@@ -196,13 +182,12 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext is Run under a supervising context: cancellation or deadline
-// expiry stops the run at the next simulated event and returns a partial
-// Result (nil error) tagged StatusCancelled or StatusDeadlineExceeded.
+// RunContext is Run under a supervising context: once ctx is cancelled or
+// its deadline expires, the run stops at the next simulated event, drains
+// demand work, discards prefetches, and returns a partial Result (nil
+// error) tagged StatusCancelled or StatusDeadlineExceeded. A nil ctx never
+// interrupts.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx != nil {
-		cfg.Ctx = ctx
-	}
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("engine: nil program")
 	}
@@ -212,10 +197,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 2
 	}
-	if cfg.MaxFaultBatch <= 0 {
-		cfg.MaxFaultBatch = 64
-	}
-	e, err := newExec(cfg)
+	e, err := newExec(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -247,9 +229,6 @@ type exec struct {
 	bases      map[workload.TensorID]um.Addr
 	inputs     []workload.TensorID
 	prefetched map[um.BlockID]bool
-	// everPrefetched tracks blocks prefetched within the current iteration,
-	// for the diagnostics DebugHook only.
-	everPrefetched map[um.BlockID]bool
 	// pending is a prefetch command parked because eviction would have
 	// displaced protected blocks; retried on the next pump.
 	pending *core.PrefetchCommand
@@ -282,7 +261,7 @@ type exec struct {
 	obs *obs.Recorder
 }
 
-func newExec(cfg Config) (*exec, error) {
+func newExec(ctx context.Context, cfg Config) (*exec, error) {
 	params := cfg.Params
 	// The UM address space is virtual: untouched segment tails consume no
 	// host RAM, so the space itself is unbounded and the backing-store wall
@@ -317,7 +296,7 @@ func newExec(cfg Config) (*exec, error) {
 	if e.health != nil {
 		e.health.SetObserver(cfg.Obs)
 	}
-	e.ctx = cfg.Ctx
+	e.ctx = ctx
 	// Virtual-time deadline: explicit config first, else the chaos
 	// scenario's. Runs start at virtual time zero, so the budget is the
 	// absolute deadline.
@@ -368,7 +347,7 @@ func newExec(cfg Config) (*exec, error) {
 			}
 		}
 		if e.driver.Options().Prefetch {
-			e.breaker = newPrefetchBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+			e.breaker = newPrefetchBreaker()
 			e.breaker.obs = cfg.Obs
 			if e.health != nil {
 				// The breaker stays intact as a fast local mechanism; its
@@ -394,7 +373,7 @@ func newExec(cfg Config) (*exec, error) {
 		Policy:          policy,
 		Invalidator:     invalidator,
 		DensityPrefetch: cfg.UMDensityPrefetch,
-		Ctx:             cfg.Ctx,
+		Ctx:             ctx,
 		Obs:             cfg.Obs,
 	}
 	if e.health != nil {
@@ -454,10 +433,12 @@ func newExec(cfg Config) (*exec, error) {
 			e.driver.NoteEviction(b)
 		}
 	}
-	e.rt = umrt.New(space, e.driver)
-	if e.driver == nil {
-		e.rt = umrt.New(space, nil)
+	// A nil *core.Driver inside the interface would not read as "no driver".
+	var launches umrt.Driver
+	if e.driver != nil {
+		launches = e.driver
 	}
+	e.rt = umrt.New(space, launches)
 
 	// Setup phase: allocate persistent tensors through the caching
 	// allocator, exactly as PyTorch would.
@@ -645,9 +626,6 @@ func (e *exec) iteration() error {
 	if e.driver != nil {
 		e.driver.BeginIteration()
 	}
-	if DebugHook != nil {
-		e.everPrefetched = make(map[um.BlockID]bool)
-	}
 	// The host wrote a fresh minibatch: device copies of the input tensors
 	// are stale and get unmapped without writeback.
 	for _, id := range e.inputs {
@@ -677,6 +655,10 @@ func (e *exec) iteration() error {
 	}
 	return nil
 }
+
+// maxFaultBatch bounds how many UM blocks one fault-handling cycle covers:
+// the hardware fault buffer is finite.
+const maxFaultBatch = 64
 
 // kernel simulates one launch: the runtime callback, the faulting walk over
 // the kernel's UM-block accesses, and the roofline compute time, with the
@@ -723,12 +705,12 @@ func (e *exec) kernel(k *workload.Kernel) error {
 		}
 		t := touches[i]
 		blk := e.space.Block(t.block)
-		if !blk.Resident && e.driver != nil && e.breaker.allow(e.now) &&
-			e.health.AllowPrefetch() && e.driver.TakeQueued(t.block) {
+		if !blk.Resident && e.driver != nil && e.speculate(e.now) && e.driver.TakeQueued(t.block) {
 			// A prefetch command for this block is already in the queue:
 			// the migration thread runs it ahead of the remaining queue
 			// (fault avoided; the GPU stalls on the in-flight transfer).
-			e.materialize(t.block)
+			// Without room, or after a give-up, the access demand-faults.
+			e.migrate(t.block, e.now)
 		}
 		if blk.Resident {
 			// Lead time before the stall adjustment: positive means the block
@@ -771,30 +753,16 @@ func (e *exec) kernel(k *workload.Kernel) error {
 		e.groupBuf = e.groupBuf[:0]
 		// Fault-buffer overflow chaos shrinks the cycle: excess entries
 		// replay in the next cycle, as a full hardware buffer forces.
-		batchCap := e.health.FaultBatchCap(e.chaos.FaultBatchCap(e.cfg.MaxFaultBatch))
+		batchCap := e.health.FaultBatchCap(e.chaos.FaultBatchCap(maxFaultBatch))
 		j := i
 		for j < len(touches) && len(e.groupBuf) < batchCap {
 			tj := touches[j]
 			if e.space.Block(tj.block).Resident {
 				break
 			}
-			if e.driver != nil && e.breaker.allow(e.now) &&
-				e.health.AllowPrefetch() && e.driver.TakeQueued(tj.block) {
-				e.materialize(tj.block)
+			if e.driver != nil && e.speculate(e.now) && e.driver.TakeQueued(tj.block) {
+				e.migrate(tj.block, e.now)
 				break
-			}
-			if DebugHook != nil {
-				tag := "never-predicted"
-				switch {
-				case e.everPrefetched[tj.block]:
-					tag = "evicted-after-prefetch"
-				case e.driver != nil && e.driver.IsQueued(tj.block):
-					tag = "queued-too-deep"
-				}
-				DebugHook(tag)
-				if DebugFaultHook != nil {
-					DebugFaultHook(k.Name, j, tag)
-				}
 			}
 			e.groupBuf = append(e.groupBuf, um.FaultGroup{Block: tj.block, Count: tj.pages, Write: tj.write})
 			j++
@@ -925,90 +893,76 @@ func (e *exec) pump(until sim.Time) {
 		if e.link.BusyUntil(sim.HostToDevice) >= until {
 			return
 		}
-		if !e.breaker.allow(until) || !e.health.AllowPrefetch() {
+		if !e.speculate(until) {
 			return
 		}
 		cmd, ok := e.nextPrefetch()
 		if !ok {
 			return
 		}
-		blk := e.space.Block(cmd.Block)
-		if blk.Resident || blk.AllocatedPages == 0 {
-			continue
-		}
-		need := blk.Bytes()
-		if e.res.Free() < need {
-			// Make room without touching protected blocks; victims stream
-			// out on the D2H lane, so this does not delay the prefetch.
-			victims, enough := e.driver.VictimsForPrefetch(e.res, need-e.res.Free())
-			if !enough {
-				// Everything evictable is predicted for upcoming kernels:
-				// displacing it would be self-defeating. Park the command
-				// and let demand faults or future frees make room.
-				e.pending = &cmd
-				return
-			}
-			for _, v := range victims {
-				e.evictBackground(v, false)
-			}
-		}
-		at := sim.Max(e.cmdTime, e.link.BusyUntil(sim.HostToDevice))
-		var ready sim.Time
-		if blk.HostPopulated {
-			var ok bool
-			if ready, ok = e.prefetchTransfer(at, need); !ok {
-				continue // abandoned: the block falls back to on-demand faulting
-			}
-		} else {
-			ready = at // zero-fill populate: free
-		}
-		e.res.Insert(cmd.Block, blk.AllocatedPages, ready, ready)
-		e.prefetched[cmd.Block] = true
-		if e.everPrefetched != nil {
-			e.everPrefetched[cmd.Block] = true
-		}
-		if e.obs != nil {
-			e.obs.Span(obs.KindPrefetch, obs.TrackDriver, int64(at), int64(ready), "", int64(cmd.Block), need, 0)
+		if e.migrate(cmd.Block, 0) == noRoom {
+			// Everything evictable is predicted for upcoming kernels:
+			// displacing it would be self-defeating. Park the command and
+			// let demand faults or future frees make room.
+			e.pending = &cmd
+			return
 		}
 	}
 }
 
-// materialize starts the whole-block migration of a queued prefetch command
-// the GPU is about to need: one full-bandwidth transfer (or a zero-fill),
-// making room without touching protected blocks first.
-func (e *exec) materialize(b um.BlockID) {
+// speculate reports whether prefetch work may run at t. The breaker goes
+// first: allow counts a short-circuited opportunity or half-opens it.
+func (e *exec) speculate(t sim.Time) bool {
+	return e.breaker.allow(t) && e.health.AllowPrefetch()
+}
+
+// migration says how a prefetch migration ended.
+type migration uint8
+
+const (
+	// migrated: the block is on its way, or needed no move (already
+	// resident, or never allocated).
+	migrated migration = iota
+	// noRoom: every evictable block is predicted for upcoming kernels.
+	noRoom
+	// abandoned: the transfer gave up, and the access demand-faults
+	// instead.
+	abandoned
+)
+
+// migrate starts the whole-block migration of a prefetch command: make room
+// without touching protected blocks (victims stream out on the D2H lane, so
+// this does not delay the prefetch), then one full-bandwidth transfer, or a
+// free zero-fill populate that is ready no earlier than zeroFillFloor.
+func (e *exec) migrate(b um.BlockID, zeroFillFloor sim.Time) migration {
 	blk := e.space.Block(b)
 	if blk.Resident || blk.AllocatedPages == 0 {
-		return
+		return migrated
 	}
 	need := blk.Bytes()
 	if e.res.Free() < need {
 		victims, enough := e.driver.VictimsForPrefetch(e.res, need-e.res.Free())
 		if !enough {
-			return // demand fault path will evict synchronously
+			return noRoom
 		}
 		for _, v := range victims {
 			e.evictBackground(v, false)
 		}
 	}
 	at := sim.Max(e.cmdTime, e.link.BusyUntil(sim.HostToDevice))
-	var ready sim.Time
+	ready := sim.Max(at, zeroFillFloor)
 	if blk.HostPopulated {
 		var ok bool
 		if ready, ok = e.prefetchTransfer(at, need); !ok {
-			return // abandoned: the access demand-faults instead
+			return abandoned
 		}
-	} else {
-		ready = sim.Max(at, e.now)
 	}
 	e.res.Insert(b, blk.AllocatedPages, ready, ready)
 	e.prefetched[b] = true
-	if e.everPrefetched != nil {
-		e.everPrefetched[b] = true
-	}
 	if e.obs != nil {
 		e.obs.Span(obs.KindPrefetch, obs.TrackDriver, int64(at), int64(ready), "", int64(b), need, 0)
 	}
+	return migrated
 }
 
 // prefetchTransfer moves a whole block H2D for a prefetch, retrying an
@@ -1110,12 +1064,3 @@ func boolBit(b bool) uint64 {
 	}
 	return 0
 }
-
-// DebugHook, when set, is called for every demand-faulted block with a tag
-// classifying its history: "evicted-after-prefetch", "never-predicted".
-// Used by diagnostics tests only.
-var DebugHook func(tag string)
-
-// DebugFaultHook, when set, receives (kernel name, touch index, tag) per
-// demand-faulted block. Diagnostics only.
-var DebugFaultHook func(kernel string, idx int, tag string)

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"testing"
-	"time"
 
 	"deepum/internal/chaos"
 	"deepum/internal/health"
-	"deepum/internal/sim"
 )
 
 // TestLadderEquivalence is the monotone-safety acceptance test: every rung
@@ -63,9 +61,9 @@ func TestLadderEquivalence(t *testing.T) {
 	}
 }
 
-// TestBreakerFlappingBounded: on a wedged link with a short cooldown the
-// raw circuit breaker flaps as fast as it can — every half-open probe
-// fails and reopens it, once per cooldown. With the health ladder driving,
+// TestBreakerFlappingBounded: on a wedged link the raw circuit breaker
+// flaps as fast as it can — every half-open probe fails and reopens it,
+// once per cooldown. With the health ladder driving,
 // the oscillation is bounded two ways: the ladder itself moves at most one
 // rung per dwell (with recovery additionally rate-limited by the probe
 // interval), and by parking at L3 it suspends the prefetch probe loop, so
@@ -78,8 +76,6 @@ func TestBreakerFlappingBounded(t *testing.T) {
 			TransferFailProb:    0.9,
 			MaxConsecutiveFails: 64,
 		}, 1)
-		cfg.BreakerThreshold = 4
-		cfg.BreakerCooldown = sim.Duration(50 * time.Microsecond)
 		cfg.Health = hc
 		res, err := Run(cfg)
 		if err != nil {

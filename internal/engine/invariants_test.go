@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"deepum/internal/core"
@@ -19,8 +20,8 @@ func TestResidencyNeverOverCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := sim.DefaultParams().Scale(64)
-	e, err := newExec(Config{Params: params, Program: p, Policy: PolicyDeepUM,
-		DriverOptions: core.DefaultOptions(), Iterations: 1, Warmup: 1, Seed: 1, MaxFaultBatch: 64})
+	e, err := newExec(context.Background(), Config{Params: params, Program: p, Policy: PolicyDeepUM,
+		DriverOptions: core.DefaultOptions(), Iterations: 1, Warmup: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +153,8 @@ func TestBlockIDsStableAcrossIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := sim.DefaultParams().Scale(64)
-	e, err := newExec(Config{Params: params, Program: p, Policy: PolicyUM,
-		Iterations: 1, Warmup: 1, Seed: 1, MaxFaultBatch: 64})
+	e, err := newExec(context.Background(), Config{Params: params, Program: p, Policy: PolicyUM,
+		Iterations: 1, Warmup: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	"deepum/internal/chaos"
 	"deepum/internal/core"
@@ -159,26 +158,28 @@ func TestVirtualDeadlineDiscardsPrefetches(t *testing.T) {
 // consecutive failures open it, the cooldown half-opens it, a delivered probe
 // closes it, a failed probe reopens it — every step logged.
 func TestBreakerStateMachine(t *testing.T) {
-	cd := sim.Duration(100 * time.Microsecond)
-	b := newPrefetchBreaker(3, cd)
+	cd := breakerCooldown
+	b := newPrefetchBreaker()
 	at := sim.Time(1000)
 	if !b.allow(at) {
 		t.Fatal("fresh breaker not closed")
 	}
-	b.failure(at)
-	b.failure(at)
+	for i := 1; i < breakerThreshold; i++ {
+		b.failure(at)
+	}
 	if b.state != BreakerClosed {
-		t.Fatalf("state after 2/3 failures = %s", b.state)
+		t.Fatalf("state after %d/%d failures = %s", breakerThreshold-1, breakerThreshold, b.state)
 	}
 	b.success(at)
-	b.failure(at)
-	b.failure(at)
+	for i := 1; i < breakerThreshold; i++ {
+		b.failure(at)
+	}
 	if b.state != BreakerClosed {
 		t.Fatal("success did not reset the consecutive-failure count")
 	}
 	b.failure(at)
 	if b.state != BreakerOpen || b.opens != 1 {
-		t.Fatalf("state after 3 consecutive failures = %s (opens %d)", b.state, b.opens)
+		t.Fatalf("state after %d consecutive failures = %s (opens %d)", breakerThreshold, b.state, b.opens)
 	}
 	if b.allow(at.Add(cd / 2)) {
 		t.Fatal("open breaker allowed work inside the cooldown")
@@ -204,7 +205,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	snap := b.snapshot()
 	if snap.Opens != 2 || !snap.EverOpened || snap.State != BreakerClosed ||
-		snap.Threshold != 3 || snap.Cooldown != cd {
+		snap.Threshold != breakerThreshold || snap.Cooldown != cd {
 		t.Fatalf("snapshot %+v", snap)
 	}
 	// The transition log is a connected chain starting from closed.
@@ -240,7 +241,6 @@ func TestBreakerOpensOnWedgedLink(t *testing.T) {
 		TransferFailProb:    0.9,
 		MaxConsecutiveFails: 64,
 	}, 1)
-	cfg.BreakerThreshold = 4
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,9 +52,6 @@ type Config struct {
 	// JournalDir holds the per-shard journals; required (journal handoff is
 	// the whole point — a journal-less shard would lose its runs on kill).
 	JournalDir string
-	// Replicas is the virtual-node count per shard on the hash ring
-	// (default 64).
-	Replicas int
 	// StorePath, when set, opens one shared content-addressed checkpoint
 	// store for the whole fleet and wires it into every shard's supervisor
 	// (overriding Supervisor.Checkpoints). Shard journals then carry
@@ -232,7 +229,7 @@ func New(cfg Config) (*Federation, error) {
 		}
 		f.shards = append(f.shards, &shard{ordinal: i, sup: sup, journal: scfg.JournalPath, alive: true})
 	}
-	f.ring = buildRing(ordinals, cfg.Replicas)
+	f.ring = buildRing(ordinals)
 	// Rebuild the routing truth from the shards' replayed journals. A crash
 	// inside a previous handoff (after some Adopts, before the *.adopted
 	// rename) can leave a run on two journals; keep the first copy and
@@ -616,7 +613,7 @@ func (f *Federation) Handoff(ordinal int) (HandoffReport, error) {
 	if len(live) == 0 {
 		return fail(fmt.Errorf("federation: no live shard left to adopt shard %d's runs", ordinal))
 	}
-	newRing := buildRing(live, f.cfg.Replicas)
+	newRing := buildRing(live)
 
 	adoptions, _, err := supervisor.ReplayJournal(sh.journal)
 	if err != nil {

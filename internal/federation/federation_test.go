@@ -49,10 +49,10 @@ func newTestFederation(t *testing.T, shards int, runner supervisor.Runner) *Fede
 
 func TestRingDeterminismAndMinimalMovement(t *testing.T) {
 	all := []int{0, 1, 2, 3}
-	r1 := buildRing(all, 0)
-	r2 := buildRing(all, 0)
+	r1 := buildRing(all)
+	r2 := buildRing(all)
 	moved, total := 0, 4096
-	shrunk := buildRing([]int{0, 1, 3}, 0) // shard 2 died
+	shrunk := buildRing([]int{0, 1, 3}) // shard 2 died
 	counts := map[int]int{}
 	for id := uint64(1); id <= uint64(total); id++ {
 		a, b := r1.owner(id), r2.owner(id)

@@ -7,16 +7,16 @@ import (
 )
 
 // Consistent-hash ring over shard ordinals. Each live shard contributes
-// `replicas` virtual points; a run ID is owned by the first point
+// ringReplicas virtual points; a run ID is owned by the first point
 // clockwise from its hash. The construction is the standard one: removing
 // a shard moves only the keys that hashed to its points (onto their
 // clockwise successors), so a shard death redistributes the dead shard's
 // runs across the survivors without reshuffling anything else.
 
-// defaultReplicas is the virtual-node count per shard. 64 points keep the
+// ringReplicas is the virtual-node count per shard. 64 points keep the
 // expected per-shard load imbalance within a few percent for small fleets
 // while the ring stays tiny (a few KiB).
-const defaultReplicas = 64
+const ringReplicas = 64
 
 type ringPoint struct {
 	hash  uint64
@@ -27,16 +27,13 @@ type ring struct {
 	points []ringPoint
 }
 
-// buildRing places replicas virtual points per shard on the ring.
+// buildRing places ringReplicas virtual points per shard on the ring.
 // Deterministic: the same shard set always yields the same ring, so two
 // front-ends (or a restart) agree on placement without coordination.
-func buildRing(shards []int, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	points := make([]ringPoint, 0, len(shards)*replicas)
+func buildRing(shards []int) *ring {
+	points := make([]ringPoint, 0, len(shards)*ringReplicas)
 	for _, s := range shards {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			points = append(points, ringPoint{
 				hash:  hashString(fmt.Sprintf("shard-%d/vnode-%d", s, v)),
 				shard: s,

@@ -14,9 +14,9 @@
 //	L3  pure demand faulting: no speculation at all, stock LRM eviction
 //
 // Escalation is hysteretic: a level is only raised when the worst component
-// score crosses UpThreshold AND the controller has dwelt at the current
+// score crosses upThreshold AND the controller has dwelt at the current
 // level for at least Dwell; recovery is probed, not assumed — once scores
-// decay under DownThreshold the controller walks back down ONE level per
+// decay under downThreshold the controller walks back down ONE level per
 // ProbeInterval, so a flapping fault source cannot make the ladder oscillate
 // faster than the dwell/probe clock.
 //
@@ -103,10 +103,15 @@ func (c Component) String() string {
 // operation.
 const (
 	DefaultHalfLife      = int64(50_000)  // 50us score half-life
-	DefaultUpThreshold   = 0.6            // worst score that escalates
-	DefaultDownThreshold = 0.15           // worst score that allows recovery
 	DefaultDwell         = int64(100_000) // 100us minimum between escalations
 	DefaultProbeInterval = int64(250_000) // 250us between recovery probes
+)
+
+// The ladder's hysteresis: the worst component score escalates at
+// upThreshold and allows recovery probes at or under downThreshold.
+const (
+	upThreshold   = 0.6
+	downThreshold = 0.15
 )
 
 // Impulse weights: how hard one observation of each signal pushes its
@@ -124,7 +129,7 @@ const (
 	// wPressure scales the sampled memory-pressure gauge (0..1) into a
 	// migrator impulse. Sampled once per half-life, a sustained gauge of p
 	// holds the score near 2·wPressure·p, so full pressure (1.0) crosses
-	// the default UpThreshold while moderate pressure (≤0.8) does not.
+	// upThreshold while moderate pressure (≤0.8) does not.
 	wPressure = 0.35
 )
 
@@ -141,11 +146,6 @@ type Options struct {
 	// HalfLife is the EWMA score half-life in nanoseconds (on whatever
 	// clock the owner feeds the controller).
 	HalfLife int64
-	// UpThreshold escalates the ladder when the worst component score
-	// reaches it; DownThreshold permits recovery probes once the worst
-	// score decays under it. Up must exceed Down (hysteresis); invalid
-	// pairs fall back to the defaults.
-	UpThreshold, DownThreshold float64
 	// Dwell is the minimum nanoseconds between ladder moves in either
 	// direction — the flap damper.
 	Dwell int64
@@ -168,9 +168,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.HalfLife <= 0 {
 		o.HalfLife = DefaultHalfLife
-	}
-	if o.UpThreshold <= 0 || o.DownThreshold < 0 || o.UpThreshold <= o.DownThreshold {
-		o.UpThreshold, o.DownThreshold = DefaultUpThreshold, DefaultDownThreshold
 	}
 	if o.Dwell <= 0 {
 		o.Dwell = DefaultDwell
@@ -523,14 +520,14 @@ func (c *Controller) stepLocked(ts int64) *Transition {
 	}
 	score, comp := c.worst()
 	switch {
-	case score >= c.opt.UpThreshold && c.level < L3 && ts-c.lastMove >= c.opt.Dwell:
+	case score >= upThreshold && c.level < L3 && ts-c.lastMove >= c.opt.Dwell:
 		return c.moveLocked(ts, c.level+1, comp,
-			fmt.Sprintf("%s score %.2f over %.2f", comp, score, c.opt.UpThreshold))
-	case score <= c.opt.DownThreshold && c.level > L0 &&
+			fmt.Sprintf("%s score %.2f over %.2f", comp, score, upThreshold))
+	case score <= downThreshold && c.level > L0 &&
 		ts-c.lastMove >= c.opt.Dwell && ts-c.lastProbe >= c.opt.ProbeInterval:
 		c.lastProbe = ts
 		return c.moveLocked(ts, c.level-1, comp,
-			fmt.Sprintf("recovery probe: worst score %.2f under %.2f", score, c.opt.DownThreshold))
+			fmt.Sprintf("recovery probe: worst score %.2f under %.2f", score, downThreshold))
 	}
 	return nil
 }

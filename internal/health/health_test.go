@@ -12,8 +12,6 @@ import (
 func testOptions() Options {
 	return Options{
 		HalfLife:      1_000_000,
-		UpThreshold:   0.6,
-		DownThreshold: 0.15,
 		Dwell:         100,
 		ProbeInterval: 1000,
 	}
@@ -310,14 +308,8 @@ func TestLevelNames(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	got := Options{}.withDefaults()
 	if got.HalfLife != DefaultHalfLife || got.Dwell != DefaultDwell ||
-		got.ProbeInterval != DefaultProbeInterval ||
-		got.UpThreshold != DefaultUpThreshold || got.DownThreshold != DefaultDownThreshold {
+		got.ProbeInterval != DefaultProbeInterval {
 		t.Fatalf("zero options resolved to %+v", got)
-	}
-	// An inverted threshold pair (no hysteresis) falls back whole.
-	bad := Options{UpThreshold: 0.2, DownThreshold: 0.5}.withDefaults()
-	if bad.UpThreshold != DefaultUpThreshold || bad.DownThreshold != DefaultDownThreshold {
-		t.Fatalf("inverted thresholds resolved to %+v", bad)
 	}
 }
 
@@ -359,7 +351,7 @@ func TestPressureGaugeDrivesMigratorScore(t *testing.T) {
 	}
 
 	// Full pressure sustained across samples: steady state ~2·wPressure
-	// crosses UpThreshold and the ladder escalates.
+	// crosses upThreshold and the ladder escalates.
 	gauge = 1.0
 	for ts := int64(1100); ts <= 20_000; ts += 100 {
 		c.Tick(ts)

@@ -102,17 +102,6 @@ func (f RunnerFunc) Run(ctx context.Context, spec RunSpec, resume []byte, progre
 	return f(ctx, spec, resume, progress)
 }
 
-// LiveRunner is an optional Runner extension: runners that can stream the
-// in-run health controller's ladder level implement it, and the supervisor
-// mirrors the level into RunInfo.HealthLevel and the deepum_health_level /
-// deepum_health_transitions_total metric family while the run is live.
-// health is called with the new level (0-3) on every ladder transition.
-type LiveRunner interface {
-	Runner
-	RunLive(ctx context.Context, spec RunSpec, resume []byte,
-		progress func(checkpoint []byte), health func(level int)) (Outcome, error)
-}
-
 // RunState is a run's position in the supervisor's state machine.
 type RunState string
 
@@ -161,8 +150,8 @@ type RunInfo struct {
 	// checkpoint rather than started cold.
 	Resumed bool `json:"resumed,omitempty"`
 	// HealthLevel is the run's current degradation-ladder level (0-3),
-	// live-updated for runs whose spec enabled health monitoring under a
-	// LiveRunner.
+	// live-updated for runs whose spec enabled health monitoring and whose
+	// runner reports ladder moves (HealthReporterFromContext).
 	HealthLevel int `json:"health_level,omitempty"`
 	// Suspends counts arbiter suspend-to-checkpoint cycles this run has
 	// been through (each one adds an Attempts increment when it resumes).
@@ -202,6 +191,21 @@ type pressureCtxKey struct{}
 // prefetch aggressiveness through the ordinary ladder gates.
 func PressureFromContext(ctx context.Context) func() float64 {
 	f, _ := ctx.Value(pressureCtxKey{}).(func() float64)
+	return f
+}
+
+// healthCtxKey carries the per-run ladder-level reporter in the runner's
+// context for runs whose spec enabled health monitoring.
+type healthCtxKey struct{}
+
+// HealthReporterFromContext returns the ladder-level reporter the
+// supervisor attached to a running run's context, or nil when the run's
+// spec did not enable health monitoring. Runners call it with the new
+// level (0-3) on every in-run ladder transition; the supervisor mirrors
+// the level into RunInfo.HealthLevel and the deepum_health_level /
+// deepum_health_transitions_total metric family while the run is live.
+func HealthReporterFromContext(ctx context.Context) func(level int) {
+	f, _ := ctx.Value(healthCtxKey{}).(func(int))
 	return f
 }
 

@@ -10,13 +10,11 @@ import (
 	"strconv"
 	"testing"
 	"time"
-
-	"deepum/internal/chaos"
 )
 
-// TestSupervisorSoak drives >= 8 concurrent runs through the pool under
-// the worker-panic chaos scenario for a sustained window, exercising every
-// supervision path at once: admission backpressure, quota churn, watchdog
+// TestSupervisorSoak drives >= 8 concurrent runs through the pool for a
+// sustained window while the runner panics mid-run on a third of them,
+// exercising every supervision path at once: admission backpressure, quota churn, watchdog
 // escalation on deliberately-hung runs, panic recovery, journal appends,
 // and a final graceful drain. It then asserts zero goroutine leaks.
 //
@@ -35,7 +33,9 @@ func TestSupervisorSoak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// The simulated run: heartbeats and checkpoints while "training";
-	// every 7th seed hangs silently so the watchdog has real work.
+	// every 7th seed hangs silently so the watchdog has real work, and a
+	// third of the rest panic after their first checkpoint, so the pool
+	// has to recover the worker, fail the run and release its quota.
 	runner := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
 		if spec.Seed%7 == 0 {
 			<-ctx.Done() // hung: no heartbeat, watchdog must kill it
@@ -49,14 +49,13 @@ func TestSupervisorSoak(t *testing.T) {
 			case <-time.After(time.Duration(1+spec.Seed%3) * time.Millisecond):
 			}
 			progress([]byte(fmt.Sprintf("ck-%d-%d", spec.Seed, i)))
+			if spec.Seed%3 == 1 {
+				panic("injected worker panic mid-run")
+			}
 		}
 		return Outcome{Status: string(StateCompleted), Iterations: steps}, nil
 	})
 
-	sc, err := chaos.SupervisorScenarioByName("worker-panic")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := New(Config{
 		Runner:          runner,
 		Workers:         8,
@@ -64,8 +63,6 @@ func TestSupervisorSoak(t *testing.T) {
 		GPUMemoryBudget: 1 << 30,
 		WatchdogTimeout: 100 * time.Millisecond,
 		JournalPath:     filepath.Join(t.TempDir(), "soak.journal"),
-		Chaos:           sc,
-		ChaosSeed:       42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +116,7 @@ func TestSupervisorSoak(t *testing.T) {
 		}
 	}
 	if completed == 0 || failed == 0 {
-		t.Fatalf("soak mix: %d completed / %d cancelled / %d failed — want completions and chaos-panic failures", completed, cancelled, failed)
+		t.Fatalf("soak mix: %d completed / %d cancelled / %d failed — want completions and panic failures", completed, cancelled, failed)
 	}
 	if st := s.Stats(); st.CommittedBytes != 0 {
 		t.Fatalf("soak leaked %d quota bytes", st.CommittedBytes)

@@ -16,14 +16,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"deepum/internal/admission"
 	"deepum/internal/arbiter"
-	"deepum/internal/chaos"
 	"deepum/internal/metrics"
 	"deepum/internal/obs"
 	"deepum/internal/store"
@@ -43,14 +41,11 @@ type Config struct {
 	QueueDepth int
 	// GPUMemoryBudget is the total simulated GPU memory (bytes) the
 	// supervisor may pledge to admitted runs at once; 0 disables quota
-	// admission.
+	// admission. One run may demand at most an equal partition of it,
+	// GPUMemoryBudget / Workers — or, with Oversubscribe on, the whole
+	// budget: under the arbiter a per-run rejection means "this run can
+	// NEVER fit the device", not "the pool is busy right now".
 	GPUMemoryBudget int64
-	// PerRunQuota caps one run's demand. 0 with a budget set defaults to
-	// an equal partition, GPUMemoryBudget / Workers — unless Oversubscribe
-	// is on, where it defaults to the whole budget: under the arbiter a
-	// per-run rejection means "this run can NEVER fit the device", not
-	// "the pool is busy right now".
-	PerRunQuota int64
 	// Oversubscribe replaces hard total-budget QuotaError rejections with
 	// arbiter admission: runs whose aggregate demand exceeds
 	// GPUMemoryBudget are all admitted and kept alive under pressure via
@@ -104,10 +99,6 @@ type Config struct {
 	// it zero (e.g. from the workload's scaled footprint); nil treats
 	// missing demand as zero.
 	Estimate func(RunSpec) (int64, error)
-	// Chaos injects supervisor-level faults (see chaos.SupervisorScenarios);
-	// ChaosSeed makes the injection deterministic (0 uses 1).
-	Chaos     chaos.SupervisorScenario
-	ChaosSeed int64
 }
 
 // Supervisor is the multi-run supervision layer. All methods are safe for
@@ -143,7 +134,6 @@ type Supervisor struct {
 	qclosed   bool
 	jl        *journal.Journal
 	jlClosed  bool
-	rng       *rand.Rand
 	recovered int
 	adopted   int
 	// Checkpoint accounting: payloads stored as references vs inlined
@@ -200,7 +190,7 @@ type run struct {
 	// force lets Resume bypass the arbiter's headroom gate once.
 	force       bool
 	heartbeat   atomic.Int64 // unix nanos of last progress signal
-	healthLevel atomic.Int64 // current degradation-ladder level (LiveRunner)
+	healthLevel atomic.Int64 // current degradation-ladder level
 	done        chan struct{}
 }
 
@@ -234,32 +224,16 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Oversubscribe && cfg.GPUMemoryBudget <= 0 {
 		return nil, fmt.Errorf("supervisor: Oversubscribe requires a positive GPUMemoryBudget")
 	}
-	if cfg.PerRunQuota == 0 && cfg.GPUMemoryBudget > 0 {
-		if cfg.Oversubscribe {
-			// Under the arbiter, the only permanent rejection is a run that
-			// could never fit the device even alone; the equal-partition
-			// default would reject a run that fits the whole budget on an
-			// otherwise idle supervisor.
-			cfg.PerRunQuota = cfg.GPUMemoryBudget
-		} else {
-			cfg.PerRunQuota = cfg.GPUMemoryBudget / int64(cfg.Workers)
-		}
-	}
-	seed := cfg.ChaosSeed
-	if seed == 0 {
-		seed = 1
-	}
 	s := &Supervisor{
 		cfg:         cfg,
 		epoch:       time.Now(),
 		runs:        map[uint64]*run{},
 		nextID:      1,
-		rng:         rand.New(rand.NewSource(seed)),
 		workersDone: make(chan struct{}),
 		killedCh:    make(chan struct{}),
 		prom:        metrics.NewRegistry(),
 		keys:        admission.NewKeyTable(),
-		shedder:     admission.NewShedder(admission.ShedOptions{Seed: seed}),
+		shedder:     admission.NewShedder(admission.ShedOptions{}),
 	}
 	s.qcond = sync.NewCond(&s.mu)
 	if cfg.Oversubscribe {
@@ -632,17 +606,8 @@ func (s *Supervisor) admitAdoptionLocked(a Adoption, journalIt bool) (bool, erro
 // *QueueFullError (backpressure), *QuotaError (over the per-run quota or
 // the committed budget), ErrShuttingDown. Submit never blocks.
 func (s *Supervisor) Submit(spec RunSpec) (uint64, error) {
-	return s.SubmitID(0, spec)
-}
-
-// SubmitID is Submit with a caller-assigned run ID (the federation
-// front-end assigns globally-unique IDs and routes them by consistent
-// hash; a standalone supervisor passes 0 to get the next local ID). A
-// non-zero id that is already known is rejected — run IDs are never
-// reused.
-func (s *Supervisor) SubmitID(id uint64, spec RunSpec) (uint64, error) {
-	got, _, err := s.SubmitWithOptions(id, spec, SubmitOptions{})
-	return got, err
+	id, _, err := s.SubmitWithOptions(0, spec, SubmitOptions{})
+	return id, err
 }
 
 // SubmitOptions carries the retry-safety extras a submission may attach.
@@ -657,17 +622,17 @@ type SubmitOptions struct {
 	// shedder predicts cannot start within it is rejected with *ShedError.
 	// 0 means no deadline: never shed.
 	Deadline time.Duration
-	// Priority, when non-zero, overrides RunSpec.Priority — the arbiter
-	// priority class under oversubscription (higher = more important;
-	// victims are picked lowest-priority first).
-	Priority int
 }
 
-// SubmitWithOptions is SubmitID plus idempotency and deadline handling.
-// dedup reports that the returned ID is an existing run the key resolved
-// to (no new admission happened — the caller should fetch that run's
-// state, which may already be terminal). Dedup hits are read-only and
-// succeed even while draining; only fresh admissions are rejected then.
+// SubmitWithOptions is Submit plus idempotency and deadline handling, with
+// a caller-assigned run ID: the federation front-end assigns
+// globally-unique IDs and routes them by consistent hash, and a standalone
+// supervisor passes 0 to get the next local ID. A non-zero id that is
+// already known is rejected — run IDs are never reused. dedup reports that
+// the returned ID is an existing run the key resolved to (no new admission
+// happened — the caller should fetch that run's state, which may already
+// be terminal). Dedup hits are read-only and succeed even while draining;
+// only fresh admissions are rejected then.
 func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptions) (uint64, bool, error) {
 	if opts.Key != "" {
 		if err := admission.ValidateKey(opts.Key); err != nil {
@@ -681,9 +646,6 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 			s.noteDedup()
 			return prev, true, nil
 		}
-	}
-	if opts.Priority != 0 {
-		spec.Priority = opts.Priority
 	}
 	demand := spec.MemoryDemand
 	if demand == 0 && s.cfg.Estimate != nil {
@@ -710,13 +672,12 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 		s.noteSubmission("shutting_down")
 		return 0, false, ErrShuttingDown
 	}
-	if s.cfg.PerRunQuota > 0 && demand > s.cfg.PerRunQuota {
-		// With oversubscription on, PerRunQuota defaults to the whole
-		// budget, so this fires only for runs that could never fit the
-		// device even alone — the one rejection the arbiter cannot argue
-		// with.
+	if quota := s.perRunQuota(); quota > 0 && demand > quota {
+		// With oversubscription on, the per-run quota is the whole budget,
+		// so this fires only for runs that could never fit the device even
+		// alone — the one rejection the arbiter cannot argue with.
 		s.noteSubmission("quota")
-		return 0, false, &QuotaError{Demand: demand, Limit: s.cfg.PerRunQuota, PerRun: true}
+		return 0, false, &QuotaError{Demand: demand, Limit: quota, PerRun: true}
 	}
 	if s.arb == nil && s.cfg.GPUMemoryBudget > 0 && s.committed+demand > s.cfg.GPUMemoryBudget {
 		// The hard aggregate rejection. Under oversubscription the arbiter
@@ -865,6 +826,9 @@ func (s *Supervisor) execute(id uint64) {
 		ctx = context.WithValue(ctx, pressureCtxKey{},
 			func() float64 { return s.arb.PressureFor(gaugeID) })
 	}
+	if r.info.Spec.Health {
+		ctx = context.WithValue(ctx, healthCtxKey{}, func(level int) { s.noteHealth(r, level) })
+	}
 	r.cancel = cancel
 	r.info.State = StateRunning
 	now := time.Now()
@@ -887,7 +851,6 @@ func (s *Supervisor) execute(id uint64) {
 	r.resume = resume // a resolved (or degraded) reference stays resolved
 	r.info.Resumed = resume != nil
 	r.heartbeat.Store(now.UnixNano())
-	panicNow := s.cfg.Chaos.Active() && s.rng.Float64() < s.cfg.Chaos.WorkerPanicProb
 	jerr := s.appendLocked(journal.Record{Type: journal.RecStarted, RunID: id})
 	timeout := r.info.Spec.Timeout
 	if timeout <= 0 {
@@ -914,16 +877,7 @@ func (s *Supervisor) execute(id uint64) {
 				runErr = fmt.Errorf("worker panic: %v", p)
 			}
 		}()
-		if panicNow {
-			panic("chaos: worker panic mid-run")
-		}
-		progress := func(ck []byte) { s.progress(r, ck) }
-		if lr, ok := s.cfg.Runner.(LiveRunner); ok && r.info.Spec.Health {
-			out, runErr = lr.RunLive(ctx, r.info.Spec, resume, progress,
-				func(level int) { s.noteHealth(r, level) })
-		} else {
-			out, runErr = s.cfg.Runner.Run(ctx, r.info.Spec, resume, progress)
-		}
+		out, runErr = s.cfg.Runner.Run(ctx, r.info.Spec, resume, func(ck []byte) { s.progress(r, ck) })
 	}()
 	s.finalize(r, out, runErr, panicked)
 }
@@ -1276,11 +1230,11 @@ type Stats struct {
 	Suspended int
 	// CommittedBytes is the simulated GPU memory pledged to admitted runs.
 	CommittedBytes int64
-	// Budget and PerRunQuota echo the effective quota configuration.
-	Budget, PerRunQuota int64
-	QueueCap            int
-	Workers             int
-	Draining            bool
+	// Budget echoes the quota configuration.
+	Budget   int64
+	QueueCap int
+	Workers  int
+	Draining bool
 	// Recovered counts runs re-admitted from this supervisor's own
 	// journal replay at construction.
 	Recovered int
@@ -1328,7 +1282,6 @@ func (s *Supervisor) Stats() Stats {
 	st := Stats{
 		CommittedBytes:           s.committed,
 		Budget:                   s.cfg.GPUMemoryBudget,
-		PerRunQuota:              s.cfg.PerRunQuota,
 		QueueCap:                 s.cfg.QueueDepth,
 		Workers:                  s.cfg.Workers,
 		Draining:                 s.draining || s.killed,
@@ -1361,6 +1314,15 @@ func (s *Supervisor) Stats() Stats {
 		}
 	}
 	return st
+}
+
+// perRunQuota is the most one run may demand: see Config.GPUMemoryBudget.
+// 0 without a budget.
+func (s *Supervisor) perRunQuota() int64 {
+	if s.cfg.Oversubscribe {
+		return s.cfg.GPUMemoryBudget
+	}
+	return s.cfg.GPUMemoryBudget / int64(s.cfg.Workers)
 }
 
 // Accepting reports whether Submit would be considered at all (the

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"deepum/internal/chaos"
 	"deepum/internal/supervisor/journal"
 )
 
@@ -135,8 +134,7 @@ func TestQuotaAdmission(t *testing.T) {
 		Runner:          gatedRunner(release),
 		Workers:         2,
 		QueueDepth:      8,
-		GPUMemoryBudget: 100,
-		// PerRunQuota defaults to 100/2 = 50.
+		GPUMemoryBudget: 100, // per-run quota: 100/2 = 50
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +188,8 @@ func TestQuotaAdmission(t *testing.T) {
 func TestEstimateFillsDemand(t *testing.T) {
 	s, err := New(Config{
 		Runner:          instantRunner(),
+		Workers:         1, // per-run quota: the whole budget
 		GPUMemoryBudget: 100,
-		PerRunQuota:     100,
 		Estimate:        func(spec RunSpec) (int64, error) { return 25 * spec.Batch, nil },
 	})
 	if err != nil {
@@ -345,22 +343,20 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestWorkerPanicRecovery: the worker-panic chaos scenario — panicking
-// workers mark their run failed, release its quota, and keep serving
-// subsequent runs.
+// TestWorkerPanicRecovery: panicking workers mark their run failed,
+// release its quota, and keep serving subsequent runs. The runner panics
+// mid-run on every third seed.
 func TestWorkerPanicRecovery(t *testing.T) {
-	sc, err := chaos.SupervisorScenarioByName("worker-panic")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := New(Config{
-		Runner:          instantRunner(),
+		Runner: RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+			if spec.Seed%3 == 1 {
+				panic("injected worker panic mid-run")
+			}
+			return Outcome{Status: string(StateCompleted), Iterations: spec.Iterations}, nil
+		}),
 		Workers:         4,
 		QueueDepth:      64,
 		GPUMemoryBudget: 1000,
-		PerRunQuota:     1000,
-		Chaos:           sc,
-		ChaosSeed:       7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +387,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 		}
 	}
 	if completed == 0 || failed == 0 {
-		t.Fatalf("worker-panic soak: %d completed, %d failed — want both (prob %.2f)", completed, failed, sc.WorkerPanicProb)
+		t.Fatalf("worker panics: %d completed, %d failed — want both", completed, failed)
 	}
 	if st := s.Stats(); st.CommittedBytes != 0 {
 		t.Fatalf("panicked runs leaked quota: committed = %d", st.CommittedBytes)
@@ -604,8 +600,9 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.PerRunQuota != 100 {
-		t.Fatalf("default per-run quota = %d, want budget/workers = 100", st.PerRunQuota)
+	var q *QuotaError
+	if _, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8, MemoryDemand: 101}); !errors.As(err, &q) || !q.PerRun || q.Limit != 100 {
+		t.Fatalf("submit over budget/workers = 100: %v (%+v), want a per-run quota rejection at 100", err, q)
 	}
 	drain(t, s)
 	_ = fmt.Sprintf("%v", s.Stats())

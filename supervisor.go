@@ -72,24 +72,12 @@ func EstimateMemoryDemand(spec RunSpec) (int64, error) {
 // simulated-event granularity for the UM-side systems, and — for DeepUM
 // runs with RunSpec.CheckpointEvery set — executes the run in iteration
 // chunks, surfacing a warm-state checkpoint after each chunk so the
-// supervisor can journal resumable progress mid-run. It also implements
-// supervisor.LiveRunner: runs with RunSpec.Health set stream their
-// degradation-ladder level to the supervisor as it changes.
-func TrainRunner() supervisor.Runner { return trainRunner{} }
+// supervisor can journal resumable progress mid-run. Runs with
+// RunSpec.Health set report each degradation-ladder move to the
+// supervisor as it happens.
+func TrainRunner() supervisor.Runner { return supervisor.RunnerFunc(runTrain) }
 
-type trainRunner struct{}
-
-func (r trainRunner) Run(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (supervisor.Outcome, error) {
-	return r.run(ctx, spec, resume, progress, nil)
-}
-
-// RunLive implements supervisor.LiveRunner: healthFn receives the new
-// ladder level on every in-run health transition.
-func (r trainRunner) RunLive(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte), healthFn func(int)) (supervisor.Outcome, error) {
-	return r.run(ctx, spec, resume, progress, healthFn)
-}
-
-func (trainRunner) run(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte), healthFn func(int)) (supervisor.Outcome, error) {
+func runTrain(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (supervisor.Outcome, error) {
 	w := Workload{Model: spec.Model, Dataset: spec.Dataset, Batch: spec.Batch}
 	cfg := DefaultConfig()
 	if spec.System != "" {
@@ -112,8 +100,8 @@ func (trainRunner) run(ctx context.Context, spec RunSpec, resume []byte, progres
 	cfg.Policy = spec.Policy
 	if spec.Health {
 		opt := HealthOptions{}
-		if healthFn != nil {
-			opt.OnTransition = func(t HealthTransition) { healthFn(int(t.To)) }
+		if report := supervisor.HealthReporterFromContext(ctx); report != nil {
+			opt.OnTransition = func(t HealthTransition) { report(int(t.To)) }
 		}
 		// Under oversubscription the supervisor attaches the arbiter's
 		// pressure gauge to the run context; feeding it into the health

@@ -179,3 +179,21 @@ func BenchmarkAblationUMDensity(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrainBertDeepUM makes the repo benchmark's train-bert call — one
+// DeepUM Train of bert-large b16 at scale 8 — cycling seeds 1-3. Its
+// allocs/op and B/op are dominated by the correlation chain walk, which
+// must not allocate per fault restart or per kernel transition.
+func BenchmarkTrainBertDeepUM(b *testing.B) {
+	w := Workload{Model: "bert-large", Batch: 16}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig()
+		cfg.System = SystemDeepUM
+		cfg.Scale = 8
+		cfg.Seed = int64(i%3) + 1
+		if _, err := Train(w, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

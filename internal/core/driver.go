@@ -265,14 +265,9 @@ const (
 // the degree boundary or a gated ladder level), the queue fills, or the
 // prediction dies.
 func (d *Driver) fillQueue(budget int) {
-	// Throttle: the predicted set must fit comfortably in device memory or
-	// prefetching would evict its own earlier predictions.
-	protectLimit := int64(1) << 62
-	if d.opts.CapacityBytes > 0 {
-		protectLimit = d.opts.CapacityBytes * 4 / sim.BlockSize
-	}
+	limit := d.protectLimit()
 	for budget > 0 && d.qlen() < maxQueue &&
-		int64(len(d.protected)) < protectLimit {
+		int64(len(d.protected)) < limit {
 		st := d.pol.Next()
 		switch st.Out {
 		case policy.Pause:
@@ -425,12 +420,10 @@ func (d *Driver) TakeQueued(b um.BlockID) bool {
 	if end > len(d.queue) {
 		end = len(d.queue)
 	}
-	found := false
 	for i := d.head; i < end; i++ {
 		if d.queue[i].Block != b {
 			continue
 		}
-		found = true
 		// Swap the head command into the vacated slot; order within the
 		// service window is immaterial.
 		d.queue[i] = d.queue[d.head]
@@ -442,9 +435,7 @@ func (d *Driver) TakeQueued(b um.BlockID) bool {
 		}
 		return true
 	}
-	if !found {
-		d.Stats.WindowMisses++
-	}
+	d.Stats.WindowMisses++
 	return false
 }
 
@@ -493,19 +484,26 @@ func (d *Driver) CheckInvariants() error {
 			return fmt.Errorf("core: invariant violated: block %d marked queued but has no live queue entry", b)
 		}
 	}
-	if d.opts.CapacityBytes > 0 {
-		limit := d.opts.CapacityBytes * 4 / sim.BlockSize
-		if int64(len(d.protected)) > limit {
-			return fmt.Errorf("core: invariant violated: protected set %d exceeds capacity throttle %d", len(d.protected), limit)
-		}
+	if limit := d.protectLimit(); int64(len(d.protected)) > limit {
+		return fmt.Errorf("core: invariant violated: protected set %d exceeds capacity throttle %d", len(d.protected), limit)
 	}
 	return nil
+}
+
+// protectLimit is the capacity throttle on the protected set: the predicted
+// set must fit comfortably in device memory or prefetching would evict its
+// own earlier predictions. Without a capacity there is no throttle.
+func (d *Driver) protectLimit() int64 {
+	if d.opts.CapacityBytes <= 0 {
+		return 1 << 62
+	}
+	return d.opts.CapacityBytes * 4 / sim.BlockSize
 }
 
 // BeginIteration clears the protected set; the engine calls it at iteration
 // boundaries so stale predictions do not pin blocks forever.
 func (d *Driver) BeginIteration() {
-	d.protected = make(map[um.BlockID]struct{})
+	clear(d.protected)
 }
 
 // Unprotect removes b from the predicted set — the engine calls it when the

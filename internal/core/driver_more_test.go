@@ -200,7 +200,8 @@ func TestChainCursorDeathCauses(t *testing.T) {
 	ts.Block(0).RecordMiss(1)
 	ts.Block(0).RecordMiss(2)
 	h := [3]correlation.ExecID{correlation.NoExec, correlation.NoExec, correlation.NoExec}
-	c := ts.NewChainCursor(0, h, 1)
+	var c correlation.ChainCursor
+	c.Reset(ts, 0, h, 1)
 	for {
 		b, _ := c.Next()
 		if b == um.NoBlock {

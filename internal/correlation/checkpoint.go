@@ -27,10 +27,10 @@ package correlation
 // tables twice yields identical bytes — which the tests exploit.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"deepum/internal/store"
 	"deepum/internal/um"
@@ -68,16 +68,27 @@ func validPolicyName(name string) bool {
 // WriteEnvelope frames an arbitrary policy payload: magic, version,
 // policy name, payload, CRC32 over everything preceding it.
 func WriteEnvelope(w io.Writer, policyName string, payload []byte) error {
-	if !validPolicyName(policyName) {
-		return fmt.Errorf("correlation: invalid policy name %q in checkpoint envelope", policyName)
+	buf, err := AppendEnvelope(nil, policyName, payload)
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, 0, store.HeaderLen+4+len(policyName)+len(payload)+4)
-	buf = store.AppendHeader(buf, checkpointMagic, EnvelopeVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(policyName)))
-	buf = append(buf, policyName...)
-	buf = append(buf, payload...)
-	_, err := w.Write(store.AppendCRC(buf, 0))
+	_, err = w.Write(buf)
 	return err
+}
+
+// AppendEnvelope appends the WriteEnvelope frame of payload to dst,
+// growing dst at most once.
+func AppendEnvelope(dst []byte, policyName string, payload []byte) ([]byte, error) {
+	if !validPolicyName(policyName) {
+		return dst, fmt.Errorf("correlation: invalid policy name %q in checkpoint envelope", policyName)
+	}
+	dst = slices.Grow(dst, store.HeaderLen+4+len(policyName)+len(payload)+4)
+	start := len(dst)
+	dst = store.AppendHeader(dst, checkpointMagic, EnvelopeVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(policyName)))
+	dst = append(dst, policyName...)
+	dst = append(dst, payload...)
+	return store.AppendCRC(dst, start), nil
 }
 
 // ReadEnvelope verifies magic, version, and checksum and returns the policy
@@ -122,11 +133,10 @@ func ReadEnvelope(r io.Reader) (policyName string, payload []byte, err error) {
 }
 
 // EncodeTables serializes correlation tables to their deterministic
-// checkpoint payload (the body a WriteEnvelope frame wraps).
+// checkpoint payload (the body a WriteEnvelope frame wraps). The payload is
+// sized exactly before it is written, so its buffer is allocated once.
 func EncodeTables(t *Tables) []byte {
-	var buf bytes.Buffer
-	encodePayload(&buf, t)
-	return buf.Bytes()
+	return appendPayload(make([]byte, 0, payloadLen(t)), t)
 }
 
 // DecodeTables rebuilds tables from an EncodeTables payload. It returns
@@ -168,62 +178,85 @@ func ReadCheckpoint(r io.Reader) (*Tables, error) {
 
 // --- encoding ---
 
-func encodePayload(buf *bytes.Buffer, t *Tables) {
+// payloadLen is the exact length appendPayload writes for t.
+func payloadLen(t *Tables) int {
+	n := 4*4 + 4 + 4 // block-table config, exec-entry count, block-table count
+	for _, recs := range t.Exec.entries {
+		n += 4 + 4 + len(recs)*(HistoryLen+1)*4
+	}
+	for _, bt := range t.blocks {
+		n += 4 + 8 + 8 + 8*len(bt.last) + 1
+		for _, set := range bt.sets {
+			n += 4
+			for _, e := range set {
+				n += 8
+				for level := 0; level < bt.cfg.NumLevels; level++ {
+					n += 4 + 8*len(e.succs[level])
+				}
+			}
+		}
+	}
+	return n
+}
+
+func appendPayload(buf []byte, t *Tables) []byte {
+	le := binary.LittleEndian
 	// Block-table configuration (4 x i32).
-	writeI32(buf, int32(t.cfg.NumRows))
-	writeI32(buf, int32(t.cfg.Assoc))
-	writeI32(buf, int32(t.cfg.NumSuccs))
-	writeI32(buf, int32(t.cfg.NumLevels))
+	buf = le.AppendUint32(buf, uint32(t.cfg.NumRows))
+	buf = le.AppendUint32(buf, uint32(t.cfg.Assoc))
+	buf = le.AppendUint32(buf, uint32(t.cfg.NumSuccs))
+	buf = le.AppendUint32(buf, uint32(t.cfg.NumLevels))
 
 	// Execution-ID table: entries sorted by ID, records in MRU order.
 	ids := make([]ExecID, 0, len(t.Exec.entries))
 	for id := range t.Exec.entries {
 		ids = append(ids, id)
 	}
-	sortExecIDs(ids)
-	writeU32(buf, uint32(len(ids)))
+	slices.Sort(ids)
+	buf = le.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
 		recs := t.Exec.entries[id]
-		writeI32(buf, int32(id))
-		writeU32(buf, uint32(len(recs)))
+		buf = le.AppendUint32(buf, uint32(id))
+		buf = le.AppendUint32(buf, uint32(len(recs)))
 		for _, r := range recs {
 			for _, p := range r.Prev {
-				writeI32(buf, int32(p))
+				buf = le.AppendUint32(buf, uint32(p))
 			}
-			writeI32(buf, int32(r.Next))
+			buf = le.AppendUint32(buf, uint32(r.Next))
 		}
 	}
 
 	// UM-block tables, sorted by execution ID.
 	bids := t.ExecIDs()
-	writeU32(buf, uint32(len(bids)))
+	buf = le.AppendUint32(buf, uint32(len(bids)))
 	for _, id := range bids {
 		bt := t.blocks[id]
-		writeI32(buf, int32(id))
-		writeI64(buf, int64(bt.Start))
-		writeI64(buf, int64(bt.End))
+		buf = le.AppendUint32(buf, uint32(id))
+		buf = le.AppendUint64(buf, uint64(bt.Start))
+		buf = le.AppendUint64(buf, uint64(bt.End))
 		for _, b := range bt.last {
-			writeI64(buf, int64(b))
+			buf = le.AppendUint64(buf, uint64(b))
 		}
 		if bt.pendingStart {
-			buf.WriteByte(1)
+			buf = append(buf, 1)
 		} else {
-			buf.WriteByte(0)
+			buf = append(buf, 0)
 		}
 		for _, set := range bt.sets {
-			writeU32(buf, uint32(len(set)))
+			buf = le.AppendUint32(buf, uint32(len(set)))
 			for _, e := range set {
-				writeI64(buf, int64(e.tag))
+				buf = le.AppendUint64(buf, uint64(e.tag))
 				for level := 0; level < bt.cfg.NumLevels; level++ {
 					succs := e.succs[level]
-					writeU32(buf, uint32(len(succs)))
+					buf = le.AppendUint32(buf, uint32(len(succs)))
 					for _, s := range succs {
-						writeI64(buf, int64(s))
+						buf = le.AppendUint64(buf, uint64(s))
 					}
 				}
 			}
 		}
 	}
+	return buf
 }
 
 func decodePayload(d *decoder) *Tables {
@@ -290,6 +323,9 @@ func decodePayload(d *decoder) *Tables {
 				d.fail("row %d has %d ways (assoc %d)", row, nWays, cfg.Assoc)
 				return nil
 			}
+			if nWays == 0 {
+				continue // an empty row stays nil
+			}
 			set := make([]entry, 0, nWays)
 			for way := 0; way < nWays; way++ {
 				e := entry{tag: um.BlockID(d.i64()), valid: true,
@@ -318,30 +354,6 @@ func decodePayload(d *decoder) *Tables {
 		return nil
 	}
 	return t
-}
-
-// --- little-endian helpers ---
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeI32(buf *bytes.Buffer, v int32) { writeU32(buf, uint32(v)) }
-
-func writeI64(buf *bytes.Buffer, v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	buf.Write(b[:])
-}
-
-func sortExecIDs(ids []ExecID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // decoder is a cursor over the payload with sticky error state, so decode

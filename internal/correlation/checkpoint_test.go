@@ -86,8 +86,9 @@ func TestCheckpointChainEquivalence(t *testing.T) {
 		exec ExecID
 		blk  um.BlockID
 	}{{0, 100}, {0, 102}, {1, 200}} {
-		oc := ts.NewChainCursor(seed.exec, hist, seed.blk)
-		rc := got.NewChainCursor(seed.exec, hist, seed.blk)
+		var oc, rc ChainCursor
+		oc.Reset(ts, seed.exec, hist, seed.blk)
+		rc.Reset(got, seed.exec, hist, seed.blk)
 		for step := 0; step < 32; step++ {
 			ob, oe := oc.Next()
 			rb, re := rc.Next()

@@ -189,14 +189,14 @@ func TestBlockTableSizeBytes(t *testing.T) {
 
 func TestTablesLazyAllocation(t *testing.T) {
 	ts := NewTables(DefaultBlockTableConfig())
-	if ts.HasBlock(3) {
+	if ts.blocks[3] != nil {
 		t.Fatal("table should not exist yet")
 	}
 	if ts.NumBlockTables() != 0 {
 		t.Fatal("no tables should be allocated")
 	}
 	ts.Block(3).RecordMiss(1)
-	if !ts.HasBlock(3) || ts.NumBlockTables() != 1 {
+	if ts.blocks[3] == nil || ts.NumBlockTables() != 1 {
 		t.Fatal("table not allocated on first use")
 	}
 	base := NewBlockTable(DefaultBlockTableConfig()).SizeBytes()
@@ -231,7 +231,8 @@ func buildTwoKernelTables() *Tables {
 func TestChainCursorWithinKernel(t *testing.T) {
 	ts := buildTwoKernelTables()
 	h := [3]ExecID{NoExec, NoExec, NoExec}
-	c := ts.NewChainCursor(0, h, 100)
+	var c ChainCursor
+	c.Reset(ts, 0, h, 100)
 	b, e := c.Next()
 	if b != 101 || e != 0 {
 		t.Fatalf("first = (%d,%d), want (101,0)", b, e)
@@ -245,7 +246,8 @@ func TestChainCursorWithinKernel(t *testing.T) {
 func TestChainCursorCrossesKernelBoundary(t *testing.T) {
 	ts := buildTwoKernelTables()
 	h := [3]ExecID{NoExec, NoExec, NoExec}
-	c := ts.NewChainCursor(0, h, 100)
+	var c ChainCursor
+	c.Reset(ts, 0, h, 100)
 	var got []um.BlockID
 	var execs []ExecID
 	for {
@@ -279,7 +281,8 @@ func TestChainCursorDeadWithoutPrediction(t *testing.T) {
 	ts := NewTables(DefaultBlockTableConfig())
 	ts.Block(0).RecordMiss(1) // only one miss: no successors
 	h := [3]ExecID{NoExec, NoExec, NoExec}
-	c := ts.NewChainCursor(0, h, 1)
+	var c ChainCursor
+	c.Reset(ts, 0, h, 1)
 	if b, _ := c.Next(); b != um.NoBlock {
 		t.Fatalf("expected dead chain, got %d", b)
 	}
@@ -298,7 +301,8 @@ func TestChainCursorNoDuplicateEmission(t *testing.T) {
 	bt.RecordMiss(3)
 	bt.RecordMiss(1)
 	h := [3]ExecID{NoExec, NoExec, NoExec}
-	c := ts.NewChainCursor(0, h, 1)
+	var c ChainCursor
+	c.Reset(ts, 0, h, 1)
 	seen := map[um.BlockID]bool{}
 	for i := 0; i < 10; i++ {
 		b, _ := c.Next()

@@ -1,0 +1,291 @@
+package correlation
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+
+	"deepum/internal/um"
+)
+
+// refCursor is the chain walk before the cursor was made allocation-free:
+// fresh queues and a fresh seen map for every kernel, and every block table
+// reached through Tables.Block, which creates the table if it is missing.
+// TestChainCursorMatchesReference holds the reused ChainCursor to it step
+// for step.
+type refCursor struct {
+	tables   *Tables
+	execID   ExecID
+	history  [HistoryLen]ExecID
+	emit     []um.BlockID
+	frontier []um.BlockID
+	seen     map[um.BlockID]struct{}
+	kernels  int
+	dead     bool
+	sawEnd   bool
+	cause    string
+}
+
+func newRefCursor(t *Tables, execID ExecID, history [HistoryLen]ExecID, seed um.BlockID) *refCursor {
+	c := &refCursor{tables: t, execID: execID, history: history, seen: map[um.BlockID]struct{}{}}
+	if seed != um.NoBlock {
+		c.frontier = append(c.frontier, seed)
+		c.seen[seed] = struct{}{}
+	}
+	if t.blocks[execID] != nil {
+		if start := t.Block(execID).Start; start != um.NoBlock && start != seed {
+			c.frontier = append(c.frontier, start)
+			c.seen[start] = struct{}{}
+			c.emit = append(c.emit, start)
+		}
+	}
+	return c
+}
+
+func (c *refCursor) next() (um.BlockID, ExecID) {
+	for {
+		if c.dead {
+			return um.NoBlock, NoExec
+		}
+		if len(c.emit) > 0 {
+			b := c.emit[0]
+			c.emit = c.emit[1:]
+			if b == c.tables.Block(c.execID).End {
+				c.sawEnd = true
+			}
+			return b, c.execID
+		}
+		if c.sawEnd || len(c.frontier) == 0 {
+			if !c.advanceKernel() {
+				return um.NoBlock, NoExec
+			}
+			continue
+		}
+		head := c.frontier[0]
+		c.frontier = c.frontier[1:]
+		for _, s := range c.tables.Block(c.execID).Successors(head) {
+			if s == um.NoBlock {
+				continue
+			}
+			if _, dup := c.seen[s]; dup {
+				continue
+			}
+			c.seen[s] = struct{}{}
+			c.frontier = append(c.frontier, s)
+			c.emit = append(c.emit, s)
+		}
+	}
+}
+
+func (c *refCursor) advanceKernel() bool {
+	for skip := 0; skip <= maxAnchorlessSkips; skip++ {
+		next := c.tables.Exec.Predict(c.execID, c.history)
+		if next == NoExec {
+			c.dead = true
+			c.cause = "noexec"
+			return false
+		}
+		copy(c.history[:], c.history[1:])
+		c.history[HistoryLen-1] = c.execID
+		c.execID = next
+		c.kernels++
+		c.sawEnd = false
+		if c.tables.blocks[next] == nil {
+			continue
+		}
+		start := c.tables.Block(next).Start
+		if start == um.NoBlock {
+			continue
+		}
+		c.seen = map[um.BlockID]struct{}{start: {}}
+		c.frontier = append(c.frontier[:0], start)
+		c.emit = append(c.emit[:0], start)
+		return true
+	}
+	c.dead = true
+	c.cause = "skips"
+	return false
+}
+
+// randomBlocks draws n block IDs from the whole int64 range, always
+// including the extremes and the values around NoBlock.
+func randomBlocks(rng *rand.Rand, n int) []um.BlockID {
+	bs := []um.BlockID{math.MinInt64, math.MaxInt64, um.NoBlock - 1, um.NoBlock, um.NoBlock + 1}
+	for len(bs) < n {
+		bs = append(bs, um.BlockID(rng.Uint64()))
+	}
+	return bs
+}
+
+// randomTables builds correlation tables over several execution IDs: small,
+// collision-heavy block tables learned from random miss streams (some
+// kernels with no table, some with a table but no Start), and random
+// execution records, including self-loops that drive a chain through
+// anchorless kernels until it dies of skips.
+func randomTables(rng *rand.Rand, execs []ExecID, blocks []um.BlockID) *Tables {
+	cfg := BlockTableConfig{
+		NumRows:   1 + rng.Intn(8),
+		Assoc:     1 + rng.Intn(3),
+		NumSuccs:  1 + rng.Intn(4),
+		NumLevels: 1 + rng.Intn(2),
+	}
+	ts := NewTables(cfg)
+	pick := func() ExecID { return execs[rng.Intn(len(execs))] }
+	for _, id := range execs {
+		switch rng.Intn(5) {
+		case 0: // never launched: no block table
+			continue
+		case 1: // launched but never faulted: no Start
+			ts.Block(id)
+			continue
+		}
+		bt := ts.Block(id)
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			if rng.Intn(12) == 0 {
+				bt.ResetCursor()
+			}
+			bt.RecordMiss(blocks[rng.Intn(len(blocks))])
+		}
+	}
+	for i, n := 0, rng.Intn(4*len(execs)); i < n; i++ {
+		var prev [HistoryLen]ExecID
+		for k := range prev {
+			prev[k] = pick()
+		}
+		cur := pick()
+		next := pick()
+		if rng.Intn(6) == 0 {
+			next = cur
+		}
+		ts.Exec.Record(cur, prev, next)
+	}
+	return ts
+}
+
+// TestChainCursorMatchesReference restarts one reused cursor many times
+// over random tables and checks every step — block, execution ID, kernel
+// count and death cause — against the reference walk. The reference runs on
+// a decoded copy of the tables because Successors moves the entry it reads
+// to the MRU way; at the end both copies must encode to the same bytes,
+// which shows the two walks read the same heads in the same order.
+func TestChainCursorMatchesReference(t *testing.T) {
+	causes := map[string]int{}
+	for trial := int64(0); trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		execs := []ExecID{0, 1, -2, math.MaxInt32, math.MinInt32}
+		for len(execs) < 5+rng.Intn(6) {
+			execs = append(execs, ExecID(rng.Int31()))
+		}
+		blocks := randomBlocks(rng, 8+rng.Intn(40))
+		orig := randomTables(rng, execs, blocks)
+		if got, want := len(EncodeTables(orig)), payloadLen(orig); got != want {
+			t.Fatalf("trial %d: payload is %d bytes, payloadLen says %d", trial, got, want)
+		}
+		ref, err := DecodeTables(EncodeTables(orig))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var c ChainCursor
+		for restart := 0; restart < 40; restart++ {
+			exec := execs[rng.Intn(len(execs))]
+			if rng.Intn(10) == 0 {
+				exec = ExecID(rng.Int31()) // a kernel nothing recorded
+			}
+			var hist [HistoryLen]ExecID
+			for k := range hist {
+				hist[k] = execs[rng.Intn(len(execs))]
+			}
+			seed := blocks[rng.Intn(len(blocks))]
+			c.Reset(orig, exec, hist, seed)
+			r := newRefCursor(ref, exec, hist, seed)
+			// Some walks are cut short, as a new fault preempts the chain.
+			steps := 1 + rng.Intn(400)
+			for step := 0; step < steps; step++ {
+				b, e := c.Next()
+				rb, re := r.next()
+				if b != rb || e != re || c.Kernels() != r.kernels || c.DeathCause != r.cause {
+					t.Fatalf("trial %d restart %d step %d: cursor (%d,%d) kernels %d cause %q; reference (%d,%d) kernels %d cause %q",
+						trial, restart, step, b, e, c.Kernels(), c.DeathCause, rb, re, r.kernels, r.cause)
+				}
+				if b == um.NoBlock {
+					causes[c.DeathCause]++
+					break
+				}
+			}
+			// Learning between faults: both copies record the same miss.
+			if rng.Intn(3) == 0 {
+				id, b := execs[rng.Intn(len(execs))], blocks[rng.Intn(len(blocks))]
+				orig.Block(id).RecordMiss(b)
+				ref.Block(id).RecordMiss(b)
+			}
+		}
+
+		// The reference creates empty tables for kernels it walks without
+		// one; the cursor does not. Drop those before comparing state.
+		for id, bt := range ref.blocks {
+			if orig.blocks[id] == nil {
+				if bt.Entries() != 0 || bt.Start != um.NoBlock {
+					t.Fatalf("trial %d: reference grew a non-empty table for exec %d", trial, id)
+				}
+				delete(ref.blocks, id)
+			}
+		}
+		if !bytes.Equal(EncodeTables(orig), EncodeTables(ref)) {
+			t.Fatalf("trial %d: tables diverged: the walks read successors in a different order", trial)
+		}
+	}
+	for _, cause := range []string{"noexec", "skips"} {
+		if causes[cause] == 0 {
+			t.Errorf("no chain died of %q; the generator no longer covers that path (causes %v)", cause, causes)
+		}
+	}
+}
+
+// TestBlockSetMatchesMap checks add against a map across growth and many
+// O(1) resets.
+func TestBlockSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pool := randomBlocks(rng, 300)
+	var s blockSet
+	for round := 0; round < 200; round++ {
+		s.reset()
+		want := map[um.BlockID]bool{}
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			b := pool[rng.Intn(len(pool))]
+			if got := s.add(b); got == want[b] {
+				t.Fatalf("round %d: add(%d) = %v, but present = %v", round, b, got, want[b])
+			}
+			want[b] = true
+		}
+		if s.n != len(want) {
+			t.Fatalf("round %d: set holds %d, want %d", round, s.n, len(want))
+		}
+	}
+}
+
+// TestBlockSetGenerationWrap forces the generation counter to wrap: slots
+// stamped in an earlier epoch must not read as present afterwards.
+func TestBlockSetGenerationWrap(t *testing.T) {
+	var s blockSet
+	old := randomBlocks(rand.New(rand.NewSource(2)), 20)
+	for _, b := range old {
+		s.add(b) // stamped with generation 1
+	}
+	s.gen = math.MaxUint32
+	s.reset() // wraps
+	if s.gen != 1 {
+		t.Fatalf("generation after wrap = %d, want 1", s.gen)
+	}
+	for _, b := range old {
+		if !s.add(b) {
+			t.Fatalf("block %d stamped before the wrap reads as present", b)
+		}
+	}
+	for _, b := range old {
+		if s.add(b) {
+			t.Fatalf("block %d added after the wrap reads as absent", b)
+		}
+	}
+}

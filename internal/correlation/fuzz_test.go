@@ -14,9 +14,9 @@ import (
 func envelope(payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.Write(checkpointMagic[:])
-	writeU32(&buf, CheckpointVersion)
+	buf.Write(u32le(CheckpointVersion))
 	buf.Write(payload)
-	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
+	buf.Write(u32le(crc32.ChecksumIEEE(buf.Bytes())))
 	return buf.Bytes()
 }
 
@@ -32,11 +32,11 @@ func u32le(v uint32) []byte {
 func envelopeV2(nameLen uint32, name string, payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.Write(checkpointMagic[:])
-	writeU32(&buf, EnvelopeVersion)
-	writeU32(&buf, nameLen)
+	buf.Write(u32le(EnvelopeVersion))
+	buf.Write(u32le(nameLen))
 	buf.WriteString(name)
 	buf.Write(payload)
-	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
+	buf.Write(u32le(crc32.ChecksumIEEE(buf.Bytes())))
 	return buf.Bytes()
 }
 

@@ -35,12 +35,6 @@ func (t *Tables) Block(id ExecID) *BlockTable {
 	return bt
 }
 
-// HasBlock reports whether a block table exists for id without allocating.
-func (t *Tables) HasBlock(id ExecID) bool {
-	_, ok := t.blocks[id]
-	return ok
-}
-
 // NumBlockTables returns how many block tables have been allocated.
 func (t *Tables) NumBlockTables() int { return len(t.blocks) }
 
@@ -71,17 +65,28 @@ func (t *Tables) ExecIDs() []ExecID {
 // kernel's Start block. Next returns blocks one at a time so the caller (the
 // prefetcher) can stop, pause at the degree-N boundary, or be preempted by a
 // new fault at any point.
+//
+// A cursor is reused: Reset re-seeds it, and neither a restart nor a kernel
+// transition allocates once its buffers have grown to the largest kernel
+// walked.
 type ChainCursor struct {
 	tables *Tables
+	table  *BlockTable // block table of execID; nil when execID has none
 
-	execID   ExecID             // kernel currently being prefetched for
-	history  [HistoryLen]ExecID // launch history used for prediction
-	emit     []um.BlockID       // blocks discovered but not yet handed out
-	frontier []um.BlockID       // blocks whose successors are yet to be visited
-	seen     map[um.BlockID]struct{}
-	kernels  int  // kernel transitions taken so far
-	dead     bool // prediction failed; chain exhausted
-	sawEnd   bool // End block emitted for the current kernel
+	execID  ExecID             // kernel currently being prefetched for
+	history [HistoryLen]ExecID // launch history used for prediction
+	// found holds the current kernel's blocks in discovery order. It backs
+	// two FIFO queues: found[walked:] is the frontier, whose successors are
+	// yet to be visited, and found[emitted:] the blocks not yet handed out.
+	// Every discovered block joins both, except the seed, which is walked
+	// but never emitted; so walked <= emitted.
+	found   []um.BlockID
+	walked  int
+	emitted int
+	seen    blockSet // blocks discovered in the current kernel
+	kernels int      // kernel transitions taken so far
+	dead    bool     // prediction failed; chain exhausted
+	sawEnd  bool     // End block emitted for the current kernel
 
 	// DeathCause records why the chain died: "" while alive, "noexec" when
 	// the execution table had no prediction, "skips" when too many
@@ -89,33 +94,38 @@ type ChainCursor struct {
 	DeathCause string
 }
 
-// NewChainCursor starts a chain for the kernel execID whose fault on seed
+// Reset starts a chain over t for the kernel execID whose fault on seed
 // triggered prefetching. history holds the three launches before execID
 // (oldest first). The seed block itself is not emitted — the fault handler
 // is already migrating it — but its successors are. The kernel's Start
 // anchor joins the frontier as well: the exact miss sequence shifts between
 // iterations (it depends on what happened to be resident), so a fault on a
 // block with no recorded successors must still reach the kernel's canonical
-// access graph.
-func (t *Tables) NewChainCursor(execID ExecID, history [HistoryLen]ExecID, seed um.BlockID) *ChainCursor {
-	c := &ChainCursor{
-		tables:  t,
-		execID:  execID,
-		history: history,
-		seen:    map[um.BlockID]struct{}{},
+// access graph. A kernel without a block table has nothing to walk, and
+// Reset does not create one: the chain goes straight to the next kernel.
+func (c *ChainCursor) Reset(t *Tables, execID ExecID, history [HistoryLen]ExecID, seed um.BlockID) {
+	c.tables = t
+	c.table = t.blocks[execID]
+	c.execID = execID
+	c.history = history
+	c.found = c.found[:0]
+	c.walked, c.emitted = 0, 0
+	c.seen.reset()
+	c.kernels = 0
+	c.dead, c.sawEnd = false, false
+	c.DeathCause = ""
+	if c.table == nil {
+		return
 	}
 	if seed != um.NoBlock {
-		c.frontier = append(c.frontier, seed)
-		c.seen[seed] = struct{}{}
+		c.found = append(c.found, seed)
+		c.seen.add(seed)
+		c.emitted = 1
 	}
-	if t.HasBlock(execID) {
-		if start := t.Block(execID).Start; start != um.NoBlock && start != seed {
-			c.frontier = append(c.frontier, start)
-			c.seen[start] = struct{}{}
-			c.emit = append(c.emit, start)
-		}
+	if start := c.table.Start; start != um.NoBlock && start != seed {
+		c.found = append(c.found, start)
+		c.seen.add(start)
 	}
-	return c
 }
 
 // ExecID returns the execution ID the cursor is currently prefetching for.
@@ -130,40 +140,34 @@ func (c *ChainCursor) Kernels() int { return c.kernels }
 // the next-kernel prediction failed or no history exists (§4.2: "the
 // chaining ends ... when the prefetching thread fails to predict the next
 // kernel to execute").
+//
+// Successors moves the entry it reads to the MRU way of its set, and later
+// replacements depend on that order: the walk reads each head once, in
+// breadth-first discovery order.
 func (c *ChainCursor) Next() (um.BlockID, ExecID) {
-	for {
-		if c.dead {
-			return um.NoBlock, NoExec
-		}
-		if len(c.emit) > 0 {
-			b := c.emit[0]
-			c.emit = c.emit[1:]
-			if b == c.tables.Block(c.execID).End {
+	for !c.dead {
+		if c.emitted < len(c.found) {
+			b := c.found[c.emitted]
+			c.emitted++
+			if b == c.table.End {
 				// Meeting the End block ends prefetching for this kernel.
 				c.sawEnd = true
 			}
 			return b, c.execID
 		}
-		if c.sawEnd || len(c.frontier) == 0 {
-			if !c.advanceKernel() {
-				return um.NoBlock, NoExec
-			}
+		if c.sawEnd || c.walked == len(c.found) {
+			c.advanceKernel()
 			continue
 		}
-		head := c.frontier[0]
-		c.frontier = c.frontier[1:]
-		for _, s := range c.tables.Block(c.execID).Successors(head) {
-			if s == um.NoBlock {
-				continue
+		head := c.found[c.walked]
+		c.walked++
+		for _, s := range c.table.Successors(head) {
+			if s != um.NoBlock && c.seen.add(s) {
+				c.found = append(c.found, s)
 			}
-			if _, dup := c.seen[s]; dup {
-				continue
-			}
-			c.seen[s] = struct{}{}
-			c.frontier = append(c.frontier, s)
-			c.emit = append(c.emit, s)
 		}
 	}
+	return um.NoBlock, NoExec
 }
 
 // maxAnchorlessSkips bounds how many consecutive kernels without a fault
@@ -173,15 +177,15 @@ const maxAnchorlessSkips = 64
 // advanceKernel predicts the next kernel via the execution table and
 // restarts the walk from its Start block (which is itself emitted). Kernels
 // that have never faulted — their working set is always resident, so they
-// contribute nothing to prefetch — are stepped over. It returns false when
-// prediction fails.
-func (c *ChainCursor) advanceKernel() bool {
+// contribute nothing to prefetch — are stepped over. When prediction fails
+// it marks the chain dead.
+func (c *ChainCursor) advanceKernel() {
 	for skip := 0; skip <= maxAnchorlessSkips; skip++ {
 		next := c.tables.Exec.Predict(c.execID, c.history)
 		if next == NoExec {
 			c.dead = true
 			c.DeathCause = "noexec"
-			return false
+			return
 		}
 		// Slide the history window: the current kernel becomes the most
 		// recent.
@@ -190,19 +194,17 @@ func (c *ChainCursor) advanceKernel() bool {
 		c.execID = next
 		c.kernels++
 		c.sawEnd = false
-		if !c.tables.HasBlock(next) {
+		bt := c.tables.blocks[next]
+		if bt == nil || bt.Start == um.NoBlock {
 			continue
 		}
-		start := c.tables.Block(next).Start
-		if start == um.NoBlock {
-			continue
-		}
-		c.seen = map[um.BlockID]struct{}{start: {}}
-		c.frontier = append(c.frontier[:0], start)
-		c.emit = append(c.emit[:0], start)
-		return true
+		c.table = bt
+		c.seen.reset()
+		c.seen.add(bt.Start)
+		c.found = append(c.found[:0], bt.Start)
+		c.walked, c.emitted = 0, 0
+		return
 	}
 	c.dead = true
 	c.DeathCause = "skips"
-	return false
 }

@@ -40,7 +40,10 @@ type Chaser struct {
 	// out of current.
 	historyBeforeCurrent [corr.HistoryLen]corr.ExecID
 
-	cursor *corr.ChainCursor
+	// cursor is re-seeded on every fault; chaining is set while it holds a
+	// live chain.
+	cursor   corr.ChainCursor
+	chaining bool
 	// completedInChain counts kernels finished since the chain (re)started;
 	// the chain may run Degree kernels ahead of it.
 	completedInChain int
@@ -106,7 +109,7 @@ func (c *Chaser) KernelLaunch(id corr.ExecID) {
 // KernelComplete slides the chain window: a paused chain may resume because
 // one more kernel of lookahead budget is available (§4.2).
 func (c *Chaser) KernelComplete(id corr.ExecID) {
-	if c.cursor != nil {
+	if c.chaining {
 		c.completedInChain++
 	}
 }
@@ -122,7 +125,8 @@ func (c *Chaser) OnFault(b um.BlockID) bool {
 	if !c.prefetch {
 		return false
 	}
-	c.cursor = c.tables.NewChainCursor(c.current, c.history, b)
+	c.cursor.Reset(c.tables, c.current, c.history, b)
+	c.chaining = true
 	c.completedInChain = 0
 	return true
 }
@@ -131,7 +135,7 @@ func (c *Chaser) OnFault(b um.BlockID) bool {
 // degree capabilities, paused at the degree-N boundary, dead when the chain
 // runs out of predictions.
 func (c *Chaser) Next() policy.Step {
-	if c.cursor == nil {
+	if !c.chaining {
 		return policy.Step{Out: policy.Pause}
 	}
 	degree := c.degree
@@ -149,9 +153,8 @@ func (c *Chaser) Next() policy.Step {
 	}
 	b, exec := c.cursor.Next()
 	if b == um.NoBlock {
-		cause := c.cursor.DeathCause
-		c.cursor = nil
-		return policy.Step{Out: policy.Dead, Cause: cause}
+		c.chaining = false
+		return policy.Step{Out: policy.Dead, Cause: c.cursor.DeathCause}
 	}
 	return policy.Step{Out: policy.Emit, Cmd: policy.Command{Block: b, Exec: exec}}
 }
@@ -161,7 +164,7 @@ func (c *Chaser) Next() policy.Step {
 func (c *Chaser) NoteEviction(b um.BlockID) {}
 
 // Discard kills the active chain; the learned tables survive.
-func (c *Chaser) Discard() { c.cursor = nil }
+func (c *Chaser) Discard() { c.chaining = false }
 
 // SetGate implements policy.Policy.
 func (c *Chaser) SetGate(g policy.Gate) { c.gate = g }

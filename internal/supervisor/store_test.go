@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"deepum/internal/store"
 	"deepum/internal/supervisor/journal"
@@ -272,4 +273,94 @@ func ExampleAdoptionFolder() {
 	as := f.Adoptions()
 	fmt.Println(len(as), string(as[0].Resume))
 	// Output: 1 new
+}
+
+// stallFS is an in-memory store filesystem whose Sync can be made to block:
+// once armed, the next Sync signals entered and waits for release.
+type stallFS struct {
+	*store.MemFS
+	armed   chan struct{} // holds one token while armed
+	entered chan struct{}
+	release chan struct{}
+}
+
+type stallFile struct {
+	store.File
+	fs *stallFS
+}
+
+func (f stallFile) Sync() error {
+	select {
+	case <-f.fs.armed:
+		close(f.fs.entered)
+		<-f.fs.release
+	default:
+	}
+	return f.File.Sync()
+}
+
+func (fs *stallFS) OpenFile(path string) (store.File, error) {
+	f, err := fs.MemFS.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return stallFile{File: f, fs: fs}, nil
+}
+
+// TestSubmitNotBlockedByCheckpointPut: a checkpoint's store write runs
+// outside the supervisor lock, so submits and polls on the same supervisor
+// go through while the write is stalled on disk.
+func TestSubmitNotBlockedByCheckpointPut(t *testing.T) {
+	fs := &stallFS{MemFS: store.NewMemFS(), armed: make(chan struct{}, 1),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	st, _, err := store.Open("ck.store", store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ck := []byte("ck-stalled")
+	runner := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+		if spec.Seed == 1 {
+			progress(ck)
+		}
+		return Outcome{Status: string(StateCompleted)}, nil
+	})
+	s, err := New(Config{Runner: runner, Workers: 2, Checkpoints: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.armed <- struct{}{}
+	slow, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fs.entered // the checkpoint Put is now stalled in Sync
+
+	done := make(chan error, 1)
+	go func() {
+		id, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8, Seed: 2})
+		if err == nil {
+			_, err = s.Get(slow)
+		}
+		if err == nil {
+			_, err = s.Wait(id)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("submit, poll and a second run did not finish while a checkpoint write was stalled")
+	}
+	close(fs.release)
+	if _, err := s.Wait(slow); err != nil {
+		t.Fatal(err)
+	}
+	if stats := s.Stats(); stats.CheckpointsStored != 1 || !st.Has(store.HashBytes(ck)) {
+		t.Fatalf("stalled checkpoint not stored after release: stats %+v", stats)
+	}
+	drain(t, s)
 }

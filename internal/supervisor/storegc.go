@@ -81,6 +81,8 @@ func (s *Supervisor) maybeStoreGC() {
 // storeGCPass compacts the store down to the live keys when the garbage
 // ratio exceeds the threshold.
 func (s *Supervisor) storeGCPass() {
+	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
 	live := s.LiveCheckpointKeys()
 	if GarbageRatio(s.cfg.Checkpoints, live) <= s.cfg.StoreGCThreshold {
 		return

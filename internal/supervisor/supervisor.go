@@ -118,6 +118,14 @@ type Supervisor struct {
 	shedder   *admission.Shedder
 	dedupHits atomic.Int64
 
+	// ckMu orders checkpoint writes against store compaction. A checkpoint
+	// holds it shared from its store Put until its record is journaled,
+	// and a store GC pass holds it exclusively, so the pass never sees a
+	// blob that is stored but not yet journaled. The Put runs outside mu:
+	// hashing and dedup-verifying a checkpoint takes milliseconds, and
+	// submits and polls wait on mu.
+	ckMu sync.RWMutex
+
 	mu        sync.Mutex
 	runs      map[uint64]*run
 	order     []uint64
@@ -554,7 +562,9 @@ func (s *Supervisor) admitAdoptionLocked(a Adoption, journalIt bool) (bool, erro
 			// checkpoint, shrinking the re-journaled record too.
 			data := a.Resume
 			if _, isRef := store.DecodeRef(data); !isRef {
-				data = s.checkpointPayloadLocked(data)
+				var stored bool
+				data, stored = s.checkpointPayload(data)
+				s.countCheckpointLocked(stored)
 			}
 			if err := s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: a.ID, Data: data}); err != nil {
 				return false, err
@@ -890,12 +900,16 @@ func (s *Supervisor) progress(r *run, ck []byte) {
 	if ck == nil {
 		return
 	}
+	s.ckMu.RLock()
+	defer s.ckMu.RUnlock()
+	data, stored := s.checkpointPayload(ck)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.killed || r.info.State.Terminal() {
 		return
 	}
-	if err := s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: s.checkpointPayloadLocked(ck)}); err != nil {
+	s.countCheckpointLocked(stored)
+	if err := s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: data}); err != nil {
 		// A checkpoint that failed to persist is not a run failure; the
 		// run merely loses resume granularity. Keep the bytes in memory.
 		s.ckptAppendFailures++
@@ -904,21 +918,33 @@ func (s *Supervisor) progress(r *run, ck []byte) {
 	r.info.Checkpoints++
 }
 
-// checkpointPayloadLocked is what goes into a RecCheckpointed record: a
-// 16-byte store reference when the configured store accepted the blob, the
-// inline blob otherwise (no store, a full disk, a detected hash
-// collision). Callers journal the result; caller holds mu.
-func (s *Supervisor) checkpointPayloadLocked(ck []byte) []byte {
+// checkpointPayload is what goes into a RecCheckpointed record: a 16-byte
+// store reference when the configured store accepted the blob (stored),
+// the inline blob otherwise (no store, a full disk, a detected hash
+// collision). It touches only the store, which has its own lock; callers
+// journal the result and count it with countCheckpointLocked.
+func (s *Supervisor) checkpointPayload(ck []byte) (data []byte, stored bool) {
 	if s.cfg.Checkpoints == nil {
-		return ck
+		return ck, false
 	}
 	key, err := s.cfg.Checkpoints.Put(ck)
 	if err != nil {
-		s.ckptInlined++
-		return ck
+		return ck, false
 	}
-	s.ckptStored++
-	return store.EncodeRef(key)
+	return store.EncodeRef(key), true
+}
+
+// countCheckpointLocked counts one checkpointPayload result when a store
+// is configured. Caller holds mu.
+func (s *Supervisor) countCheckpointLocked(stored bool) {
+	if s.cfg.Checkpoints == nil {
+		return
+	}
+	if stored {
+		s.ckptStored++
+	} else {
+		s.ckptInlined++
+	}
 }
 
 // resolveResumeLocked turns journaled resume state into the bytes a runner
@@ -985,6 +1011,13 @@ func (s *Supervisor) cancelRun(r *run, reason string) bool {
 // finalize moves a run to its terminal state, journals the finish, and
 // releases its quota.
 func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) {
+	s.ckMu.RLock()
+	defer s.ckMu.RUnlock()
+	var ckData []byte
+	var ckStored bool
+	if len(out.Checkpoint) > 0 {
+		ckData, ckStored = s.checkpointPayload(out.Checkpoint)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r.info.State.Terminal() {
@@ -1002,7 +1035,8 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	if r.suspendReason != "" && r.cancelReason == "" && !s.killed &&
 		runErr == nil && !panicked && RunState(out.Status) == StateCancelled {
 		if len(out.Checkpoint) > 0 {
-			if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: s.checkpointPayloadLocked(out.Checkpoint)}) == nil {
+			s.countCheckpointLocked(ckStored)
+			if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: ckData}) == nil {
 				r.resume = out.Checkpoint
 				r.info.Checkpoints++
 			}
@@ -1044,7 +1078,8 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	// A finished run never resumes: its last checkpoint is journaled, then
 	// dropped from memory along with the resume state it superseded.
 	if len(out.Checkpoint) > 0 {
-		if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: s.checkpointPayloadLocked(out.Checkpoint)}) == nil {
+		s.countCheckpointLocked(ckStored)
+		if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: ckData}) == nil {
 			r.info.Checkpoints++
 		}
 		out.Checkpoint = nil

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"deepum/internal/correlation"
 	"deepum/internal/federation"
 	"deepum/internal/supervisor"
 )
@@ -163,11 +164,11 @@ func checkpointBytes(st *PolicyState) []byte {
 	if st == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := SavePolicyCheckpoint(&buf, st); err != nil {
+	ck, err := correlation.AppendEnvelope(nil, st.Policy, st.Payload)
+	if err != nil {
 		return nil
 	}
-	return buf.Bytes()
+	return ck
 }
 
 // runAggregate folds per-chunk results into one outcome (chunked runs

@@ -139,6 +139,133 @@ func TestEstimateMemoryDemand(t *testing.T) {
 	}
 }
 
+// TestFinishedResultsStaySmall: a finished DeepUM Result keeps its
+// policy, so its correlation tables live as long as it does. Each of three
+// bert-large b16 scale-8 Results must keep at most 1 MiB of heap: tables
+// that reserved all NumRows rows would keep about 16 MiB.
+func TestFinishedResultsStaySmall(t *testing.T) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	cfg := DefaultConfig()
+	cfg.System = SystemDeepUM
+	cfg.Scale = 8
+	before := heap()
+	var kept []*Result
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg.Seed = seed
+		res, err := Train(Workload{Model: "bert-large", Batch: 16}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, res)
+	}
+	perRun := (heap() - before) / int64(len(kept))
+	t.Logf("each finished Result keeps %d bytes of heap", perRun)
+	if perRun > 1<<20 {
+		t.Fatalf("each finished Result keeps %d bytes of heap, want at most 1 MiB", perRun)
+	}
+	runtime.KeepAlive(kept)
+}
+
+// footprintEntries reads the size of EstimateMemoryDemand's table.
+func footprintEntries() int {
+	footprints.mu.Lock()
+	defer footprints.mu.Unlock()
+	return len(footprints.m)
+}
+
+// TestEstimateMemoryDemandRemembers: a remembered footprint equals a fresh
+// build's for every model, first and second time asked, and a failed
+// estimate is not remembered.
+func TestEstimateMemoryDemandRemembers(t *testing.T) {
+	for _, model := range Models() {
+		spec := RunSpec{Model: model, Batch: 8, Scale: 64}
+		prog, err := BuildProgram(Workload{Model: model, Batch: 8}, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			n, err := EstimateMemoryDemand(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != prog.FootprintBytes() {
+				t.Fatalf("%s, estimate %d: %d bytes, a fresh build says %d", model, i, n, prog.FootprintBytes())
+			}
+		}
+	}
+	if len(Models()) != 9 {
+		t.Fatalf("%d models, want the nine of Table 2", len(Models()))
+	}
+	bad := RunSpec{Model: "bert-base", Batch: -1, Scale: 64}
+	for i := 0; i < 2; i++ {
+		if _, err := EstimateMemoryDemand(bad); err == nil {
+			t.Fatalf("estimate %d accepted batch -1", i)
+		}
+	}
+	if _, ok := footprints.get(footprintKey{model: "bert-base", batch: -1, scale: 64}); ok {
+		t.Fatal("a failed estimate was remembered")
+	}
+}
+
+// TestEstimateMemoryDemandConcurrent asks for a handful of footprints from
+// many goroutines at once; run it under -race.
+func TestEstimateMemoryDemandConcurrent(t *testing.T) {
+	want := map[int64]int64{}
+	for batch := int64(1); batch <= 4; batch++ {
+		prog, err := BuildProgram(Workload{Model: "bert-base", Batch: batch}, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[batch] = prog.FootprintBytes()
+	}
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			for i := 0; i < 40; i++ {
+				batch := int64(1 + (g+i)%4)
+				n, err := EstimateMemoryDemand(RunSpec{Model: "bert-base", Batch: batch, Scale: 128})
+				if err == nil && n != want[batch] {
+					err = fmt.Errorf("batch %d: %d bytes, want %d", batch, n, want[batch])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestEstimateMemoryDemandBounded: more distinct workloads than the table
+// holds never grow it past its cap, and the latest one is still answered
+// from it.
+func TestEstimateMemoryDemandBounded(t *testing.T) {
+	var last RunSpec
+	for batch := int64(1); batch <= footprintCacheCap+20; batch++ {
+		last = RunSpec{Model: "bert-base", Batch: batch, Scale: 128}
+		if _, err := EstimateMemoryDemand(last); err != nil {
+			t.Fatal(err)
+		}
+		if n := footprintEntries(); n > footprintCacheCap {
+			t.Fatalf("after %d workloads the table holds %d entries, cap %d", batch, n, footprintCacheCap)
+		}
+	}
+	if _, ok := footprints.get(footprintKey{model: last.Model, batch: last.Batch, scale: last.Scale}); !ok {
+		t.Fatal("the latest footprint was not remembered")
+	}
+}
+
 func TestTrainRunnerRejectsForeignResume(t *testing.T) {
 	spec := fastSpec(1)
 	spec.System = string(SystemVDNN)

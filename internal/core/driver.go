@@ -143,6 +143,9 @@ type Driver struct {
 	// throttle speculation at the enqueue point.
 	gate HealthGate
 
+	// victimBuf backs the slice VictimsForPrefetch returns.
+	victimBuf []um.BlockID
+
 	Stats Stats
 }
 
@@ -524,9 +527,10 @@ func (d *Driver) Unprotect(b um.BlockID) {
 // unlike the demand path it never falls back to evicting protected blocks —
 // displacing a block predicted for the next N kernels to make room for a
 // later prediction is self-defeating. ok is false when not enough
-// unprotected memory exists; the prefetch then waits.
+// unprotected memory exists; the prefetch then waits. The victims live in
+// a buffer the driver reuses: the slice is valid until the next call.
 func (d *Driver) VictimsForPrefetch(r *um.Residency, need int64) ([]um.BlockID, bool) {
-	var victims []um.BlockID
+	victims := d.victimBuf[:0]
 	var freed int64
 	r.WalkLRM(func(b um.BlockID) bool {
 		if _, p := d.protected[b]; p {
@@ -536,6 +540,7 @@ func (d *Driver) VictimsForPrefetch(r *um.Residency, need int64) ([]um.BlockID, 
 		freed += r.BlockResidentBytes(b)
 		return freed < need
 	})
+	d.victimBuf = victims
 	return victims, freed >= need
 }
 

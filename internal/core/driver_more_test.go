@@ -162,7 +162,7 @@ func TestVictimsForPrefetchNeverFallsBack(t *testing.T) {
 	s := um.NewSpace(0)
 	r := um.NewResidency(s, 4*sim.BlockSize)
 	a, _ := s.Malloc(2 * sim.BlockSize)
-	bs := um.BlocksOf(a, 2*sim.BlockSize)
+	bs := blocksOf(a, 2*sim.BlockSize)
 	for i, b := range bs {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
 		d.protected[b] = struct{}{}
@@ -176,6 +176,25 @@ func TestVictimsForPrefetchNeverFallsBack(t *testing.T) {
 	victims, ok = d.VictimsForPrefetch(r, sim.BlockSize)
 	if !ok || len(victims) != 1 || victims[0] != bs[0] {
 		t.Fatalf("victims = %v ok=%v", victims, ok)
+	}
+}
+
+// TestVictimsForPrefetchReusesBuffer: the victim walk appends into a
+// buffer the driver owns, so a warm walk allocates nothing.
+func TestVictimsForPrefetchReusesBuffer(t *testing.T) {
+	d := NewDriver(DefaultOptions())
+	s := um.NewSpace(0)
+	r := um.NewResidency(s, 8*sim.BlockSize)
+	a, _ := s.Malloc(8 * sim.BlockSize)
+	for i, b := range blocksOf(a, 8*sim.BlockSize) {
+		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if victims, ok := d.VictimsForPrefetch(r, 4*sim.BlockSize); !ok || len(victims) != 4 {
+			t.Fatalf("victims = %v ok=%v", victims, ok)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm victim walk allocates %v times", allocs)
 	}
 }
 

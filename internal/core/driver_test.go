@@ -177,11 +177,20 @@ func newResidency(blocks int64) (*um.Residency, *um.Space) {
 	return r, s
 }
 
+// blocksOf lists the blocks [base, base+n) overlaps, in address order.
+func blocksOf(base um.Addr, n int64) []um.BlockID {
+	var bs []um.BlockID
+	for b, last := um.BlockSpan(base, n); b <= last; b++ {
+		bs = append(bs, b)
+	}
+	return bs
+}
+
 func TestSelectVictimsSkipsProtected(t *testing.T) {
 	d := NewDriver(DefaultOptions())
 	r, s := newResidency(4)
 	a, _ := s.Malloc(4 * sim.BlockSize)
-	bs := um.BlocksOf(a, 4*sim.BlockSize)
+	bs := blocksOf(a, 4*sim.BlockSize)
 	for i, b := range bs {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
 	}
@@ -201,7 +210,7 @@ func TestSelectVictimsFallbackWhenAllProtected(t *testing.T) {
 	d := NewDriver(DefaultOptions())
 	r, s := newResidency(2)
 	a, _ := s.Malloc(2 * sim.BlockSize)
-	bs := um.BlocksOf(a, 2*sim.BlockSize)
+	bs := blocksOf(a, 2*sim.BlockSize)
 	for i, b := range bs {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
 		d.protected[b] = struct{}{}
@@ -217,7 +226,7 @@ func TestPreevictTarget(t *testing.T) {
 	d := NewDriver(opts)
 	r, s := newResidency(2 * preevictWatermark)
 	a, _ := s.Malloc((2*preevictWatermark - 1) * sim.BlockSize)
-	for i, b := range um.BlocksOf(a, (2*preevictWatermark-1)*sim.BlockSize) {
+	for i, b := range blocksOf(a, (2*preevictWatermark-1)*sim.BlockSize) {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
 	}
 	// 1 block free; the watermark keeps 2 free.

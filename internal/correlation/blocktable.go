@@ -1,6 +1,9 @@
 package correlation
 
 import (
+	"math/bits"
+	"slices"
+
 	"deepum/internal/um"
 )
 
@@ -28,22 +31,31 @@ func DefaultBlockTableConfig() BlockTableConfig {
 	return BlockTableConfig{NumRows: 2048, Assoc: 2, NumSuccs: 4, NumLevels: 1}
 }
 
-// entry is one way of a set: a tag block and its successor lists.
-type entry struct {
-	tag   um.BlockID
-	valid bool
-	// succs[level] holds up to NumSuccs successor blocks, MRU first.
-	succs [][]um.BlockID
-}
-
 // BlockTable records the history of UM-block accesses within the kernel of
 // one execution ID (Figure 7). Besides the set-associative correlation
 // array it keeps the Start block (first faulted block after the kernel
 // began) and the End block (last faulted block before the next kernel), the
 // anchors of cross-kernel chaining.
+//
+// The array takes memory only for the rows that have held an entry. Each
+// such row owns a group of Assoc ways laid side by side in tags, way 0 MRU;
+// each way owns NumLevels successor lists of NumSuccs slots in succs, with
+// their lengths in nsuccs; and index maps a row to its group. None of these
+// slices holds a pointer, so the collector never scans them.
 type BlockTable struct {
-	cfg  BlockTableConfig
-	sets [][]entry // sets[row][way], way 0 = MRU
+	cfg BlockTableConfig
+
+	index []rowSlot // open addressing, power-of-two length, linear probing
+	shift uint      // 64 - log2(len(index)), for Fibonacci hashing
+	// nways[g] is the number of valid ways of group g, whose tags are
+	// tags[g*Assoc:][:nways[g]]. Groups are never freed: a row keeps its
+	// ways once it has any, as the paper's fixed array does.
+	nways []int32
+	tags  []um.BlockID
+	// List i = (g*Assoc+way)*NumLevels+level holds up to NumSuccs
+	// successor blocks, MRU first, in succs[i*NumSuccs:][:nsuccs[i]].
+	succs  []um.BlockID
+	nsuccs []int32
 
 	// Start is the first faulted UM block observed right after the
 	// transition into this execution ID.
@@ -62,6 +74,14 @@ type BlockTable struct {
 	pendingStart bool
 }
 
+// rowSlot maps an occupied row to its group.
+type rowSlot struct {
+	row   int
+	group int // group number plus one; zero marks an empty slot
+}
+
+const minRowIndexSlots = 8
+
 // NewBlockTable returns an empty table with the given configuration.
 // Invalid configuration fields are raised to 1.
 func NewBlockTable(cfg BlockTableConfig) *BlockTable {
@@ -79,7 +99,6 @@ func NewBlockTable(cfg BlockTableConfig) *BlockTable {
 	}
 	t := &BlockTable{
 		cfg:          cfg,
-		sets:         make([][]entry, cfg.NumRows),
 		Start:        um.NoBlock,
 		End:          um.NoBlock,
 		last:         make([]um.BlockID, cfg.NumLevels),
@@ -101,32 +120,106 @@ func (t *BlockTable) row(b um.BlockID) int {
 	return int(x % uint64(t.cfg.NumRows))
 }
 
-// find returns the entry for b, optionally allocating (and replacing the
-// LRU way) when insert is set.
-func (t *BlockTable) find(b um.BlockID, insert bool) *entry {
+// group returns the group of row, or -1 when the row has never held an
+// entry.
+func (t *BlockTable) group(row int) int {
+	if len(t.index) == 0 {
+		return -1
+	}
+	return t.slot(row).group - 1
+}
+
+// slot returns the index slot of row, or the empty slot where it would go.
+func (t *BlockTable) slot(row int) *rowSlot {
+	mask := uint64(len(t.index) - 1)
+	for i := (uint64(row) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
+		if sl := &t.index[i]; sl.group == 0 || sl.row == row {
+			return sl
+		}
+	}
+}
+
+// addGroup gives row a group of Assoc empty ways and returns it. The row
+// must have none yet.
+func (t *BlockTable) addGroup(row int) int {
+	g := len(t.nways)
+	if 2*(g+1) > len(t.index) {
+		t.growIndex()
+	}
+	*t.slot(row) = rowSlot{row: row, group: g + 1}
+	ways, lists := t.cfg.Assoc, t.cfg.Assoc*t.cfg.NumLevels
+	t.nways = append(t.nways, 0)
+	t.tags = append(t.tags, make([]um.BlockID, ways)...)
+	t.nsuccs = append(t.nsuccs, make([]int32, lists)...)
+	t.succs = append(t.succs, make([]um.BlockID, lists*t.cfg.NumSuccs)...)
+	return g
+}
+
+// growIndex doubles the row index, keeping its load factor at most one
+// half.
+func (t *BlockTable) growIndex() {
+	old := t.index
+	size := max(2*len(old), minRowIndexSlots)
+	t.index = make([]rowSlot, size)
+	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+	for _, sl := range old {
+		if sl.group != 0 {
+			*t.slot(sl.row) = sl
+		}
+	}
+}
+
+// find returns the group holding b, after moving b's entry to way 0 (MRU
+// within the set), or -1 if b has no entry. With insert set a missing b
+// gets way 0, and a full row drops its LRU way to make room.
+func (t *BlockTable) find(b um.BlockID, insert bool) int {
 	row := t.row(b)
-	set := t.sets[row]
-	for i := range set {
-		if set[i].valid && set[i].tag == b {
-			// Move to front: MRU within the set.
-			e := set[i]
-			copy(set[1:i+1], set[:i])
-			set[0] = e
-			return &set[0]
+	g := t.group(row)
+	if g < 0 {
+		if !insert {
+			return -1
+		}
+		g = t.addGroup(row)
+	}
+	first, n := g*t.cfg.Assoc, int(t.nways[g])
+	for way, tag := range t.tags[first : first+n] {
+		if tag == b {
+			t.toFront(g, way)
+			return g
 		}
 	}
 	if !insert {
-		return nil
+		return -1
 	}
-	e := entry{tag: b, valid: true, succs: make([][]um.BlockID, t.cfg.NumLevels)}
-	if len(set) < t.cfg.Assoc {
-		set = append([]entry{e}, set...)
-	} else {
-		copy(set[1:], set[:len(set)-1]) // drop LRU way
-		set[0] = e
+	if n < t.cfg.Assoc {
+		n++
+		t.nways[g] = int32(n)
 	}
-	t.sets[row] = set
-	return &t.sets[row][0]
+	// Way n-1 is either free or the LRU entry; it becomes the new entry.
+	t.toFront(g, n-1)
+	t.tags[first] = b
+	clear(t.nsuccs[first*t.cfg.NumLevels:][:t.cfg.NumLevels])
+	return g
+}
+
+// toFront moves way w of group g, with its successor lists, to way 0 and
+// shifts ways 0..w-1 back by one.
+func (t *BlockTable) toFront(g, w int) {
+	if w == 0 {
+		return
+	}
+	first, levels := g*t.cfg.Assoc, t.cfg.NumLevels
+	rotateRight(t.tags[first:][:w+1], 1)
+	rotateRight(t.nsuccs[first*levels:][:(w+1)*levels], levels)
+	span := levels * t.cfg.NumSuccs
+	rotateRight(t.succs[first*span:][:(w+1)*span], span)
+}
+
+// rotateRight moves the last k elements of s to its front, in place.
+func rotateRight[T any](s []T, k int) {
+	slices.Reverse(s)
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
 }
 
 // RecordMiss feeds one faulted UM block into the table: b becomes the
@@ -139,8 +232,8 @@ func (t *BlockTable) RecordMiss(b um.BlockID) {
 		if pred == um.NoBlock || pred == b {
 			continue
 		}
-		e := t.find(pred, true)
-		e.succs[level] = mruInsert(e.succs[level], b, t.cfg.NumSuccs)
+		g := t.find(pred, true)
+		t.mruInsert(g*t.cfg.Assoc*t.cfg.NumLevels+level, b)
 	}
 	// Shift the miss history.
 	copy(t.last[1:], t.last[:len(t.last)-1])
@@ -152,42 +245,45 @@ func (t *BlockTable) RecordMiss(b um.BlockID) {
 	t.End = b
 }
 
-// mruInsert puts b at the front of list, removing an existing occurrence and
-// truncating to limit.
-func mruInsert(list []um.BlockID, b um.BlockID, limit int) []um.BlockID {
-	for i, x := range list {
-		if x == b {
-			copy(list[1:i+1], list[:i])
-			list[0] = b
-			return list
+// mruInsert puts b at the front of list i, removing an existing occurrence
+// and dropping the last block when the list is full.
+func (t *BlockTable) mruInsert(i int, b um.BlockID) {
+	list := t.succs[i*t.cfg.NumSuccs:][:t.cfg.NumSuccs]
+	n := int(t.nsuccs[i])
+	at := slices.Index(list[:n], b)
+	if at < 0 {
+		if n < len(list) {
+			n++
+			t.nsuccs[i] = int32(n)
 		}
+		at = n - 1
 	}
-	list = append(list, um.NoBlock)
-	copy(list[1:], list[:len(list)-1])
+	copy(list[1:at+1], list[:at])
 	list[0] = b
-	if len(list) > limit {
-		list = list[:limit]
-	}
-	return list
 }
 
 // Successors returns the level-0 successor blocks of b, MRU first, or nil if
-// b has no entry. The returned slice is shared; callers must not modify it.
+// b has none. Like every lookup it moves b's entry to the MRU way of its
+// set. The returned slice aliases the table: it is valid until the next
+// call on the table, and callers must not modify it.
 func (t *BlockTable) Successors(b um.BlockID) []um.BlockID {
-	e := t.find(b, false)
-	if e == nil {
-		return nil
-	}
-	return e.succs[0]
+	return t.SuccessorsAt(b, 0)
 }
 
-// SuccessorsAt returns the successor list at the given level.
+// SuccessorsAt returns the successor list at the given level, under the
+// same rules as Successors.
 func (t *BlockTable) SuccessorsAt(b um.BlockID, level int) []um.BlockID {
-	e := t.find(b, false)
-	if e == nil || level >= len(e.succs) {
+	g := t.find(b, false)
+	if g < 0 || level < 0 || level >= t.cfg.NumLevels {
 		return nil
 	}
-	return e.succs[level]
+	i := g*t.cfg.Assoc*t.cfg.NumLevels + level
+	n := int(t.nsuccs[i])
+	if n == 0 {
+		return nil
+	}
+	lo := i * t.cfg.NumSuccs
+	return t.succs[lo : lo+n : lo+n]
 }
 
 // ResetCursor clears the miss-history pointers at a kernel-invocation
@@ -204,17 +300,29 @@ func (t *BlockTable) ResetCursor() {
 // Entries returns the number of valid entries across all sets.
 func (t *BlockTable) Entries() int {
 	n := 0
-	for _, set := range t.sets {
-		n += len(set)
+	for _, w := range t.nways {
+		n += int(w)
 	}
 	return n
+}
+
+// sortedRows appends the table's (row, group) pairs to dst in row order.
+func (t *BlockTable) sortedRows(dst []rowSlot) []rowSlot {
+	for _, sl := range t.index {
+		if sl.group != 0 {
+			dst = append(dst, rowSlot{row: sl.row, group: sl.group - 1})
+		}
+	}
+	slices.SortFunc(dst, func(a, b rowSlot) int { return a.row - b.row })
+	return dst
 }
 
 // SizeBytes estimates the memory footprint of the table as allocated by the
 // DeepUM driver: the full NumRows x Assoc array of entries, each holding a
 // tag and NumLevels x NumSuccs successor slots, plus the table header. This
 // matches the paper's Table 4 accounting, where a table is allocated in full
-// when a new execution ID appears.
+// when a new execution ID appears. It is the driver's cost, not this
+// table's heap, which holds only the rows that have held an entry.
 func (t *BlockTable) SizeBytes() int64 {
 	entryBytes := int64(8 + t.cfg.NumLevels*t.cfg.NumSuccs*8)
 	return int64(t.cfg.NumRows)*int64(t.cfg.Assoc)*entryBytes + 64

@@ -176,6 +176,14 @@ func ReadCheckpoint(r io.Reader) (*Tables, error) {
 	return DecodeTables(payload)
 }
 
+// maxGroupSlots bounds the block slots one occupied row of a decoded table
+// reserves: Assoc tags plus Assoc*NumLevels*NumSuccs successors. A decoded
+// row that holds a way costs at least 16 stream bytes, so the bound keeps
+// what DecodeTables allocates within a constant factor of what it reads,
+// whatever the declared geometry. Table 6's largest row (4 ways of 4
+// successors) takes 20 slots.
+const maxGroupSlots = 1 << 10
+
 // --- encoding ---
 
 // payloadLen is the exact length appendPayload writes for t.
@@ -185,14 +193,13 @@ func payloadLen(t *Tables) int {
 		n += 4 + 4 + len(recs)*(HistoryLen+1)*4
 	}
 	for _, bt := range t.blocks {
-		n += 4 + 8 + 8 + 8*len(bt.last) + 1
-		for _, set := range bt.sets {
-			n += 4
-			for _, e := range set {
-				n += 8
-				for level := 0; level < bt.cfg.NumLevels; level++ {
-					n += 4 + 8*len(e.succs[level])
-				}
+		levels := bt.cfg.NumLevels
+		n += 4 + 8 + 8 + 8*len(bt.last) + 1 + 4*bt.cfg.NumRows
+		for g, ways := range bt.nways {
+			n += 8 * int(ways)
+			first := g * bt.cfg.Assoc * levels
+			for _, c := range bt.nsuccs[first : first+int(ways)*levels] {
+				n += 4 + 8*int(c)
 			}
 		}
 	}
@@ -229,6 +236,7 @@ func appendPayload(buf []byte, t *Tables) []byte {
 	// UM-block tables, sorted by execution ID.
 	bids := t.ExecIDs()
 	buf = le.AppendUint32(buf, uint32(len(bids)))
+	var rows []rowSlot
 	for _, id := range bids {
 		bt := t.blocks[id]
 		buf = le.AppendUint32(buf, uint32(id))
@@ -242,17 +250,34 @@ func appendPayload(buf []byte, t *Tables) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
-		for _, set := range bt.sets {
-			buf = le.AppendUint32(buf, uint32(len(set)))
-			for _, e := range set {
-				buf = le.AppendUint64(buf, uint64(e.tag))
-				for level := 0; level < bt.cfg.NumLevels; level++ {
-					succs := e.succs[level]
-					buf = le.AppendUint32(buf, uint32(len(succs)))
-					for _, s := range succs {
-						buf = le.AppendUint64(buf, uint64(s))
-					}
-				}
+		// Every row writes its way count, empty rows included, in row
+		// order.
+		rows = bt.sortedRows(rows[:0])
+		next := 0
+		for _, rs := range rows {
+			buf = append(buf, make([]byte, 4*(rs.row-next))...)
+			buf = appendGroup(buf, bt, rs.group)
+			next = rs.row + 1
+		}
+		buf = append(buf, make([]byte, 4*(bt.cfg.NumRows-next))...)
+	}
+	return buf
+}
+
+// appendGroup writes group g of bt: its way count, then each way's tag and
+// successor lists in MRU order.
+func appendGroup(buf []byte, bt *BlockTable, g int) []byte {
+	le := binary.LittleEndian
+	ways, levels, stride := int(bt.nways[g]), bt.cfg.NumLevels, bt.cfg.NumSuccs
+	first := g * bt.cfg.Assoc
+	buf = le.AppendUint32(buf, uint32(ways))
+	for way := first; way < first+ways; way++ {
+		buf = le.AppendUint64(buf, uint64(bt.tags[way]))
+		for i := way * levels; i < (way+1)*levels; i++ {
+			n := int(bt.nsuccs[i])
+			buf = le.AppendUint32(buf, uint32(n))
+			for _, s := range bt.succs[i*stride:][:n] {
+				buf = le.AppendUint64(buf, uint64(s))
 			}
 		}
 	}
@@ -271,6 +296,11 @@ func decodePayload(d *decoder) *Tables {
 	}
 	if cfg.NumRows < 1 || cfg.Assoc < 1 || cfg.NumSuccs < 1 || cfg.NumLevels < 1 {
 		d.fail("invalid block-table config %+v", cfg)
+		return nil
+	}
+	if cfg.Assoc > maxGroupSlots || cfg.NumSuccs > maxGroupSlots || cfg.NumLevels > maxGroupSlots ||
+		cfg.Assoc*(1+cfg.NumLevels*cfg.NumSuccs) > maxGroupSlots {
+		d.fail("block-table config %+v reserves more than %d slots per row", cfg, maxGroupSlots)
 		return nil
 	}
 	t := NewTables(cfg)
@@ -303,7 +333,8 @@ func decodePayload(d *decoder) *Tables {
 		// Every decoded block table spends >= 4 bytes per row (the way
 		// count) and 8 per level (the last-miss block), so a config whose
 		// dimensions outrun the remaining stream is corrupt; reject it
-		// BEFORE NewBlockTable allocates NumRows sets from a hostile count.
+		// BEFORE NewBlockTable sizes its miss history from a hostile
+		// NumLevels. A row takes memory only once a way is read for it.
 		if !d.fits(cfg.NumRows, 4) || !d.fits(cfg.NumLevels, 8) {
 			return nil
 		}
@@ -324,29 +355,25 @@ func decodePayload(d *decoder) *Tables {
 				return nil
 			}
 			if nWays == 0 {
-				continue // an empty row stays nil
+				continue // an empty row takes no group
 			}
-			set := make([]entry, 0, nWays)
-			for way := 0; way < nWays; way++ {
-				e := entry{tag: um.BlockID(d.i64()), valid: true,
-					succs: make([][]um.BlockID, cfg.NumLevels)}
-				for level := 0; level < cfg.NumLevels; level++ {
+			g := bt.addGroup(row)
+			bt.nways[g] = int32(nWays)
+			for way := g * cfg.Assoc; way < g*cfg.Assoc+nWays; way++ {
+				bt.tags[way] = um.BlockID(d.i64())
+				for i := way * cfg.NumLevels; i < (way+1)*cfg.NumLevels; i++ {
 					nSuccs := int(d.u32())
 					if d.err != nil || !d.fits(nSuccs, 8) || nSuccs > cfg.NumSuccs {
 						d.fail("entry has %d successors (limit %d)", nSuccs, cfg.NumSuccs)
 						return nil
 					}
-					if nSuccs > 0 {
-						succs := make([]um.BlockID, 0, nSuccs)
-						for s := 0; s < nSuccs; s++ {
-							succs = append(succs, um.BlockID(d.i64()))
-						}
-						e.succs[level] = succs
+					bt.nsuccs[i] = int32(nSuccs)
+					list := bt.succs[i*cfg.NumSuccs:][:nSuccs]
+					for s := range list {
+						list[s] = um.BlockID(d.i64())
 					}
 				}
-				set = append(set, e)
 			}
-			bt.sets[row] = set
 		}
 		t.blocks[id] = bt
 	}

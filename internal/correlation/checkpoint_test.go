@@ -189,3 +189,31 @@ func flipByte(b []byte, i int) []byte {
 	out[i] ^= 0xFF
 	return out
 }
+
+// TestDecodeBoundsRowGeometry: a decoded table reserves its declared
+// geometry for each used row, so a geometry past maxGroupSlots is rejected
+// rather than allocated, while the same single row under the paper's
+// geometry, or one at the bound, decodes and re-encodes unchanged.
+func TestDecodeBoundsRowGeometry(t *testing.T) {
+	for _, g := range []struct {
+		assoc, succs uint32
+		ok           bool
+	}{
+		{2, 4, true},
+		{maxGroupSlots / 2, 1, true},
+		{maxGroupSlots/2 + 1, 1, false},
+		{1, maxGroupSlots - 1, true},
+		{1, maxGroupSlots, false},
+		{0x7fffffff, 1, false},
+		{1, 0x7fffffff, false},
+	} {
+		payload := singleRowPayload(g.assoc, g.succs)
+		tbl, err := DecodeTables(payload)
+		if (err == nil) != g.ok {
+			t.Fatalf("assoc %d, %d successors: err %v, want ok=%v", g.assoc, g.succs, err, g.ok)
+		}
+		if err == nil && !bytes.Equal(EncodeTables(tbl), payload) {
+			t.Fatalf("assoc %d, %d successors: re-encoded payload differs", g.assoc, g.succs)
+		}
+	}
+}

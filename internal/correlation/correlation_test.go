@@ -170,6 +170,22 @@ func TestBlockTableTwoLevels(t *testing.T) {
 	}
 }
 
+// TestBlockTableLookupAllocatesNothing: Successors hands out a view of the
+// table's successor slab, so the chain walk's lookups never allocate.
+func TestBlockTableLookupAllocatesNothing(t *testing.T) {
+	bt := NewBlockTable(DefaultBlockTableConfig())
+	for _, b := range []um.BlockID{1, 2, 3, 1, 4} {
+		bt.RecordMiss(b)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if len(bt.Successors(1)) != 2 || bt.Successors(99) != nil {
+			t.Fatal("lookups changed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Successors allocates %v times per call", allocs)
+	}
+}
+
 func TestBlockTableConfigClamp(t *testing.T) {
 	bt := NewBlockTable(BlockTableConfig{})
 	cfg := bt.Config()

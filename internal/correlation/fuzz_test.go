@@ -40,6 +40,20 @@ func envelopeV2(nameLen uint32, name string, payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// singleRowPayload is a correlation payload whose one block table, of one
+// row and one level, holds a single way with a single successor, under the
+// given associativity and successor count.
+func singleRowPayload(assoc, succs uint32) []byte {
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	return bytes.Join([][]byte{
+		u32le(1), u32le(assoc), u32le(succs), u32le(1), // cfg rows/assoc/succs/levels
+		u32le(0),           // no exec entries
+		u32le(1), u32le(7), // one block table, id 7
+		u64(10), u64(11), u64(11), {0}, // start, end, last, pending
+		u32le(1), u64(10), u32le(1), u64(11), // row 0: one way, tag 10, successor 11
+	}, nil)
+}
+
 // FuzzReadCheckpoint feeds ReadCheckpoint adversarial streams. Whatever the
 // input — truncated, bit-flipped, or CRC-valid with hostile length fields —
 // the decoder must either return working tables or an error: never panic,
@@ -85,6 +99,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 		make([]byte, 8+8+8+1), // start/end/last/pending
 		u32le(0x7ffffff0),     // nWays
 	}, nil)))
+	// One used row with one way and one successor under a geometry that
+	// declares 2^31-1 ways or successors per row: a layout reserving the
+	// declared geometry per row would ask for gigabytes.
+	f.Add(envelope(singleRowPayload(0x7fffffff, 1)))
+	f.Add(envelope(singleRowPayload(1, 0x7fffffff)))
 	// Current (v2, named) envelopes: a valid frame, and hostile name fields.
 	// The decoder must reject a bad name BEFORE touching the payload; the
 	// correlation reader must reject well-formed frames naming another

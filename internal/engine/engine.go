@@ -479,8 +479,8 @@ func (e *exec) allocTensor(id workload.TensorID) error {
 
 func (e *exec) markHostPopulated(id workload.TensorID) {
 	t := e.cfg.Program.Tensors[id]
-	base := e.bases[id]
-	for _, b := range um.BlocksOf(base, t.Bytes) {
+	first, last := um.BlockSpan(e.bases[id], t.Bytes)
+	for b := first; b <= last; b++ {
 		e.space.Block(b).HostPopulated = true
 	}
 }
@@ -629,8 +629,8 @@ func (e *exec) iteration() error {
 	// The host wrote a fresh minibatch: device copies of the input tensors
 	// are stale and get unmapped without writeback.
 	for _, id := range e.inputs {
-		t := e.cfg.Program.Tensors[id]
-		for _, b := range um.BlocksOf(e.bases[id], t.Bytes) {
+		first, last := um.BlockSpan(e.bases[id], e.cfg.Program.Tensors[id].Bytes)
+		for b := first; b <= last; b++ {
 			e.res.Remove(b)
 			e.space.Block(b).HostPopulated = true
 		}
@@ -813,9 +813,9 @@ func (e *exec) touches(k *workload.Kernel) []touch {
 			continue // tensor not allocated (defensive; Build validates)
 		}
 		bytes := e.cfg.Program.Tensors[a.Tensor].Bytes
-		blocks := um.BlocksOf(base, bytes)
+		first, last := um.BlockSpan(base, bytes)
 		if !a.Irregular {
-			for _, b := range blocks {
+			for b := first; b <= last; b++ {
 				e.touchBuf = append(e.touchBuf, touch{b, um.PagesIn(base, bytes, b), a.Write})
 			}
 			continue
@@ -836,7 +836,7 @@ func (e *exec) touches(k *workload.Kernel) []touch {
 			pagesPerBlock = 1
 		}
 		start := len(e.touchBuf)
-		for _, b := range blocks {
+		for b := first; b <= last; b++ {
 			if frac < 1 && e.rng.Float64() >= frac {
 				continue
 			}

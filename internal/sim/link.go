@@ -20,9 +20,9 @@ func (d Direction) String() string {
 // TransferPerturber lets a fault-injection layer (internal/chaos) perturb
 // individual transfers: it receives the scheduled start time, size,
 // direction, and unperturbed occupancy of a transfer and returns the
-// occupancy to charge plus whether the transfer transiently fails. A failed
-// transfer still occupies the link (the attempt ran and delivered garbage);
-// the caller decides whether and when to retry.
+// occupancy to charge, never negative, plus whether the transfer
+// transiently fails. A failed transfer still occupies the link (the attempt
+// ran and delivered garbage); the caller decides whether and when to retry.
 type TransferPerturber interface {
 	PerturbTransfer(at Time, n int64, dir Direction, base Duration) (Duration, bool)
 }
@@ -151,11 +151,12 @@ func (l *Link) Reset() {
 // the energy meter sees link-active time without double counting overlap.
 type Duplex struct {
 	h2d, d2h *Link
+	tl       *Timeline
 }
 
 // NewDuplex returns an idle duplex link; tl may be nil.
 func NewDuplex(p Params, tl *Timeline) *Duplex {
-	return &Duplex{h2d: NewLink(p, tl), d2h: NewLink(p, tl)}
+	return &Duplex{h2d: NewLink(p, tl), d2h: NewLink(p, tl), tl: tl}
 }
 
 // SetPerturber installs a fault injector on both lanes; nil removes it.
@@ -172,13 +173,28 @@ func (d *Duplex) SetObserver(o TransferObserver) {
 
 // Reserve schedules a transfer on the lane of dir.
 func (d *Duplex) Reserve(at Time, n int64, dir Direction) (start, end Time) {
-	return d.lane(dir).Reserve(at, n, dir)
+	start, end = d.lane(dir).Reserve(at, n, dir)
+	d.sealTimeline()
+	return start, end
 }
 
 // ReserveChecked schedules a transfer on the lane of dir, surfacing
 // injected transient failures to the caller.
 func (d *Duplex) ReserveChecked(at Time, n int64, dir Direction) (start, end Time, ok bool) {
-	return d.lane(dir).ReserveChecked(at, n, dir)
+	start, end, ok = d.lane(dir).ReserveChecked(at, n, dir)
+	d.sealTimeline()
+	return start, end, ok
+}
+
+// sealTimeline folds the timeline's intervals that no later reservation
+// can touch. A lane's reservation starts at or after its BusyUntil, and
+// BusyUntil never decreases (each reservation ends at or after its start,
+// transfer times and perturbed occupancies being non-negative), so no
+// later interval on either lane starts before the earlier of the two.
+func (d *Duplex) sealTimeline() {
+	if d.tl != nil {
+		d.tl.seal(min(d.h2d.busyUnt, d.d2h.busyUnt))
+	}
 }
 
 // BusyUntil reports when the lane of dir drains.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -194,6 +195,72 @@ func TestTimelineQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDuplexSealingMatchesUnsealed feeds random two-lane reservation
+// streams to a duplex, whose timeline seals as it goes, and every reserved
+// interval to a timeline that never seals. Busy must agree after every
+// reservation, and the sealing timeline must stay valid and small.
+func TestDuplexSealingMatchesUnsealed(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var sealing, plain Timeline
+		d := NewDuplex(DefaultParams(), &sealing)
+		d.SetObserver(func(start, end Time, _ int64, _ Direction, _ bool) { plain.Add(start, end) })
+		var now Time
+		maxKept := 0
+		for i := 0; i < 400; i++ {
+			dir := HostToDevice
+			if rng.Intn(3) == 0 {
+				dir = DeviceToHost
+			}
+			// Requests trail, meet or run ahead of the lane; some lanes go
+			// idle for long stretches.
+			now = now.Add(Duration(rng.Int63n(100_000)))
+			at := now - Time(rng.Int63n(1_000_000))
+			d.Reserve(max(at, 0), 1+rng.Int63n(BlockSize/4), dir)
+			if sealing.Busy() != plain.Busy() {
+				t.Fatalf("seed %d step %d: sealing busy %v, unsealed busy %v", seed, i, sealing.Busy(), plain.Busy())
+			}
+			if err := sealing.Validate(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+			// The folded prefix is dropped once it is half the slice.
+			if len(sealing.intervals) > 2*sealing.Len() {
+				t.Fatalf("seed %d step %d: %d intervals stored for %d kept", seed, i, len(sealing.intervals), sealing.Len())
+			}
+			maxKept = max(maxKept, sealing.Len())
+		}
+		if err := plain.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if maxKept > plain.Len()/4 {
+			t.Fatalf("seed %d: sealing kept up to %d intervals, the unsealed timeline %d", seed, maxKept, plain.Len())
+		}
+	}
+}
+
+// TestTimelineRejectsAddBeforeSeal: an interval that starts before the
+// sealed bound may overlap folded time, so Validate must report it.
+func TestTimelineRejectsAddBeforeSeal(t *testing.T) {
+	var tl Timeline
+	tl.Add(0, 10)
+	tl.Add(20, 30)
+	tl.seal(15)
+	if tl.Len() != 1 || tl.Busy() != 20 {
+		t.Fatalf("after seal: len=%d busy=%v, want 1 and 20", tl.Len(), tl.Busy())
+	}
+	if err := tl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	tl.Add(15, 25) // starts at the bound: fine
+	if err := tl.Validate(); err != nil || tl.Busy() != 25 {
+		t.Fatalf("add at the bound: busy=%v err=%v", tl.Busy(), err)
+	}
+	tl.Add(5, 12)
+	if err := tl.Validate(); err == nil {
+		t.Fatal("an Add before the sealed bound passed Validate")
 	}
 }
 

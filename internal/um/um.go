@@ -152,19 +152,13 @@ func (s *Space) Block(b BlockID) *Block {
 // AllocatedBytes returns the total live UM allocation.
 func (s *Space) AllocatedBytes() int64 { return s.allocatedBytes }
 
-// BlocksOf returns the IDs of all blocks overlapped by [base, base+n),
-// in ascending address order.
-func BlocksOf(base Addr, n int64) []BlockID {
+// BlockSpan returns the first and last blocks overlapped by [base, base+n);
+// last is below first when n is not positive.
+func BlockSpan(base Addr, n int64) (first, last BlockID) {
 	if n <= 0 {
-		return nil
+		return 0, -1
 	}
-	first := BlockOf(base)
-	last := BlockOf(base + Addr(n-1))
-	out := make([]BlockID, 0, last-first+1)
-	for b := first; b <= last; b++ {
-		out = append(out, b)
-	}
-	return out
+	return BlockOf(base), BlockOf(base + Addr(n-1))
 }
 
 // PagesIn returns how many pages of [base, base+n) fall inside block b.

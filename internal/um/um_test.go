@@ -31,7 +31,7 @@ func TestSpaceMallocFree(t *testing.T) {
 	if s.AllocatedBytes() != 10*sim.MiB {
 		t.Fatalf("allocated = %d, want 10MiB", s.AllocatedBytes())
 	}
-	blocks := BlocksOf(a, 10*sim.MiB)
+	blocks := blocksOf(a, 10*sim.MiB)
 	if len(blocks) != 5 {
 		t.Fatalf("10MiB spans %d blocks, want 5", len(blocks))
 	}
@@ -111,10 +111,21 @@ func TestPagesIn(t *testing.T) {
 	}
 }
 
-func TestBlocksOfEmpty(t *testing.T) {
-	if got := BlocksOf(0, 0); got != nil {
-		t.Fatalf("BlocksOf zero size = %v", got)
+func TestBlockSpanEmpty(t *testing.T) {
+	for _, a := range []Addr{0, 1, Addr(sim.BlockSize)} {
+		if first, last := BlockSpan(a, 0); last >= first {
+			t.Fatalf("BlockSpan(%d, 0) = [%d, %d], want empty", a, first, last)
+		}
 	}
+}
+
+// blocksOf lists the blocks [base, base+n) overlaps, in address order.
+func blocksOf(base Addr, n int64) []BlockID {
+	var bs []BlockID
+	for b, last := BlockSpan(base, n); b <= last; b++ {
+		bs = append(bs, b)
+	}
+	return bs
 }
 
 func TestRangeAllocatorReuse(t *testing.T) {
@@ -221,7 +232,7 @@ func newTestHandler(gpuBlocks int64) (*Handler, *Space) {
 func TestResidencyLRMOrder(t *testing.T) {
 	h, s := newTestHandler(10)
 	a, _ := s.Malloc(3 * sim.BlockSize)
-	bs := BlocksOf(a, 3*sim.BlockSize)
+	bs := blocksOf(a, 3*sim.BlockSize)
 	h.Res.Insert(bs[0], sim.PagesPerBlock, 10, 10)
 	h.Res.Insert(bs[1], sim.PagesPerBlock, 20, 20)
 	h.Res.Insert(bs[2], sim.PagesPerBlock, 30, 30)
@@ -251,7 +262,7 @@ func TestResidencyLRMOrder(t *testing.T) {
 func TestResidencyAccounting(t *testing.T) {
 	h, s := newTestHandler(4)
 	a, _ := s.Malloc(2 * sim.BlockSize)
-	bs := BlocksOf(a, 2*sim.BlockSize)
+	bs := blocksOf(a, 2*sim.BlockSize)
 	if h.Res.Free() != 4*sim.BlockSize {
 		t.Fatalf("free = %d", h.Res.Free())
 	}
@@ -277,7 +288,7 @@ func faultWholeBlock(h *Handler, now sim.Time, b BlockID, write bool) sim.Time {
 func TestHandlerMigratesFaultedBlocks(t *testing.T) {
 	h, s := newTestHandler(10)
 	a, _ := s.Malloc(2 * sim.BlockSize)
-	bs := BlocksOf(a, 2*sim.BlockSize)
+	bs := blocksOf(a, 2*sim.BlockSize)
 	s.Block(bs[0]).HostPopulated = true
 	s.Block(bs[1]).HostPopulated = true
 	var migrated []BlockID
@@ -365,7 +376,7 @@ func TestHandlerEmptyBatch(t *testing.T) {
 func TestHandlerEvictsWhenFull(t *testing.T) {
 	h, s := newTestHandler(2) // room for 2 blocks
 	a, _ := s.Malloc(3 * sim.BlockSize)
-	bs := BlocksOf(a, 3*sim.BlockSize)
+	bs := blocksOf(a, 3*sim.BlockSize)
 	faultWholeBlock(h, 0, bs[0], true)
 	faultWholeBlock(h, 0, bs[1], true)
 	if h.Stats.BlocksEvicted != 0 {
@@ -408,7 +419,7 @@ func (invalidateAll) CanInvalidate(BlockID) bool { return true }
 func TestHandlerInvalidationSkipsTransfer(t *testing.T) {
 	h, s := newTestHandler(1)
 	a, _ := s.Malloc(2 * sim.BlockSize)
-	bs := BlocksOf(a, 2*sim.BlockSize)
+	bs := blocksOf(a, 2*sim.BlockSize)
 	h.Invalidator = invalidateAll{}
 	faultWholeBlock(h, 0, bs[0], true)
 	faultWholeBlock(h, 0, bs[1], true)
@@ -455,7 +466,7 @@ func TestHandlerZeroPageFault(t *testing.T) {
 func TestLRMPolicySelectsEnough(t *testing.T) {
 	h, s := newTestHandler(8)
 	a, _ := s.Malloc(5 * sim.BlockSize)
-	bs := BlocksOf(a, 5*sim.BlockSize)
+	bs := blocksOf(a, 5*sim.BlockSize)
 	for i, b := range bs {
 		h.Res.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
 	}

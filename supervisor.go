@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"deepum/internal/correlation"
@@ -55,17 +56,62 @@ func NewFederation(cfg FederationOptions) (*Federation, error) {
 
 // EstimateMemoryDemand is the default admission estimator: a run is
 // charged its workload's scaled memory footprint against the supervisor's
-// simulated GPU memory budget.
+// simulated GPU memory budget. A footprint depends only on the workload
+// and the scale, so each is built once and then remembered.
 func EstimateMemoryDemand(spec RunSpec) (int64, error) {
 	scale := spec.Scale
 	if scale < 1 {
 		scale = DefaultConfig().Scale
 	}
+	key := footprintKey{model: spec.Model, dataset: spec.Dataset, batch: spec.Batch, scale: scale}
+	if n, ok := footprints.get(key); ok {
+		return n, nil
+	}
 	prog, err := BuildProgram(Workload{Model: spec.Model, Dataset: spec.Dataset, Batch: spec.Batch}, scale)
 	if err != nil {
 		return 0, err
 	}
-	return prog.FootprintBytes(), nil
+	n := prog.FootprintBytes()
+	footprints.put(key, n)
+	return n, nil
+}
+
+// footprints remembers EstimateMemoryDemand's answers. Sharing one table
+// across supervisors is safe because a footprint is a pure function of
+// its key.
+var footprints footprintCache
+
+type footprintKey struct {
+	model, dataset string
+	batch, scale   int64
+}
+
+// footprintCacheCap bounds the table: a server accepts arbitrary specs,
+// so a full table is cleared rather than grown.
+const footprintCacheCap = 256
+
+type footprintCache struct {
+	mu sync.Mutex
+	m  map[footprintKey]int64
+}
+
+func (c *footprintCache) get(k footprintKey) (int64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.m[k]
+	return n, ok
+}
+
+func (c *footprintCache) put(k footprintKey, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = make(map[footprintKey]int64)
+	}
+	if len(c.m) >= footprintCacheCap {
+		clear(c.m)
+	}
+	c.m[k] = n
 }
 
 // TrainRunner returns the supervisor runner backed by TrainContext. It

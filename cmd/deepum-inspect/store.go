@@ -139,8 +139,9 @@ func runStore(args []string) {
 		fmt.Printf("checkpoint records   %d by reference, %d inline\n", refRecords, inlineRecords)
 		// Garbage ratio: the fraction of store keys no unfinished run's
 		// latest reference holds — what a compaction against these journals
-		// would reclaim (supervisors auto-compact past
-		// Config.StoreGCThreshold; federations via Federation.StoreGC).
+		// would reclaim (a supervisor that is its store's only writer
+		// compacts past Config.StoreGCThreshold; a federation's shared
+		// store is never compacted).
 		if rep.Keys > 0 {
 			liveKeys := 0
 			for k := range live {

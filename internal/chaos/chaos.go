@@ -258,42 +258,19 @@ func (in *Injector) ShrinkTables(cfg correlation.BlockTableConfig) correlation.B
 	return cfg
 }
 
-// Retry/backoff policy shared by the migration engine's consumers. Backoff
-// is exponential in virtual time and bounded, so a flaky link degrades
-// throughput without ever wedging the clock.
-const (
-	// RetryBackoffBase is the virtual-time wait before the first retry.
-	RetryBackoffBase = 10 * sim.Duration(1000) // 10us
-	// MaxPrefetchRetries bounds retries for background prefetch transfers;
-	// past it the command is abandoned and the block falls back to
-	// on-demand faulting (correct, merely slower).
-	MaxPrefetchRetries = 3
-	// MaxDemandRetries bounds retries on the demand path. The injector's
-	// MaxConsecutiveFails guarantee means this bound is never reached, but
-	// the handler enforces it anyway: past it the transfer is taken as
-	// delivered (a real driver would reset the link) so forward progress
-	// is unconditional.
-	MaxDemandRetries = 16
-)
+// MaxPrefetchRetries bounds retries for background prefetch transfers;
+// past it the command is abandoned and the block falls back to on-demand
+// faulting (correct, merely slower).
+const MaxPrefetchRetries = 3
 
-// Backoff returns the bounded exponential backoff before retry attempt
-// (0-indexed), and records it in the stats.
+// Backoff returns sim.RetryBackoff(attempt), the wait before a prefetch
+// transfer's retry attempt (0-indexed), and records it in the stats.
 func (in *Injector) Backoff(attempt int) sim.Duration {
-	if attempt > 6 {
-		attempt = 6
-	}
-	d := RetryBackoffBase << attempt
+	d := sim.RetryBackoff(attempt)
 	if in != nil {
 		in.Stats.BackoffTime += d
 	}
 	return d
-}
-
-// NoteDemandRetry counts one demand-path retry attempt.
-func (in *Injector) NoteDemandRetry() {
-	if in != nil {
-		in.Stats.DemandRetries++
-	}
 }
 
 // NotePrefetchRetry counts one prefetch retry attempt.

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"testing"
+	"time"
 
 	"deepum/internal/correlation"
 	"deepum/internal/sim"
@@ -62,7 +63,6 @@ func TestNilInjectorInert(t *testing.T) {
 	if in.ShrinkTables(cfg) != cfg {
 		t.Fatal("nil injector shrank the tables")
 	}
-	in.NoteDemandRetry()
 	in.NotePrefetchRetry()
 	in.NotePrefetchGiveUp()
 	if in.NoteKernelLaunch() {
@@ -194,21 +194,30 @@ func TestConsecutiveFailureBound(t *testing.T) {
 	}
 }
 
+// TestBackoffBounded: the one retry backoff, sim.RetryBackoff, starts at
+// 10 µs and doubles up to its cap at attempt 6; the injector's Backoff
+// returns it and adds it to Stats.BackoffTime.
 func TestBackoffBounded(t *testing.T) {
-	var in *Injector
 	prev := sim.Duration(0)
-	for a := 0; a < 6; a++ {
-		b := in.Backoff(a)
+	for a := 0; a <= 6; a++ {
+		b := sim.RetryBackoff(a)
 		if b <= prev {
-			t.Fatalf("backoff not increasing: Backoff(%d) = %d after %d", a, b, prev)
+			t.Fatalf("backoff not increasing: RetryBackoff(%d) = %d after %d", a, b, prev)
 		}
 		prev = b
 	}
-	if in.Backoff(6) != in.Backoff(100) {
-		t.Fatalf("backoff unbounded: Backoff(6)=%d, Backoff(100)=%d", in.Backoff(6), in.Backoff(100))
+	if sim.RetryBackoff(6) != sim.RetryBackoff(100) {
+		t.Fatalf("backoff unbounded: RetryBackoff(6)=%d, RetryBackoff(100)=%d", sim.RetryBackoff(6), sim.RetryBackoff(100))
 	}
-	if in.Backoff(0) != RetryBackoffBase {
-		t.Fatalf("Backoff(0) = %d, want %d", in.Backoff(0), RetryBackoffBase)
+	if sim.RetryBackoff(0) != 10*time.Microsecond || sim.RetryBackoff(6) != 640*time.Microsecond {
+		t.Fatalf("RetryBackoff(0), (6) = %d, %d; want 10us, 640us", sim.RetryBackoff(0), sim.RetryBackoff(6))
+	}
+	in := NewInjector(Scenario{}, 1)
+	if in.Backoff(2) != sim.RetryBackoff(2) || in.Backoff(9) != sim.RetryBackoff(9) {
+		t.Fatal("Injector.Backoff differs from sim.RetryBackoff")
+	}
+	if want := sim.RetryBackoff(2) + sim.RetryBackoff(9); in.Stats.BackoffTime != want {
+		t.Fatalf("BackoffTime = %d, want %d", in.Stats.BackoffTime, want)
 	}
 }
 

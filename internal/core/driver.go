@@ -99,9 +99,9 @@ type Stats struct {
 	ProtectedSkipped int64 // eviction candidates skipped by the N-kernel rule
 }
 
-// Driver is the DeepUM driver state machine. It implements umrt.Driver (to
-// receive kernel-launch callbacks), um.EvictionPolicy (the §5.1 victim
-// policy), and um.Invalidator (§5.2).
+// Driver is the DeepUM driver state machine. It receives the engine's
+// kernel-launch callbacks (KernelLaunch, KernelComplete) and implements
+// um.EvictionPolicy (the §5.1 victim policy) and um.Invalidator (§5.2).
 type Driver struct {
 	opts Options
 
@@ -129,8 +129,8 @@ type Driver struct {
 	activeBytes map[um.BlockID]int64
 
 	// resident, when set, lets the prefetching thread skip blocks already
-	// on the device — it still marks them protected (they are predicted for
-	// the next N kernels) but issues no command for them.
+	// on the device: it issues no command for them and does not protect
+	// them, so a resident predicted block stays an eviction candidate.
 	resident func(um.BlockID) bool
 
 	// obs receives a prefetch-issue event per enqueued command; obsClock
@@ -152,8 +152,8 @@ type Driver struct {
 // HealthGate is the slice of the degradation ladder the prefetching thread
 // consults before creating new speculation (internal/health implements it).
 // It is the policy seam's Gate type: the driver forwards it to the policy,
-// which consults AllowPrefetchEnqueue and DegreeCap before emitting, while
-// the driver itself applies SpeculativeRequeue on the requeue path.
+// which consults DegreeCap before emitting, while the driver itself applies
+// SpeculativeRequeue on the requeue path.
 type HealthGate = policy.Gate
 
 // Compile-time interface checks.
@@ -314,8 +314,8 @@ func (d *Driver) SetObserver(rec *obs.Recorder, clock func() int64) {
 
 // SetHealthGate installs the degradation-ladder gate consulted before new
 // speculation is queued; nil disables gating. The gate is shared with the
-// policy (enqueue/degree capabilities) while the driver applies the
-// requeue capability itself.
+// policy (the degree capability) while the driver applies the requeue
+// capability itself.
 func (d *Driver) SetHealthGate(g HealthGate) {
 	d.gate = g
 	d.pol.SetGate(g)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"deepum/internal/metrics"
 	"deepum/internal/obs"
 	"deepum/internal/sim"
 )
@@ -18,8 +17,8 @@ import (
 // same graceful-degradation contract as the rest of the chaos hardening).
 // After a cooldown in virtual time it half-opens and probes with real
 // prefetches; one delivered transfer closes it, one failure reopens it.
-// Every transition is recorded in a metrics.TransitionLog for post-run
-// audit, and a run whose breaker ever opened finishes as StatusDegraded.
+// Every transition is recorded in the breaker's own log for post-run audit,
+// and a run whose breaker ever opened finishes as StatusDegraded.
 
 // Breaker state names, as reported in BreakerStats and the transition log.
 const (
@@ -53,8 +52,15 @@ type BreakerStats struct {
 	EverOpened bool
 	// ShortCircuited counts prefetch opportunities skipped while open.
 	ShortCircuited int64
-	// Transitions is the full state-transition log, virtual-time stamped.
-	Transitions []metrics.StateTransition
+	// Transitions is the full state-transition log, in order.
+	Transitions []BreakerTransition
+}
+
+// BreakerTransition is one breaker state change, stamped in virtual time.
+type BreakerTransition struct {
+	At       sim.Time
+	From, To string
+	Reason   string
 }
 
 // prefetchBreaker is the engine's breaker state machine. All methods are
@@ -66,7 +72,7 @@ type prefetchBreaker struct {
 	openedAt    sim.Time
 	opens       int64
 	short       int64
-	log         metrics.TransitionLog
+	log         []BreakerTransition
 
 	// obs, when attached, receives a breaker event per transition.
 	obs *obs.Recorder
@@ -131,7 +137,7 @@ func (b *prefetchBreaker) open(now sim.Time, reason string) {
 }
 
 func (b *prefetchBreaker) transition(now sim.Time, to, reason string) {
-	b.log.Record(int64(now), b.state, to, reason)
+	b.log = append(b.log, BreakerTransition{At: now, From: b.state, To: to, Reason: reason})
 	if b.obs != nil {
 		b.obs.Instant(obs.KindBreaker, obs.TrackBreaker, int64(now), b.state+"->"+to, 0, 0, 0)
 	}
@@ -153,6 +159,6 @@ func (b *prefetchBreaker) snapshot() BreakerStats {
 		Opens:          b.opens,
 		EverOpened:     b.opens > 0,
 		ShortCircuited: b.short,
-		Transitions:    b.log.Transitions(),
+		Transitions:    b.log,
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"deepum/internal/sim"
 	"deepum/internal/torchalloc"
 	"deepum/internal/um"
-	"deepum/internal/umrt"
 	"deepum/internal/workload"
 )
 
@@ -220,7 +219,6 @@ type exec struct {
 	linkTL  *sim.Timeline
 	alloc   *torchalloc.Allocator
 	handler *um.Handler
-	rt      *umrt.Runtime
 	driver  *core.Driver // nil for PolicyUM / PolicyIdeal
 	rng     *rand.Rand
 	chaos   *chaos.Injector    // nil-safe: methods on a nil injector inject nothing
@@ -229,6 +227,9 @@ type exec struct {
 	bases      map[workload.TensorID]um.Addr
 	inputs     []workload.TensorID
 	prefetched map[um.BlockID]bool
+	// execIDs maps a launch-command hash to its execution ID (launchID);
+	// nil without a driver, which is the only reader of the IDs.
+	execIDs map[uint64]correlation.ExecID
 	// pending is a prefetch command parked because eviction would have
 	// displaced protected blocks; retried on the next pump.
 	pending *core.PrefetchCommand
@@ -332,6 +333,7 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 		e.driver = drv
+		e.execIDs = make(map[uint64]correlation.ExecID)
 		policy = e.driver
 		invalidator = e.driver
 		if e.health != nil {
@@ -418,14 +420,7 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 		}
 	}
 	e.handler.OnEvicted = func(b um.BlockID) {
-		if e.prefetched[b] {
-			// Prefetched, never accessed, now evicted: the transfer was waste.
-			if e.obs != nil {
-				e.obs.Instant(obs.KindPrefetchWaste, obs.TrackDriver, int64(e.now), "", int64(b), 0, 0)
-			}
-			e.health.ObservePrefetchWaste(int64(e.now))
-		}
-		delete(e.prefetched, b)
+		e.dropPrefetched(b)
 		if e.evictedInCycle != nil {
 			e.evictedInCycle[b] = true
 		}
@@ -433,12 +428,6 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 			e.driver.NoteEviction(b)
 		}
 	}
-	// A nil *core.Driver inside the interface would not read as "no driver".
-	var launches umrt.Driver
-	if e.driver != nil {
-		launches = e.driver
-	}
-	e.rt = umrt.New(space, launches)
 
 	// Setup phase: allocate persistent tensors through the caching
 	// allocator, exactly as PyTorch would.
@@ -677,7 +666,13 @@ func (e *exec) kernel(k *workload.Kernel) error {
 	// current time and a pending escalation or recovery probe fires here,
 	// deterministically in virtual time.
 	e.health.Tick(int64(e.now))
-	id := e.rt.Launch(k.Name, k.Args)
+	var id correlation.ExecID
+	if e.driver != nil {
+		// The runtime's pre-launch callback (§3.1): the driver learns which
+		// kernel is about to run.
+		id = e.launchID(k.Name, k.Args)
+		e.driver.KernelLaunch(id)
+	}
 	kernelStart := e.now
 	if e.obs != nil && e.driver != nil {
 		e.obs.Counter(obs.TrackDriver, int64(e.now), "prefetch-queue", int64(e.driver.PendingPrefetches()))
@@ -795,7 +790,9 @@ func (e *exec) kernel(k *workload.Kernel) error {
 	e.gpuBusy += dur
 	e.now = e.now.Add(dur)
 	e.pump(e.now)
-	e.rt.Complete(id)
+	if e.driver != nil {
+		e.driver.KernelComplete(id)
+	}
 	e.cmdTime = e.now
 	e.pump(e.now)
 	if e.obs != nil {
@@ -1017,6 +1014,7 @@ func (e *exec) evictBackground(v um.BlockID, countPreevict bool) {
 	if e.driver.CanInvalidate(v) {
 		e.res.Remove(v)
 		e.driver.NoteInvalidation()
+		e.dropPrefetched(v)
 		if e.obs != nil {
 			e.obs.Instant(obs.KindEvict, obs.TrackDriver, int64(e.now), "", int64(v), 0, obs.EvictInvalidated)
 		}
@@ -1025,21 +1023,59 @@ func (e *exec) evictBackground(v um.BlockID, countPreevict bool) {
 	wb := vb.ResidentBytes()
 	_, end := e.link.Reserve(sim.Max(e.cmdTime, e.link.BusyUntil(sim.DeviceToHost)), wb, sim.DeviceToHost)
 	vb.HostPopulated = true
-	if e.prefetched[v] {
-		if e.obs != nil {
-			e.obs.Instant(obs.KindPrefetchWaste, obs.TrackDriver, int64(e.now), "", int64(v), 0, 0)
-		}
-		e.health.ObservePrefetchWaste(int64(e.now))
-	}
+	e.dropPrefetched(v)
 	if e.obs != nil {
 		e.obs.Instant(obs.KindEvict, obs.TrackDriver, int64(end), "", int64(v), wb, 0)
 	}
 	e.res.Remove(v)
-	delete(e.prefetched, v)
 	e.driver.NoteEviction(v)
 	if countPreevict {
 		e.driver.NotePreeviction()
 	}
+}
+
+// dropPrefetched clears an evicted block's prefetched mark; every eviction
+// path calls it. A block still marked was prefetched and never touched, so
+// its transfer was waste.
+func (e *exec) dropPrefetched(b um.BlockID) {
+	if !e.prefetched[b] {
+		return
+	}
+	delete(e.prefetched, b)
+	if e.obs != nil {
+		e.obs.Instant(obs.KindPrefetchWaste, obs.TrackDriver, int64(e.now), "", int64(b), 0, 0)
+	}
+	e.health.ObservePrefetchWaste(int64(e.now))
+}
+
+// launchID numbers a kernel launch command as the DeepUM runtime does
+// (§3.1): the hash of the command keys an execution ID, assigned from 0 in
+// first-seen order. Two launches of the same kernel with the same
+// arguments, the common case in DNN training, share an ID.
+func (e *exec) launchID(name string, args []uint64) correlation.ExecID {
+	h := hashLaunch(name, args)
+	id, ok := e.execIDs[h]
+	if !ok {
+		id = correlation.ExecID(len(e.execIDs))
+		e.execIDs[h] = id
+	}
+	return id
+}
+
+// hashLaunch is the FNV-1a hash of a kernel name and its argument words,
+// each little-endian. Pointer-valued arguments are included: tensor base
+// addresses distinguish otherwise identical layers, and the caching
+// allocator keeps them stable across iterations.
+func hashLaunch(name string, args []uint64) uint64 {
+	h := fnvOffset
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime
+	}
+	for _, a := range args {
+		h = fnvWord(h, a)
+	}
+	return h
 }
 
 // FNV-1a over the touch stream (Result.AccessChecksum).
@@ -1050,10 +1086,16 @@ const (
 
 func fnvFold(h uint64, t touch) uint64 {
 	for _, v := range [3]uint64{uint64(t.block), uint64(t.pages), boolBit(t.write)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
+		h = fnvWord(h, v)
+	}
+	return h
+}
+
+// fnvWord folds the eight little-endian bytes of v into h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= (v >> (8 * i)) & 0xff
+		h *= fnvPrime
 	}
 	return h
 }

@@ -213,8 +213,8 @@ func New(cfg Config) (*Federation, error) {
 		if f.store != nil {
 			// Per-shard auto-GC is only safe for a store with one writer; a
 			// shard compacting the shared store against its own live set
-			// would drop its peers' checkpoints. The federation-level
-			// StoreGC method compacts against the union instead.
+			// would drop its peers' checkpoints, so a shared store is never
+			// compacted.
 			scfg.StoreGCThreshold = 0
 		}
 		sup, err := supervisor.New(scfg)
@@ -855,46 +855,8 @@ func (f *Federation) Drain(ctx context.Context) error {
 }
 
 // Store exposes the shared checkpoint store (nil unless Config.StorePath
-// was set) for scrubbing, compaction, and audits.
+// was set) for scrubbing and audits.
 func (f *Federation) Store() *store.Store { return f.store }
-
-// StoreGC compacts the shared checkpoint store when its garbage ratio
-// exceeds threshold, keeping the union of every live shard's live-key set
-// (a key any non-terminal run on any shard may resume from). Dead shards
-// awaiting handoff block the compaction: their journals still reference
-// checkpoints the survivors have not adopted yet, so dropping "garbage"
-// now could strand an interrupted run on a cold restart. Returns
-// (zero, false, nil) when the ratio is at or under threshold.
-func (f *Federation) StoreGC(threshold float64) (store.CompactStats, bool, error) {
-	if f.store == nil {
-		return store.CompactStats{}, false, fmt.Errorf("federation: no shared checkpoint store configured")
-	}
-	f.mu.Lock()
-	sups := make([]*supervisor.Supervisor, 0, len(f.shards))
-	for _, sh := range f.shards {
-		if !sh.alive {
-			if sh.handoff != nil {
-				f.mu.Unlock()
-				return store.CompactStats{}, false,
-					fmt.Errorf("federation: shard %d awaits journal handoff; its checkpoint references are not yet adopted", sh.ordinal)
-			}
-			continue
-		}
-		sups = append(sups, sh.sup)
-	}
-	f.mu.Unlock()
-	live := map[store.Key]bool{}
-	for _, sup := range sups {
-		for k := range sup.LiveCheckpointKeys() {
-			live[k] = true
-		}
-	}
-	if supervisor.GarbageRatio(f.store, live) <= threshold {
-		return store.CompactStats{}, false, nil
-	}
-	st, err := f.store.Compact(func(k store.Key) bool { return live[k] })
-	return st, err == nil, err
-}
 
 // Metrics exposes the federation's Prometheus registry (per-shard series
 // plus ring/handoff counters). Shard supervisors keep their own

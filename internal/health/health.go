@@ -316,18 +316,14 @@ func (c *Controller) AllowPrefetch() bool { return c.Level() < L3 }
 // L2 up.
 func (c *Controller) AllowPreevict() bool { return c.Level() < L2 }
 
-// AllowPrefetchEnqueue reports whether the driver may enqueue new prefetch
-// commands (the chain may keep learning regardless): false only at L3. This
-// is the core.Driver fillQueue gate.
-func (c *Controller) AllowPrefetchEnqueue() bool { return c.Level() < L3 }
-
 // SpeculativeRequeue reports whether the driver may re-queue evicted
 // protected blocks (prediction-driven speculation beyond the chain): false
 // from L1 up — L1 is chained-correlation-only prefetching.
 func (c *Controller) SpeculativeRequeue() bool { return c.Level() < L1 }
 
 // DegreeCap bounds the effective prefetch chaining degree for the current
-// level: full at L0, halved at L1, floored to 1 at L2, zero at L3.
+// level: full at L0, halved at L1, floored to 1 at L2, zero at L3. Every
+// policy pauses on a cap below 1, so nothing is queued at L3.
 func (c *Controller) DegreeCap(base int) int {
 	switch c.Level() {
 	case L0:

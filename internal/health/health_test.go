@@ -112,7 +112,7 @@ func TestNilControllerPermissive(t *testing.T) {
 	if c.Level() != L0 || c.MaxLevel() != L0 {
 		t.Fatal("nil controller not at L0")
 	}
-	if !c.AllowPrefetch() || !c.AllowPreevict() || !c.AllowPrefetchEnqueue() || !c.SpeculativeRequeue() {
+	if !c.AllowPrefetch() || !c.AllowPreevict() || !c.SpeculativeRequeue() {
 		t.Fatal("nil controller gated something")
 	}
 	if c.UseFallbackEviction() {

@@ -131,20 +131,17 @@ func (c *Chaser) OnFault(b um.BlockID) bool {
 	return true
 }
 
-// Next advances the chain one block: gated by the ladder's enqueue and
-// degree capabilities, paused at the degree-N boundary, dead when the chain
-// runs out of predictions.
+// Next advances the chain one block: gated by the ladder's degree cap,
+// paused at the degree-N boundary, dead when the chain runs out of
+// predictions.
 func (c *Chaser) Next() policy.Step {
 	if !c.chaining {
 		return policy.Step{Out: policy.Pause}
 	}
 	degree := c.degree
 	if c.gate != nil {
-		if !c.gate.AllowPrefetchEnqueue() {
-			// Ladder at L3: the chain keeps learning, but issues nothing.
-			return policy.Step{Out: policy.Pause}
-		}
 		if degree = c.gate.DegreeCap(degree); degree < 1 {
+			// Ladder at L3: the chain keeps learning, but issues nothing.
 			return policy.Step{Out: policy.Pause}
 		}
 	}

@@ -122,9 +122,6 @@ func (w *Window) Next() policy.Step {
 	}
 	window := w.window
 	if w.gate != nil {
-		if !w.gate.AllowPrefetchEnqueue() {
-			return policy.Step{Out: policy.Pause}
-		}
 		if window = w.gate.DegreeCap(window); window < 1 {
 			return policy.Step{Out: policy.Pause}
 		}

@@ -224,9 +224,6 @@ func (l *Learned) Next() policy.Step {
 	}
 	degree := l.degree
 	if l.gate != nil {
-		if !l.gate.AllowPrefetchEnqueue() {
-			return policy.Step{Out: policy.Pause}
-		}
 		if degree = l.gate.DegreeCap(degree); degree < 1 {
 			return policy.Step{Out: policy.Pause}
 		}

@@ -62,14 +62,12 @@ type Step struct {
 // Everything here bounds prediction work only — the demand path never goes
 // through the gate.
 type Gate interface {
-	// AllowPrefetchEnqueue reports whether new prefetch commands may be
-	// queued at all (false at L3, pure demand).
-	AllowPrefetchEnqueue() bool
 	// SpeculativeRequeue reports whether evicted-but-still-predicted blocks
 	// may be re-queued (false from L1 up: chained-correlation only).
 	SpeculativeRequeue() bool
 	// DegreeCap bounds the effective chaining degree (or window size) for
-	// the current level.
+	// the current level. A cap below 1 (0 at L3, pure demand) means the
+	// policy emits nothing: Next returns Pause.
 	DegreeCap(base int) int
 }
 

@@ -69,23 +69,35 @@ func (l *Link) SetPerturber(p TransferPerturber) { l.perturb = p }
 // SetObserver installs a transfer observer; nil removes it.
 func (l *Link) SetObserver(o TransferObserver) { l.observe = o }
 
+// MaxTransferRetries caps the retries of a transfer that cannot give up
+// (Reserve, the demand fault handler). The fault injector bounds
+// consecutive failures well below it, so the cap is a defensive backstop:
+// past it the transfer counts as delivered (a real driver would reset the
+// link).
+const MaxTransferRetries = 16
+
+// RetryBackoff is the virtual-time wait before retry attempt (0-indexed) of
+// a transiently failed transfer: 10 µs, doubling, capped at attempt 6
+// (640 µs). Every retrying transfer uses it, so a flaky link degrades
+// throughput without ever wedging the clock.
+func RetryBackoff(attempt int) Duration {
+	return Duration(10_000) << min(attempt, 6)
+}
+
 // Reserve schedules a transfer of n bytes not earlier than at, returning the
 // interval [start, end) it occupies. A zero-byte transfer returns an empty
 // interval at the requested time without occupying the link. Under fault
-// injection, Reserve retries a transiently failing transfer internally with
-// a short fixed backoff — callers that cannot express a retry policy (the
+// injection, Reserve retries a transiently failing transfer internally
+// after RetryBackoff — callers that cannot express a retry policy (the
 // baseline executors) observe only slowdown, never failure. The migration
-// engine's hot paths use ReserveChecked and their own backoff instead.
+// engine's hot paths use ReserveChecked and count their own retries.
 func (l *Link) Reserve(at Time, n int64, dir Direction) (start, end Time) {
-	const internalRetryBackoff = Duration(10_000) // 10us
 	for attempt := 0; ; attempt++ {
 		s, e, ok := l.ReserveChecked(at, n, dir)
-		// The injector bounds consecutive failures, so the attempt cap is a
-		// defensive backstop: past it the transfer counts as delivered.
-		if ok || attempt >= 16 {
+		if ok || attempt >= MaxTransferRetries {
 			return s, e
 		}
-		at = e.Add(internalRetryBackoff << min(attempt, 6))
+		at = e.Add(RetryBackoff(attempt))
 	}
 }
 

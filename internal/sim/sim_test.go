@@ -98,6 +98,35 @@ func TestLinkZeroByteReservation(t *testing.T) {
 	}
 }
 
+// alwaysFail fails every transfer without changing its occupancy.
+type alwaysFail struct{ attempts int }
+
+func (f *alwaysFail) PerturbTransfer(at Time, n int64, dir Direction, base Duration) (Duration, bool) {
+	f.attempts++
+	return base, true
+}
+
+// TestReserveRetriesUpToCap: on a link that never delivers, Reserve makes
+// MaxTransferRetries retries, each after RetryBackoff, then counts the
+// transfer as delivered.
+func TestReserveRetriesUpToCap(t *testing.T) {
+	p := DefaultParams()
+	l := NewLink(p, nil)
+	f := &alwaysFail{}
+	l.SetPerturber(f)
+	_, end := l.Reserve(0, BlockSize, HostToDevice)
+	if f.attempts != MaxTransferRetries+1 {
+		t.Fatalf("attempts = %d, want %d", f.attempts, MaxTransferRetries+1)
+	}
+	want := Time(0).Add(Duration(f.attempts) * p.TransferTime(BlockSize))
+	for a := 0; a < MaxTransferRetries; a++ {
+		want = want.Add(RetryBackoff(a))
+	}
+	if end != want {
+		t.Fatalf("end = %d, want %d", end, want)
+	}
+}
+
 func TestLinkIdleUntil(t *testing.T) {
 	p := DefaultParams()
 	l := NewLink(p, nil)

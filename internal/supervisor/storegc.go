@@ -10,12 +10,11 @@ import "deepum/internal/store"
 // resume state of a non-terminal run — queued, running, or suspended.
 // Terminal runs never resume, so their checkpoints are reclaimable.
 
-// LiveCheckpointKeys returns the set of store keys any non-terminal run on
+// liveCheckpointKeys returns the set of store keys any non-terminal run on
 // this supervisor may still resume from. Inline resume payloads are hashed
 // to the key their blob deduplicated into (content addressing makes the
-// mapping exact). A federation unions these sets across its live shards
-// before compacting a shared store.
-func (s *Supervisor) LiveCheckpointKeys() map[store.Key]bool {
+// mapping exact).
+func (s *Supervisor) liveCheckpointKeys() map[store.Key]bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	live := map[store.Key]bool{}
@@ -32,9 +31,9 @@ func (s *Supervisor) LiveCheckpointKeys() map[store.Key]bool {
 	return live
 }
 
-// GarbageRatio reports the fraction of keys in st that live does not
+// garbageRatio reports the fraction of keys in st that live does not
 // reference (0 for an empty store).
-func GarbageRatio(st *store.Store, live map[store.Key]bool) float64 {
+func garbageRatio(st *store.Store, live map[store.Key]bool) float64 {
 	keys := st.Keys()
 	if len(keys) == 0 {
 		return 0
@@ -83,8 +82,8 @@ func (s *Supervisor) maybeStoreGC() {
 func (s *Supervisor) storeGCPass() {
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
-	live := s.LiveCheckpointKeys()
-	if GarbageRatio(s.cfg.Checkpoints, live) <= s.cfg.StoreGCThreshold {
+	live := s.liveCheckpointKeys()
+	if garbageRatio(s.cfg.Checkpoints, live) <= s.cfg.StoreGCThreshold {
 		return
 	}
 	st, err := s.cfg.Checkpoints.Compact(func(k store.Key) bool { return live[k] })

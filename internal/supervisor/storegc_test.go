@@ -140,7 +140,7 @@ func TestGarbageRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if got := GarbageRatio(st, nil); got != 0 {
+	if got := garbageRatio(st, nil); got != 0 {
 		t.Fatalf("empty store ratio = %v, want 0", got)
 	}
 	var keys []store.Key
@@ -152,7 +152,7 @@ func TestGarbageRatio(t *testing.T) {
 		keys = append(keys, k)
 	}
 	live := map[store.Key]bool{keys[0]: true}
-	if got := GarbageRatio(st, live); got != 0.75 {
+	if got := garbageRatio(st, live); got != 0.75 {
 		t.Fatalf("ratio = %v, want 0.75 (3 of 4 unreferenced)", got)
 	}
 }

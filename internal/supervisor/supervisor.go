@@ -67,8 +67,9 @@ type Config struct {
 	// referenced by any live (non-terminal) run's resume state exceeds the
 	// threshold, the supervisor compacts the store in the background.
 	// 0 disables. Only safe when this supervisor is the store's sole
-	// writer — a federation must GC at the federation level instead, with
-	// the union of every shard's live set (Federation.StoreGC).
+	// writer: a federation zeroes it on every shard, because one shard's
+	// live set would reclaim its peers' checkpoints, so a federation's
+	// shared store is never compacted.
 	StoreGCThreshold float64
 	// WatchdogTimeout is how long a running run may go without a progress
 	// heartbeat before the watchdog cancels it; 0 disables hang detection.

@@ -311,30 +311,20 @@ func (h *Handler) evict(t sim.Time, need int64) sim.Time {
 // transfer moves n bytes with demand priority starting at t and returns the
 // completion time. Under fault injection a transfer can transiently fail;
 // the demand path cannot give up — the GPU is stalled on this data — so it
-// retries with bounded exponential backoff. The injector bounds consecutive
-// failures, making the attempt cap a defensive backstop past which the
-// transfer is taken as delivered (a real driver would reset the link).
+// retries after sim.RetryBackoff, up to sim.MaxTransferRetries, past which
+// the transfer is taken as delivered.
 func (h *Handler) transfer(t sim.Time, n int64, dir sim.Direction) sim.Time {
-	const maxDemandRetries = 16
 	for attempt := 0; ; attempt++ {
 		_, end, ok := h.Link.ReserveChecked(t, n, dir)
-		if ok || attempt >= maxDemandRetries {
+		if ok || attempt >= sim.MaxTransferRetries {
 			return end
 		}
 		h.Stats.TransferRetries++
 		if h.OnTransferRetry != nil {
 			h.OnTransferRetry(end)
 		}
-		backoff := retryBackoff(attempt)
+		backoff := sim.RetryBackoff(attempt)
 		h.Stats.RetryStall += end.Sub(t) + backoff
 		t = end.Add(backoff)
 	}
-}
-
-// retryBackoff is the bounded exponential backoff before retry attempt
-// (0-indexed): 10us doubling to a 640us ceiling. Mirrors the migration
-// engine's prefetch backoff (internal/chaos keeps the shared constants; um
-// cannot import it without a cycle).
-func retryBackoff(attempt int) sim.Duration {
-	return sim.Duration(10_000) << min(attempt, 6)
 }

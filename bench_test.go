@@ -3,6 +3,7 @@ package deepum
 import (
 	"testing"
 
+	"deepum/internal/core"
 	"deepum/internal/engine"
 	"deepum/internal/experiments"
 	"deepum/internal/sim"
@@ -180,20 +181,75 @@ func BenchmarkAblationUMDensity(b *testing.B) {
 	}
 }
 
+// trainBert is the repo benchmark's train-bert workload: bert-large b16.
+var trainBert = Workload{Model: "bert-large", Batch: 16}
+
+// trainBertConfig is the repo benchmark's train-bert call: DeepUM at scale
+// 8 with the given seed.
+func trainBertConfig(seed int64) Config {
+	cfg := DefaultConfig()
+	cfg.System = SystemDeepUM
+	cfg.Scale = 8
+	cfg.Seed = seed
+	return cfg
+}
+
 // BenchmarkTrainBertDeepUM makes the repo benchmark's train-bert call — one
 // DeepUM Train of bert-large b16 at scale 8 — cycling seeds 1-3. Its
 // allocs/op and B/op are dominated by the correlation chain walk, which
 // must not allocate per fault restart or per kernel transition.
 func BenchmarkTrainBertDeepUM(b *testing.B) {
-	w := Workload{Model: "bert-large", Batch: 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.System = SystemDeepUM
-		cfg.Scale = 8
-		cfg.Seed = int64(i%3) + 1
-		if _, err := Train(w, cfg); err != nil {
+		if _, err := Train(trainBert, trainBertConfig(int64(i%3)+1)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTrainBertDecisionsPinned pins the decisions of BenchmarkTrainBertDeepUM's
+// runs, seeds 1-3: iteration time, faults per iteration, the access
+// checksum and every driver counter. Host-time work on the chain walk must
+// leave all of them as they are. Train reports only some driver counters,
+// so each seed also runs the engine with Train's configuration, which must
+// agree with Train on everything both report.
+func TestTrainBertDecisionsPinned(t *testing.T) {
+	want := core.Stats{
+		KernelLaunches: 2394, PrefetchIssued: 294752, PrefetchUseful: 16887,
+		Preevictions: 2301, Invalidations: 8989, ChainRestarts: 5266,
+		PredictionFails: 3741, DeathNoExec: 3741, WindowMisses: 3,
+	}
+	prog, err := BuildProgram(trainBert, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := Train(trainBert, trainBertConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IterationTime != 785699422 || res.PageFaultsPerIteration != 107172 || res.AccessChecksum != 0xb2635dd0d00f6d75 {
+			t.Errorf("seed %d: iteration %d ns, %d faults/iter, checksum %#x; want 785699422 ns, 107172, 0xb2635dd0d00f6d75",
+				seed, int64(res.IterationTime), res.PageFaultsPerIteration, res.AccessChecksum)
+		}
+		r, err := engine.Run(engine.Config{
+			Params:        sim.DefaultParams().Scale(8),
+			Program:       prog,
+			Policy:        engine.PolicyDeepUM,
+			DriverOptions: core.DefaultOptions(),
+			Iterations:    4,
+			Warmup:        3,
+			Seed:          seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.IterTime() != res.IterationTime || r.FaultsPerIter != res.PageFaultsPerIteration || r.AccessChecksum != res.AccessChecksum ||
+			r.Driver.PrefetchIssued != res.PrefetchIssued || r.Driver.PrefetchUseful != res.PrefetchUseful {
+			t.Fatalf("seed %d: the engine run does not repeat Train's run", seed)
+		}
+		if r.Driver != want {
+			t.Errorf("seed %d: driver counters %+v, want %+v", seed, r.Driver, want)
 		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"deepum/internal/correlation"
 	"deepum/internal/sim"
+	"deepum/internal/um"
 )
 
 // TestTrainContextPreCancelled: a cancelled supervisor stops the run before
@@ -166,4 +168,111 @@ func TestTrainResumeRejectedForNonDeepUM(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "ResumeState") {
 		t.Fatalf("resume error not descriptive: %v", err)
 	}
+}
+
+// resumeWorkload and resumeConfig make the small resumed run of the
+// foreign-block tests: one measured iteration of bert-base b32 at scale 64,
+// a few milliseconds, still oversubscribed. Its block tables have 128 rows,
+// not 2,048, which keeps a warm payload near 100 KB: the payload writes a
+// way count for every row, and the fuzzer makes no progress on inputs over
+// about 1 MiB.
+var resumeWorkload = Workload{Model: "bert-base", Batch: 32}
+
+func resumeConfig(payload []byte) Config {
+	cfg := DefaultConfig()
+	cfg.Scale = 64
+	cfg.Iterations = 1
+	cfg.Warmup = 1
+	cfg.Driver.TableConfig.NumRows = 128
+	if payload != nil {
+		cfg.ResumeState = &PolicyState{Policy: "correlation", Payload: payload}
+	}
+	return cfg
+}
+
+// warmPayload returns the correlation payload a cold resumeConfig run
+// learns.
+func warmPayload(tb testing.TB) []byte {
+	res, err := Train(resumeWorkload, resumeConfig(nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return PolicyCheckpointOf(res).Payload
+}
+
+// withForeignBlock returns payload with block b made the MRU successor of
+// every block table's Start, each table's End kept, so every chain walk
+// emits b.
+func withForeignBlock(tb testing.TB, payload []byte, b um.BlockID) []byte {
+	ts, err := correlation.DecodeTables(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, id := range ts.ExecIDs() {
+		bt := ts.Block(id)
+		if bt.Start == um.NoBlock {
+			continue
+		}
+		end := bt.End
+		bt.ResetCursor()
+		bt.RecordMiss(bt.Start)
+		bt.RecordMiss(b)
+		bt.End = end
+	}
+	return correlation.EncodeTables(ts)
+}
+
+// TestResumeWithForeignBlocks: a resumed checkpoint may name blocks the
+// program never allocated, below zero or far past its address space. The
+// prefetcher issues them, and the run takes each as not resident with
+// nothing to migrate: it neither panics nor grows its block table, so it
+// allocates about what a run resumed from the unaltered payload does.
+func TestResumeWithForeignBlocks(t *testing.T) {
+	warm := warmPayload(t)
+	run := func(payload []byte) (*Result, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Train(resumeWorkload, resumeConfig(payload))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != StatusCompleted {
+			t.Fatalf("resumed run status = %v", res.Status)
+		}
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	base, baseBytes := run(warm)
+	for _, b := range []um.BlockID{-2, 1 << 21} {
+		res, n := run(withForeignBlock(t, warm, b))
+		t.Logf("block %d: the run allocated %d bytes; from the unaltered payload, %d", b, n, baseBytes)
+		if res.PrefetchIssued <= base.PrefetchIssued {
+			t.Errorf("block %d: %d prefetches issued, the unaltered payload's run issued %d; the foreign block was never issued",
+				b, res.PrefetchIssued, base.PrefetchIssued)
+		}
+		if n > baseBytes+4<<20 {
+			t.Errorf("block %d: the run allocated %d bytes, %d more than the unaltered payload's run", b, n, n-baseBytes)
+		}
+	}
+}
+
+// FuzzResumeTrain feeds a fuzzed correlation payload to a DeepUM run
+// through Config.ResumeState. Train must reject a payload the decoder
+// rejects, and run any payload it accepts to completion, whatever blocks
+// and kernels it names.
+func FuzzResumeTrain(f *testing.F) {
+	warm := warmPayload(f)
+	f.Add(warm)
+	f.Add(withForeignBlock(f, warm, -2))
+	f.Add(withForeignBlock(f, warm, 1<<21))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, err := Train(resumeWorkload, resumeConfig(payload))
+		_, decodeErr := correlation.DecodeTables(payload)
+		if (err != nil) != (decodeErr != nil) {
+			t.Fatalf("Train error %v, decode error %v", err, decodeErr)
+		}
+		if err == nil && res.Status != StatusCompleted {
+			t.Fatalf("resumed run status = %v", res.Status)
+		}
+	})
 }

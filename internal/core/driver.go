@@ -118,11 +118,11 @@ type Driver struct {
 	// copied away on every pop).
 	head int
 	// queued tracks blocks currently in the prefetch queue to avoid
-	// duplicate commands.
-	queued map[um.BlockID]struct{}
+	// duplicate commands; every fault restart empties it.
+	queued um.BlockSet
 	// protected holds blocks predicted for the current and next N kernels:
 	// the pre-eviction policy must not evict them (§5.1).
-	protected map[um.BlockID]struct{}
+	protected um.BlockSet
 
 	// activeBytes tracks, per UM block, how many bytes belong to active
 	// PyTorch blocks; a block with zero active bytes is invalidatable.
@@ -186,8 +186,6 @@ func NewDriverFor(opts Options) (*Driver, error) {
 		opts:        opts,
 		pol:         pol,
 		current:     correlation.NoExec,
-		queued:      make(map[um.BlockID]struct{}),
-		protected:   make(map[um.BlockID]struct{}),
 		activeBytes: make(map[um.BlockID]int64),
 	}
 	return d, nil
@@ -248,7 +246,7 @@ func (d *Driver) OnFault(b um.BlockID) {
 	// timely.
 	d.queue = d.queue[:0]
 	d.head = 0
-	clear(d.queued)
+	d.queued.Reset()
 	d.Stats.ChainRestarts++
 	d.fillQueue(restartFill)
 }
@@ -270,7 +268,7 @@ const (
 func (d *Driver) fillQueue(budget int) {
 	limit := d.protectLimit()
 	for budget > 0 && d.qlen() < maxQueue &&
-		int64(len(d.protected)) < limit {
+		int64(d.protected.Len()) < limit {
 		st := d.pol.Next()
 		switch st.Out {
 		case policy.Pause:
@@ -278,22 +276,22 @@ func (d *Driver) fillQueue(budget int) {
 		case policy.Dead:
 			d.Stats.PredictionFails++
 			switch st.Cause {
-			case "noexec":
+			case correlation.DeathNoExec:
 				d.Stats.DeathNoExec++
-			case "skips":
+			case correlation.DeathSkips:
 				d.Stats.DeathSkips++
 			}
 			return
 		}
 		b := st.Cmd.Block
-		if _, dup := d.queued[b]; dup {
+		if d.queued.Has(b) {
 			continue
 		}
 		if d.resident != nil && d.resident(b) {
 			continue // already on the device: nothing to migrate
 		}
-		d.protected[b] = struct{}{}
-		d.queued[b] = struct{}{}
+		d.protected.Add(b)
+		d.queued.Add(b)
 		d.queue = append(d.queue, st.Cmd)
 		d.Stats.PrefetchIssued++
 		d.noteIssue(b)
@@ -341,16 +339,10 @@ func (d *Driver) NoteEviction(b um.BlockID) {
 	if d.gate != nil && !d.gate.SpeculativeRequeue() {
 		return // ladder at L1+: only the chain itself may issue commands
 	}
-	if _, p := d.protected[b]; !p {
+	if !d.protected.Has(b) || d.queued.Has(b) || d.qlen() >= maxQueue {
 		return
 	}
-	if _, dup := d.queued[b]; dup {
-		return
-	}
-	if d.qlen() >= maxQueue {
-		return
-	}
-	d.queued[b] = struct{}{}
+	d.queued.Add(b)
 	d.queue = append(d.queue, PrefetchCommand{Block: b, Exec: d.current})
 	d.Stats.PrefetchIssued++
 	d.noteIssue(b)
@@ -368,10 +360,9 @@ func (d *Driver) NextPrefetch() (PrefetchCommand, bool) {
 		if d.qlen() < refillBelow {
 			d.fillQueue(refillBatch) // resume a paused chain
 		}
-		if _, live := d.queued[cmd.Block]; !live {
+		if !d.queued.Delete(cmd.Block) {
 			continue
 		}
-		delete(d.queued, cmd.Block)
 		return cmd, true
 	}
 	d.fillQueue(refillBatch)
@@ -388,10 +379,7 @@ func (d *Driver) compact() {
 }
 
 // IsQueued reports whether a prefetch command for block b is outstanding.
-func (d *Driver) IsQueued(b um.BlockID) bool {
-	_, ok := d.queued[b]
-	return ok
-}
+func (d *Driver) IsQueued(b um.BlockID) bool { return d.queued.Has(b) }
 
 // takeWindow is how far into the prefetch queue the migration thread has
 // visibility when the GPU is about to touch a block: a command near the
@@ -416,7 +404,7 @@ func (d *Driver) window() int {
 // into an in-flight migration the GPU merely waits on. It returns false
 // when no timely command for b exists.
 func (d *Driver) TakeQueued(b um.BlockID) bool {
-	if _, ok := d.queued[b]; !ok {
+	if !d.queued.Has(b) {
 		return false
 	}
 	end := d.head + d.window()
@@ -432,7 +420,7 @@ func (d *Driver) TakeQueued(b um.BlockID) bool {
 		d.queue[i] = d.queue[d.head]
 		d.head++
 		d.compact()
-		delete(d.queued, b)
+		d.queued.Delete(b)
 		if d.qlen() < refillBelow {
 			d.fillQueue(refillBatch)
 		}
@@ -452,19 +440,19 @@ func (d *Driver) PendingPrefetches() int { return d.qlen() }
 func (d *Driver) DiscardPrefetches() int64 {
 	var n int64
 	for i := d.head; i < len(d.queue); i++ {
-		if _, live := d.queued[d.queue[i].Block]; live {
+		if d.queued.Has(d.queue[i].Block) {
 			n++
 		}
 	}
 	d.queue = d.queue[:0]
 	d.head = 0
-	clear(d.queued)
+	d.queued.Reset()
 	d.pol.Discard()
 	return n
 }
 
 // ProtectedCount returns the size of the predicted (protected) set.
-func (d *Driver) ProtectedCount() int { return len(d.protected) }
+func (d *Driver) ProtectedCount() int { return d.protected.Len() }
 
 // CheckInvariants audits the driver's queue and protection bookkeeping; the
 // chaos invariant checker runs it at iteration boundaries under every
@@ -478,17 +466,20 @@ func (d *Driver) CheckInvariants() error {
 	if d.head < 0 || d.head > len(d.queue) {
 		return fmt.Errorf("core: invariant violated: queue head %d out of range [0,%d]", d.head, len(d.queue))
 	}
-	live := make(map[um.BlockID]struct{}, d.qlen())
+	// The queued set holds only blocks with a live command exactly when
+	// every one of its blocks is among the distinct live blocks.
+	var live um.BlockSet
+	marked := 0
 	for i := d.head; i < len(d.queue); i++ {
-		live[d.queue[i].Block] = struct{}{}
-	}
-	for b := range d.queued {
-		if _, ok := live[b]; !ok {
-			return fmt.Errorf("core: invariant violated: block %d marked queued but has no live queue entry", b)
+		if b := d.queue[i].Block; live.Add(b) && d.queued.Has(b) {
+			marked++
 		}
 	}
-	if limit := d.protectLimit(); int64(len(d.protected)) > limit {
-		return fmt.Errorf("core: invariant violated: protected set %d exceeds capacity throttle %d", len(d.protected), limit)
+	if stale := d.queued.Len() - marked; stale > 0 {
+		return fmt.Errorf("core: invariant violated: %d blocks marked queued have no live queue entry", stale)
+	}
+	if limit := d.protectLimit(); int64(d.protected.Len()) > limit {
+		return fmt.Errorf("core: invariant violated: protected set %d exceeds capacity throttle %d", d.protected.Len(), limit)
 	}
 	return nil
 }
@@ -506,17 +497,16 @@ func (d *Driver) protectLimit() int64 {
 // BeginIteration clears the protected set; the engine calls it at iteration
 // boundaries so stale predictions do not pin blocks forever.
 func (d *Driver) BeginIteration() {
-	clear(d.protected)
+	d.protected.Reset()
 }
 
 // Unprotect removes b from the predicted set — the engine calls it when the
 // running kernel touches the block, so protection covers only outstanding
 // predictions, not history. Shrinking the set may unblock a throttled chain.
 func (d *Driver) Unprotect(b um.BlockID) {
-	if _, ok := d.protected[b]; !ok {
+	if !d.protected.Delete(b) {
 		return
 	}
-	delete(d.protected, b)
 	// A chain paused on the capacity throttle resumes as soon as the
 	// predicted set shrinks; fillQueue re-checks the limit and early-exits
 	// when still over it.
@@ -533,7 +523,7 @@ func (d *Driver) VictimsForPrefetch(r *um.Residency, need int64) ([]um.BlockID, 
 	victims := d.victimBuf[:0]
 	var freed int64
 	r.WalkLRM(func(b um.BlockID) bool {
-		if _, p := d.protected[b]; p {
+		if d.protected.Has(b) {
 			return true
 		}
 		victims = append(victims, b)
@@ -555,7 +545,7 @@ func (d *Driver) SelectVictims(r *um.Residency, need int64) []um.BlockID {
 	var victims []um.BlockID
 	var freed int64
 	r.WalkLRM(func(b um.BlockID) bool {
-		if _, p := d.protected[b]; p {
+		if d.protected.Has(b) {
 			d.Stats.ProtectedSkipped++
 			return true
 		}

@@ -83,7 +83,7 @@ func TestQueueFlushOnFault(t *testing.T) {
 func TestNoteEvictionRequeues(t *testing.T) {
 	d := NewDriver(DefaultOptions())
 	d.KernelLaunch(0)
-	d.protected[77] = struct{}{}
+	d.protected.Add(77)
 	d.NoteEviction(77)
 	if !d.IsQueued(77) {
 		t.Fatal("evicted protected block not re-queued")
@@ -97,7 +97,7 @@ func TestNoteEvictionRequeues(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Prefetch = false
 	d2 := NewDriver(opts)
-	d2.protected[5] = struct{}{}
+	d2.protected.Add(5)
 	d2.NoteEviction(5)
 	if d2.IsQueued(5) {
 		t.Fatal("requeue with prefetching disabled")
@@ -165,7 +165,7 @@ func TestVictimsForPrefetchNeverFallsBack(t *testing.T) {
 	bs := blocksOf(a, 2*sim.BlockSize)
 	for i, b := range bs {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
-		d.protected[b] = struct{}{}
+		d.protected.Add(b)
 	}
 	victims, ok := d.VictimsForPrefetch(r, sim.BlockSize)
 	if ok || len(victims) != 0 {
@@ -202,7 +202,7 @@ func TestVictimsForPrefetchReusesBuffer(t *testing.T) {
 func TestQueueCompaction(t *testing.T) {
 	d := NewDriver(DefaultOptions())
 	for i := 0; i < 3*maxQueue; i++ {
-		d.queued[um.BlockID(i)] = struct{}{}
+		d.queued.Add(um.BlockID(i))
 		d.queue = append(d.queue, PrefetchCommand{Block: um.BlockID(i)})
 		if _, ok := d.NextPrefetch(); !ok {
 			t.Fatal("pop failed")
@@ -227,7 +227,7 @@ func TestChainCursorDeathCauses(t *testing.T) {
 			break
 		}
 	}
-	if c.DeathCause != "noexec" {
-		t.Fatalf("death cause = %q, want noexec", c.DeathCause)
+	if c.DeathCause != correlation.DeathNoExec {
+		t.Fatalf("death cause = %d, want DeathNoExec", c.DeathCause)
 	}
 }

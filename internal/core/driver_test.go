@@ -195,8 +195,8 @@ func TestSelectVictimsSkipsProtected(t *testing.T) {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
 	}
 	// Protect the two oldest blocks via the prediction set.
-	d.protected[bs[0]] = struct{}{}
-	d.protected[bs[1]] = struct{}{}
+	d.protected.Add(bs[0])
+	d.protected.Add(bs[1])
 	victims := d.SelectVictims(r, sim.BlockSize)
 	if len(victims) != 1 || victims[0] != bs[2] {
 		t.Fatalf("victims = %v, want [%d]", victims, bs[2])
@@ -213,7 +213,7 @@ func TestSelectVictimsFallbackWhenAllProtected(t *testing.T) {
 	bs := blocksOf(a, 2*sim.BlockSize)
 	for i, b := range bs {
 		r.Insert(b, sim.PagesPerBlock, sim.Time(i), sim.Time(i))
-		d.protected[b] = struct{}{}
+		d.protected.Add(b)
 	}
 	victims := d.SelectVictims(r, sim.BlockSize)
 	if len(victims) != 1 || victims[0] != bs[1] {
@@ -283,9 +283,9 @@ func TestInvalidationDisabled(t *testing.T) {
 
 func TestBeginIterationClearsProtection(t *testing.T) {
 	d := NewDriver(DefaultOptions())
-	d.protected[1] = struct{}{}
+	d.protected.Add(1)
 	d.BeginIteration()
-	if len(d.protected) != 0 {
+	if d.protected.Len() != 0 {
 		t.Fatal("BeginIteration did not clear the protected set")
 	}
 }

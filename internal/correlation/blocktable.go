@@ -72,6 +72,36 @@ type BlockTable struct {
 	// UM block where the first faulted page resides that occurred right
 	// after the execution ID transition").
 	pendingStart bool
+
+	// version counts changes to what a chain walk reads. RecordMiss is the
+	// only place where successor lists, Start and End change, and it bumps
+	// version; a lookup's MRU move reorders ways but changes no list. It
+	// starts at 1, so a zero plan version marks no plan.
+	version uint64
+	// plan is the chain walk from Start, built on first use at each
+	// version (startPlan).
+	plan walkPlan
+}
+
+// walkPlan records one breadth-first chain walk of a block table: the
+// blocks in discovery order, the frontier first, and for each head walked
+// the discovered count after it and its group. A cursor replays a plan
+// instead of re-reading successor lists, so an emit is a slice read and a
+// head's MRU move is a touch of a known group.
+type walkPlan struct {
+	blocks []um.BlockID
+	heads  []planHead
+	// frontier is how many blocks the walk starts from; first is the first
+	// block emitted, 1 when a seed leads the frontier (it is walked, never
+	// emitted).
+	frontier, first int
+	version         uint64 // the table version the plan was built at
+}
+
+// planHead is head i = blocks[i] of a plan: after is len(blocks) once it
+// has been walked, and group is its group, or -1 when it has no entry.
+type planHead struct {
+	after, group int32
 }
 
 // rowSlot maps an occupied row to its group.
@@ -103,6 +133,7 @@ func NewBlockTable(cfg BlockTableConfig) *BlockTable {
 		End:          um.NoBlock,
 		last:         make([]um.BlockID, cfg.NumLevels),
 		pendingStart: true,
+		version:      1,
 	}
 	for i := range t.last {
 		t.last[i] = um.NoBlock
@@ -158,8 +189,12 @@ func (t *BlockTable) addGroup(row int) int {
 // growIndex doubles the row index, keeping its load factor at most one
 // half.
 func (t *BlockTable) growIndex() {
+	t.resizeIndex(max(2*len(t.index), minRowIndexSlots))
+}
+
+// resizeIndex rebuilds the row index with size slots, a power of two.
+func (t *BlockTable) resizeIndex(size int) {
 	old := t.index
-	size := max(2*len(old), minRowIndexSlots)
 	t.index = make([]rowSlot, size)
 	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
 	for _, sl := range old {
@@ -167,6 +202,24 @@ func (t *BlockTable) growIndex() {
 			*t.slot(sl.row) = sl
 		}
 	}
+}
+
+// reserve sizes the slabs and the row index of an empty table for groups
+// groups, so adding that many allocates nothing more.
+func (t *BlockTable) reserve(groups int) {
+	if groups == 0 {
+		return
+	}
+	lists := groups * t.cfg.Assoc * t.cfg.NumLevels
+	t.nways = make([]int32, 0, groups)
+	t.tags = make([]um.BlockID, 0, groups*t.cfg.Assoc)
+	t.nsuccs = make([]int32, 0, lists)
+	t.succs = make([]um.BlockID, 0, lists*t.cfg.NumSuccs)
+	size := minRowIndexSlots
+	for size < 2*groups {
+		size *= 2
+	}
+	t.resizeIndex(size)
 }
 
 // find returns the group holding b, after moving b's entry to way 0 (MRU
@@ -181,16 +234,14 @@ func (t *BlockTable) find(b um.BlockID, insert bool) int {
 		}
 		g = t.addGroup(row)
 	}
-	first, n := g*t.cfg.Assoc, int(t.nways[g])
-	for way, tag := range t.tags[first : first+n] {
-		if tag == b {
-			t.toFront(g, way)
-			return g
-		}
+	if way := t.wayOf(g, b); way >= 0 {
+		t.toFront(g, way)
+		return g
 	}
 	if !insert {
 		return -1
 	}
+	first, n := g*t.cfg.Assoc, int(t.nways[g])
 	if n < t.cfg.Assoc {
 		n++
 		t.nways[g] = int32(n)
@@ -200,6 +251,12 @@ func (t *BlockTable) find(b um.BlockID, insert bool) int {
 	t.tags[first] = b
 	clear(t.nsuccs[first*t.cfg.NumLevels:][:t.cfg.NumLevels])
 	return g
+}
+
+// wayOf returns the way of group g that holds b, or -1.
+func (t *BlockTable) wayOf(g int, b um.BlockID) int {
+	first := g * t.cfg.Assoc
+	return slices.Index(t.tags[first:first+int(t.nways[g])], b)
 }
 
 // toFront moves way w of group g, with its successor lists, to way 0 and
@@ -227,6 +284,7 @@ func rotateRight[T any](s []T, k int) {
 // and deduplicated, exactly like the pair-based scheme of Figure 5 restricted
 // to the configured number of levels.
 func (t *BlockTable) RecordMiss(b um.BlockID) {
+	t.version++
 	for level := 0; level < t.cfg.NumLevels; level++ {
 		pred := t.last[level]
 		if pred == um.NoBlock || pred == b {
@@ -284,6 +342,69 @@ func (t *BlockTable) SuccessorsAt(b um.BlockID, level int) []um.BlockID {
 	}
 	lo := i * t.cfg.NumSuccs
 	return t.succs[lo : lo+n : lo+n]
+}
+
+// startPlan returns the chain walk from Start at the table's current
+// version, building it on first use; seen is the builder's scratch set.
+func (t *BlockTable) startPlan(seen *um.BlockSet) *walkPlan {
+	if t.plan.version != t.version {
+		t.buildPlan(&t.plan, um.NoBlock, seen)
+	}
+	return &t.plan
+}
+
+// buildPlan records into p the breadth-first walk from seed (unless it is
+// NoBlock) and Start: each head's level-0 successors join the walk once,
+// in MRU order, skipping NoBlock. The walk ends after the head that
+// discovers End, since emitting End ends prefetching for the kernel, or
+// when no head is left. It reads without MRU moves: the replay makes them.
+func (t *BlockTable) buildPlan(p *walkPlan, seed um.BlockID, seen *um.BlockSet) {
+	p.blocks, p.heads, p.first = p.blocks[:0], p.heads[:0], 0
+	p.version = t.version
+	seen.Reset()
+	if seed != um.NoBlock {
+		p.blocks = append(p.blocks, seed)
+		seen.Add(seed)
+		p.first = 1
+	}
+	if t.Start != um.NoBlock && seen.Add(t.Start) {
+		p.blocks = append(p.blocks, t.Start)
+	}
+	p.frontier = len(p.blocks)
+	sawEnd := t.Start == t.End && p.frontier > p.first
+	for w := 0; !sawEnd && w < len(p.blocks); w++ {
+		g, succs := t.peek(p.blocks[w])
+		for _, s := range succs {
+			if s != um.NoBlock && seen.Add(s) {
+				p.blocks = append(p.blocks, s)
+				sawEnd = sawEnd || s == t.End
+			}
+		}
+		p.heads = append(p.heads, planHead{after: int32(len(p.blocks)), group: int32(g)})
+	}
+}
+
+// peek returns the group holding b and b's level-0 successors without
+// moving b's entry, or -1 and nil when b has no entry. The slice aliases
+// the table.
+func (t *BlockTable) peek(b um.BlockID) (int, []um.BlockID) {
+	g := t.group(t.row(b))
+	if g < 0 {
+		return -1, nil
+	}
+	way := t.wayOf(g, b)
+	if way < 0 {
+		return -1, nil
+	}
+	i := (g*t.cfg.Assoc + way) * t.cfg.NumLevels
+	return g, t.succs[i*t.cfg.NumSuccs:][:t.nsuccs[i]]
+}
+
+// touch moves b's entry to the MRU way of group g, as a lookup of b does.
+func (t *BlockTable) touch(g int, b um.BlockID) {
+	if way := t.wayOf(g, b); way > 0 {
+		t.toFront(g, way)
+	}
 }
 
 // ResetCursor clears the miss-history pointers at a kernel-invocation

@@ -345,42 +345,89 @@ func decodePayload(d *decoder) *Tables {
 			bt.last[l] = um.BlockID(d.i64())
 		}
 		bt.pendingStart = d.u8() != 0
-		for row := 0; row < cfg.NumRows && d.err == nil; row++ {
-			nWays := int(d.u32())
-			if !d.fits(nWays, 8+4*cfg.NumLevels) {
-				return nil
-			}
-			if nWays > cfg.Assoc {
-				d.fail("row %d has %d ways (assoc %d)", row, nWays, cfg.Assoc)
-				return nil
-			}
-			if nWays == 0 {
-				continue // an empty row takes no group
-			}
-			g := bt.addGroup(row)
-			bt.nways[g] = int32(nWays)
-			for way := g * cfg.Assoc; way < g*cfg.Assoc+nWays; way++ {
-				bt.tags[way] = um.BlockID(d.i64())
-				for i := way * cfg.NumLevels; i < (way+1)*cfg.NumLevels; i++ {
-					nSuccs := int(d.u32())
-					if d.err != nil || !d.fits(nSuccs, 8) || nSuccs > cfg.NumSuccs {
-						d.fail("entry has %d successors (limit %d)", nSuccs, cfg.NumSuccs)
-						return nil
-					}
-					bt.nsuccs[i] = int32(nSuccs)
-					list := bt.succs[i*cfg.NumSuccs:][:nSuccs]
-					for s := range list {
-						list[s] = um.BlockID(d.i64())
-					}
-				}
-			}
+		// A first pass over a copy of the stream counts the rows that hold
+		// a way, so the slabs are allocated once, at their final size.
+		scan := *d
+		groups := decodeRows(&scan, bt, false)
+		if scan.err != nil {
+			d.err = scan.err
+			return nil
 		}
+		bt.reserve(groups)
+		decodeRows(d, bt, true)
 		t.blocks[id] = bt
 	}
 	if d.err != nil {
 		return nil
 	}
 	return t
+}
+
+// decodeRows reads bt's NumRows row records and returns how many hold a
+// way. Without fill it only checks them, allocating nothing; with fill it
+// also gives each such row a group and copies in its ways.
+func decodeRows(d *decoder, bt *BlockTable, fill bool) (groups int) {
+	cfg := bt.cfg
+	for row := 0; row < cfg.NumRows && d.err == nil; row++ {
+		// Most rows are empty, and an empty row takes no group: step over
+		// a run of zero way counts at once.
+		if n := zeroWords(d.buf, cfg.NumRows-row); n > 0 {
+			d.buf = d.buf[4*n:]
+			row += n - 1
+			continue
+		}
+		nWays := int(d.u32())
+		if !d.fits(nWays, 8+4*cfg.NumLevels) {
+			return groups
+		}
+		if nWays > cfg.Assoc {
+			d.fail("row %d has %d ways (assoc %d)", row, nWays, cfg.Assoc)
+			return groups
+		}
+		groups++
+		g := 0
+		if fill {
+			g = bt.addGroup(row)
+			bt.nways[g] = int32(nWays)
+		}
+		for way := g * cfg.Assoc; way < g*cfg.Assoc+nWays; way++ {
+			tag := um.BlockID(d.i64())
+			if fill {
+				bt.tags[way] = tag
+			}
+			for i := way * cfg.NumLevels; i < (way+1)*cfg.NumLevels; i++ {
+				nSuccs := int(d.u32())
+				if d.err != nil || !d.fits(nSuccs, 8) || nSuccs > cfg.NumSuccs {
+					d.fail("entry has %d successors (limit %d)", nSuccs, cfg.NumSuccs)
+					return groups
+				}
+				if !fill {
+					d.take(8 * nSuccs)
+					continue
+				}
+				bt.nsuccs[i] = int32(nSuccs)
+				list := bt.succs[i*cfg.NumSuccs:][:nSuccs]
+				for s := range list {
+					list[s] = um.BlockID(d.i64())
+				}
+			}
+		}
+	}
+	return groups
+}
+
+// zeroWords returns how many of the first limit 4-byte words of buf are
+// zero, comparing two words at a time.
+func zeroWords(buf []byte, limit int) int {
+	limit = min(limit, len(buf)/4)
+	n := 0
+	for n+2 <= limit && binary.LittleEndian.Uint64(buf[4*n:]) == 0 {
+		n += 2
+	}
+	if n < limit && binary.LittleEndian.Uint32(buf[4*n:]) == 0 {
+		n++
+	}
+	return n
 }
 
 // decoder is a cursor over the payload with sticky error state, so decode

@@ -24,7 +24,7 @@ type refCursor struct {
 	kernels  int
 	dead     bool
 	sawEnd   bool
-	cause    string
+	cause    DeathCause
 }
 
 func newRefCursor(t *Tables, execID ExecID, history [HistoryLen]ExecID, seed um.BlockID) *refCursor {
@@ -83,7 +83,7 @@ func (c *refCursor) advanceKernel() bool {
 		next := c.tables.Exec.Predict(c.execID, c.history)
 		if next == NoExec {
 			c.dead = true
-			c.cause = "noexec"
+			c.cause = DeathNoExec
 			return false
 		}
 		copy(c.history[:], c.history[1:])
@@ -104,7 +104,7 @@ func (c *refCursor) advanceKernel() bool {
 		return true
 	}
 	c.dead = true
-	c.cause = "skips"
+	c.cause = DeathSkips
 	return false
 }
 
@@ -147,6 +147,9 @@ func randomTables(rng *rand.Rand, execs []ExecID, blocks []um.BlockID) *Tables {
 			}
 			bt.RecordMiss(blocks[rng.Intn(len(blocks))])
 		}
+		if rng.Intn(4) == 0 && bt.Start != um.NoBlock {
+			bt.RecordMiss(bt.Start) // Start == End: emitting Start ends the kernel
+		}
 	}
 	for i, n := 0, rng.Intn(4*len(execs)); i < n; i++ {
 		var prev [HistoryLen]ExecID
@@ -168,9 +171,13 @@ func randomTables(rng *rand.Rand, execs []ExecID, blocks []um.BlockID) *Tables {
 // count and death cause — against the reference walk. The reference runs on
 // a decoded copy of the tables because Successors moves the entry it reads
 // to the MRU way; at the end both copies must encode to the same bytes,
-// which shows the two walks read the same heads in the same order.
+// which shows the two walks read the same heads in the same order. Tables
+// learn misses between restarts, so the cursor both replays plans built by
+// earlier walks and rebuilds plans gone stale; the test asserts that every
+// such case, and each edge of the End rule, occurred.
 func TestChainCursorMatchesReference(t *testing.T) {
-	causes := map[string]int{}
+	causes := map[DeathCause]int{}
+	cover := map[string]int{}
 	for trial := int64(0); trial < 300; trial++ {
 		rng := rand.New(rand.NewSource(trial))
 		execs := []ExecID{0, 1, -2, math.MaxInt32, math.MinInt32}
@@ -188,6 +195,9 @@ func TestChainCursorMatchesReference(t *testing.T) {
 		}
 
 		var c ChainCursor
+		// planAt is the table version at which the cursor last entered a
+		// table's plan from Start.
+		planAt := map[*BlockTable]uint64{}
 		for restart := 0; restart < 40; restart++ {
 			exec := execs[rng.Intn(len(execs))]
 			if rng.Intn(10) == 0 {
@@ -198,21 +208,49 @@ func TestChainCursorMatchesReference(t *testing.T) {
 				hist[k] = execs[rng.Intn(len(execs))]
 			}
 			seed := blocks[rng.Intn(len(blocks))]
+			if bt := orig.blocks[exec]; bt != nil {
+				if rng.Intn(8) == 0 {
+					seed = bt.End
+				}
+				if seed == bt.End && bt.End != um.NoBlock {
+					cover["seed == End"]++
+				}
+			}
 			c.Reset(orig, exec, hist, seed)
 			r := newRefCursor(ref, exec, hist, seed)
 			// Some walks are cut short, as a new fault preempts the chain.
 			steps := 1 + rng.Intn(400)
+			died := false
 			for step := 0; step < steps; step++ {
+				kernels := c.Kernels()
 				b, e := c.Next()
 				rb, re := r.next()
 				if b != rb || e != re || c.Kernels() != r.kernels || c.DeathCause != r.cause {
-					t.Fatalf("trial %d restart %d step %d: cursor (%d,%d) kernels %d cause %q; reference (%d,%d) kernels %d cause %q",
+					t.Fatalf("trial %d restart %d step %d: cursor (%d,%d) kernels %d cause %d; reference (%d,%d) kernels %d cause %d",
 						trial, restart, step, b, e, c.Kernels(), c.DeathCause, rb, re, r.kernels, r.cause)
 				}
 				if b == um.NoBlock {
 					causes[c.DeathCause]++
+					died = true
 					break
 				}
+				if c.Kernels() != kernels { // entered the next kernel's plan
+					bt := c.table
+					if v, ok := planAt[bt]; ok {
+						if v == bt.version {
+							cover["plan reused"]++
+						} else {
+							cover["plan rebuilt after a miss"]++
+						}
+					}
+					planAt[bt] = bt.version
+					if bt.Start == bt.End {
+						cover["Start == End"]++
+					}
+				}
+			}
+			if !died && c.table != nil && c.plan == &c.table.plan && c.walked > 0 && c.walked < len(c.plan.heads) {
+				cover["replay cut short"]++
 			}
 			// Learning between faults: both copies record the same miss.
 			if rng.Intn(3) == 0 {
@@ -236,56 +274,15 @@ func TestChainCursorMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: tables diverged: the walks read successors in a different order", trial)
 		}
 	}
-	for _, cause := range []string{"noexec", "skips"} {
+	for _, cause := range []DeathCause{DeathNoExec, DeathSkips} {
 		if causes[cause] == 0 {
-			t.Errorf("no chain died of %q; the generator no longer covers that path (causes %v)", cause, causes)
+			t.Errorf("no chain died of cause %d; the generator no longer covers that path (causes %v)", cause, causes)
 		}
 	}
-}
-
-// TestBlockSetMatchesMap checks add against a map across growth and many
-// O(1) resets.
-func TestBlockSetMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pool := randomBlocks(rng, 300)
-	var s blockSet
-	for round := 0; round < 200; round++ {
-		s.reset()
-		want := map[um.BlockID]bool{}
-		for i, n := 0, rng.Intn(400); i < n; i++ {
-			b := pool[rng.Intn(len(pool))]
-			if got := s.add(b); got == want[b] {
-				t.Fatalf("round %d: add(%d) = %v, but present = %v", round, b, got, want[b])
-			}
-			want[b] = true
-		}
-		if s.n != len(want) {
-			t.Fatalf("round %d: set holds %d, want %d", round, s.n, len(want))
+	for _, k := range []string{"seed == End", "Start == End", "plan reused", "plan rebuilt after a miss", "replay cut short"} {
+		if cover[k] == 0 {
+			t.Errorf("no walk covered %q (covered %v)", k, cover)
 		}
 	}
-}
-
-// TestBlockSetGenerationWrap forces the generation counter to wrap: slots
-// stamped in an earlier epoch must not read as present afterwards.
-func TestBlockSetGenerationWrap(t *testing.T) {
-	var s blockSet
-	old := randomBlocks(rand.New(rand.NewSource(2)), 20)
-	for _, b := range old {
-		s.add(b) // stamped with generation 1
-	}
-	s.gen = math.MaxUint32
-	s.reset() // wraps
-	if s.gen != 1 {
-		t.Fatalf("generation after wrap = %d, want 1", s.gen)
-	}
-	for _, b := range old {
-		if !s.add(b) {
-			t.Fatalf("block %d stamped before the wrap reads as present", b)
-		}
-	}
-	for _, b := range old {
-		if s.add(b) {
-			t.Fatalf("block %d added after the wrap reads as absent", b)
-		}
-	}
+	t.Logf("covered %v; causes %v", cover, causes)
 }

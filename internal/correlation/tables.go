@@ -66,6 +66,12 @@ func (t *Tables) ExecIDs() []ExecID {
 // prefetcher) can stop, pause at the degree-N boundary, or be preempted by a
 // new fault at any point.
 //
+// The cursor replays walk plans (buildPlan): a restart builds the seeded
+// plan of the current kernel, and each predicted kernel's table supplies
+// its plan from Start, kept until the table learns a miss. Replay is exact
+// because a table never changes during a walk: the Chaser records a miss
+// before it calls Reset, never after.
+//
 // A cursor is reused: Reset re-seeds it, and neither a restart nor a kernel
 // transition allocates once its buffers have grown to the largest kernel
 // walked.
@@ -75,24 +81,34 @@ type ChainCursor struct {
 
 	execID  ExecID             // kernel currently being prefetched for
 	history [HistoryLen]ExecID // launch history used for prediction
-	// found holds the current kernel's blocks in discovery order. It backs
-	// two FIFO queues: found[walked:] is the frontier, whose successors are
-	// yet to be visited, and found[emitted:] the blocks not yet handed out.
-	// Every discovered block joins both, except the seed, which is walked
-	// but never emitted; so walked <= emitted.
-	found   []um.BlockID
-	walked  int
+	// plan is the walk being replayed: plan.blocks[:avail] are discovered,
+	// plan.blocks[emitted:avail] are discovered but not yet handed out, and
+	// the first walked heads have been walked.
+	plan    *walkPlan
+	avail   int
 	emitted int
-	seen    blockSet // blocks discovered in the current kernel
-	kernels int      // kernel transitions taken so far
-	dead    bool     // prediction failed; chain exhausted
-	sawEnd  bool     // End block emitted for the current kernel
+	walked  int
+	seeded  walkPlan    // the current kernel's plan from the restart's seed
+	seen    um.BlockSet // plan builder's scratch set
+	kernels int         // kernel transitions taken so far
+	dead    bool        // prediction failed; chain exhausted
 
-	// DeathCause records why the chain died: "" while alive, "noexec" when
-	// the execution table had no prediction, "skips" when too many
-	// consecutive kernels had no fault history.
-	DeathCause string
+	// DeathCause records why the chain died: Alive while it lives.
+	DeathCause DeathCause
 }
+
+// DeathCause says why a chain died.
+type DeathCause uint8
+
+const (
+	// Alive: the chain has not died.
+	Alive DeathCause = iota
+	// DeathNoExec: the execution table had no prediction for the next
+	// kernel.
+	DeathNoExec
+	// DeathSkips: too many consecutive kernels had no fault history.
+	DeathSkips
+)
 
 // Reset starts a chain over t for the kernel execID whose fault on seed
 // triggered prefetching. history holds the three launches before execID
@@ -103,29 +119,31 @@ type ChainCursor struct {
 // block with no recorded successors must still reach the kernel's canonical
 // access graph. A kernel without a block table has nothing to walk, and
 // Reset does not create one: the chain goes straight to the next kernel.
+// No table may learn a miss between Reset and the walk's last Next.
 func (c *ChainCursor) Reset(t *Tables, execID ExecID, history [HistoryLen]ExecID, seed um.BlockID) {
 	c.tables = t
 	c.table = t.blocks[execID]
 	c.execID = execID
 	c.history = history
-	c.found = c.found[:0]
-	c.walked, c.emitted = 0, 0
-	c.seen.reset()
 	c.kernels = 0
-	c.dead, c.sawEnd = false, false
-	c.DeathCause = ""
+	c.dead = false
+	c.DeathCause = Alive
 	if c.table == nil {
+		c.replay(&noWalk)
 		return
 	}
-	if seed != um.NoBlock {
-		c.found = append(c.found, seed)
-		c.seen.add(seed)
-		c.emitted = 1
-	}
-	if start := c.table.Start; start != um.NoBlock && start != seed {
-		c.found = append(c.found, start)
-		c.seen.add(start)
-	}
+	c.table.buildPlan(&c.seeded, seed, &c.seen)
+	c.replay(&c.seeded)
+}
+
+// noWalk is the plan of a kernel without a block table: nothing to walk,
+// so Next goes straight to the next kernel. Nothing writes it.
+var noWalk walkPlan
+
+// replay starts replaying p from its frontier.
+func (c *ChainCursor) replay(p *walkPlan) {
+	c.plan = p
+	c.avail, c.emitted, c.walked = p.frontier, p.first, 0
 }
 
 // ExecID returns the execution ID the cursor is currently prefetching for.
@@ -141,31 +159,28 @@ func (c *ChainCursor) Kernels() int { return c.kernels }
 // chaining ends ... when the prefetching thread fails to predict the next
 // kernel to execute").
 //
-// Successors moves the entry it reads to the MRU way of its set, and later
-// replacements depend on that order: the walk reads each head once, in
-// breadth-first discovery order.
+// Walking a head moves its entry to the MRU way of its set, as a lookup
+// does, and later replacements depend on that order: the walk touches each
+// head once, in breadth-first discovery order, and only once every block
+// discovered before it has been handed out.
 func (c *ChainCursor) Next() (um.BlockID, ExecID) {
 	for !c.dead {
-		if c.emitted < len(c.found) {
-			b := c.found[c.emitted]
+		p := c.plan
+		if c.emitted < c.avail {
+			b := p.blocks[c.emitted]
 			c.emitted++
-			if b == c.table.End {
-				// Meeting the End block ends prefetching for this kernel.
-				c.sawEnd = true
-			}
 			return b, c.execID
 		}
-		if c.sawEnd || c.walked == len(c.found) {
+		if c.walked == len(p.heads) {
 			c.advanceKernel()
 			continue
 		}
-		head := c.found[c.walked]
-		c.walked++
-		for _, s := range c.table.Successors(head) {
-			if s != um.NoBlock && c.seen.add(s) {
-				c.found = append(c.found, s)
-			}
+		h := p.heads[c.walked]
+		if h.group >= 0 {
+			c.table.touch(int(h.group), p.blocks[c.walked])
 		}
+		c.walked++
+		c.avail = int(h.after)
 	}
 	return um.NoBlock, NoExec
 }
@@ -184,7 +199,7 @@ func (c *ChainCursor) advanceKernel() {
 		next := c.tables.Exec.Predict(c.execID, c.history)
 		if next == NoExec {
 			c.dead = true
-			c.DeathCause = "noexec"
+			c.DeathCause = DeathNoExec
 			return
 		}
 		// Slide the history window: the current kernel becomes the most
@@ -193,18 +208,14 @@ func (c *ChainCursor) advanceKernel() {
 		c.history[HistoryLen-1] = c.execID
 		c.execID = next
 		c.kernels++
-		c.sawEnd = false
 		bt := c.tables.blocks[next]
 		if bt == nil || bt.Start == um.NoBlock {
 			continue
 		}
 		c.table = bt
-		c.seen.reset()
-		c.seen.add(bt.Start)
-		c.found = append(c.found[:0], bt.Start)
-		c.walked, c.emitted = 0, 0
+		c.replay(bt.startPlan(&c.seen))
 		return
 	}
 	c.dead = true
-	c.DeathCause = "skips"
+	c.DeathCause = DeathSkips
 }

@@ -361,7 +361,8 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 			}
 		}
 		e.driver.SetResidencyProbe(func(b um.BlockID) bool {
-			return e.space.Block(b).Resident
+			blk := e.space.Lookup(b)
+			return blk != nil && blk.Resident
 		})
 		e.alloc.OnActive = e.driver.OnPTActive
 		e.alloc.OnInactive = e.driver.OnPTInactive
@@ -932,8 +933,8 @@ const (
 // this does not delay the prefetch), then one full-bandwidth transfer, or a
 // free zero-fill populate that is ready no earlier than zeroFillFloor.
 func (e *exec) migrate(b um.BlockID, zeroFillFloor sim.Time) migration {
-	blk := e.space.Block(b)
-	if blk.Resident || blk.AllocatedPages == 0 {
+	blk := e.space.Lookup(b)
+	if blk == nil || blk.Resident || blk.AllocatedPages == 0 {
 		return migrated
 	}
 	need := blk.Bytes()

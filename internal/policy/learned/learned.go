@@ -235,7 +235,7 @@ func (l *Learned) Next() policy.Step {
 		if p.extrapolate {
 			if p.n > extrapolateLen {
 				p.active = false
-				return policy.Step{Out: policy.Dead, Cause: "noexec"}
+				return policy.Step{Out: policy.Dead, Cause: correlation.DeathNoExec}
 			}
 			b := um.BlockID(int64(p.base) + int64(p.n)*p.delta)
 			p.n++
@@ -257,7 +257,7 @@ func (l *Learned) Next() policy.Step {
 		}
 		if next == correlation.NoExec || p.seen[next] {
 			p.active = false
-			return policy.Step{Out: policy.Dead, Cause: "noexec"}
+			return policy.Step{Out: policy.Dead, Cause: correlation.DeathNoExec}
 		}
 		p.seen[next] = true
 		p.exec = next

@@ -52,9 +52,9 @@ const (
 type Step struct {
 	Cmd Command
 	Out Outcome
-	// Cause names a death reason when Out is Dead ("noexec", "skips");
-	// empty otherwise.
-	Cause string
+	// Cause says why the prediction died when Out is Dead
+	// (correlation.DeathNoExec, correlation.DeathSkips); Alive otherwise.
+	Cause correlation.DeathCause
 }
 
 // Gate is the slice of the health controller's degradation ladder a policy

@@ -149,6 +149,17 @@ func (s *Space) Block(b BlockID) *Block {
 	return &s.blocks[b]
 }
 
+// Lookup returns the state of block b, or nil when b lies outside the
+// table: no allocation ever covered it, so it is neither resident nor
+// anything to migrate. Unlike Block it never grows the table, so a block
+// named by untrusted state, such as a resumed checkpoint, costs nothing.
+func (s *Space) Lookup(b BlockID) *Block {
+	if uint64(b) >= uint64(len(s.blocks)) {
+		return nil
+	}
+	return &s.blocks[b]
+}
+
 // AllocatedBytes returns the total live UM allocation.
 func (s *Space) AllocatedBytes() int64 { return s.allocatedBytes }
 

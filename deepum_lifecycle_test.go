@@ -172,10 +172,7 @@ func TestTrainResumeRejectedForNonDeepUM(t *testing.T) {
 
 // resumeWorkload and resumeConfig make the small resumed run of the
 // foreign-block tests: one measured iteration of bert-base b32 at scale 64,
-// a few milliseconds, still oversubscribed. Its block tables have 128 rows,
-// not 2,048, which keeps a warm payload near 100 KB: the payload writes a
-// way count for every row, and the fuzzer makes no progress on inputs over
-// about 1 MiB.
+// a few milliseconds, still oversubscribed.
 var resumeWorkload = Workload{Model: "bert-base", Batch: 32}
 
 func resumeConfig(payload []byte) Config {
@@ -183,7 +180,6 @@ func resumeConfig(payload []byte) Config {
 	cfg.Scale = 64
 	cfg.Iterations = 1
 	cfg.Warmup = 1
-	cfg.Driver.TableConfig.NumRows = 128
 	if payload != nil {
 		cfg.ResumeState = &PolicyState{Policy: "correlation", Payload: payload}
 	}

@@ -104,7 +104,8 @@ func (t *refBlockTable) resetCursor() {
 }
 
 // encode writes the payload of a table set holding no execution records
-// and t as the block table of id, in the checkpoint format.
+// and t as the block table of id, in the dense checkpoint layout: a way
+// count for every row.
 func (t *refBlockTable) encode(id ExecID) []byte {
 	le := binary.LittleEndian
 	var buf []byte
@@ -136,13 +137,60 @@ func (t *refBlockTable) encode(id ExecID) []byte {
 	return buf
 }
 
+// encodeSparse writes the same payload in the sparse layout: a zero word
+// and the layout number before the config, and for the block table the
+// count of occupied rows, then each one's row index and ways.
+func (t *refBlockTable) encodeSparse(id ExecID) []byte {
+	le := binary.LittleEndian
+	var buf []byte
+	for _, v := range []int{0, 1, t.cfg.NumRows, t.cfg.Assoc, t.cfg.NumSuccs, t.cfg.NumLevels, 0, 1, int(id)} {
+		buf = le.AppendUint32(buf, uint32(v))
+	}
+	buf = le.AppendUint64(buf, uint64(t.start))
+	buf = le.AppendUint64(buf, uint64(t.end))
+	for _, b := range t.last {
+		buf = le.AppendUint64(buf, uint64(b))
+	}
+	if t.pendingStart {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	occupied := 0
+	for _, set := range t.sets {
+		if len(set) > 0 {
+			occupied++
+		}
+	}
+	buf = le.AppendUint32(buf, uint32(occupied))
+	for row, set := range t.sets {
+		if len(set) == 0 {
+			continue
+		}
+		buf = le.AppendUint32(buf, uint32(row))
+		buf = le.AppendUint32(buf, uint32(len(set)))
+		for _, e := range set {
+			buf = le.AppendUint64(buf, uint64(e.tag))
+			for _, succs := range e.succs {
+				buf = le.AppendUint32(buf, uint32(len(succs)))
+				for _, s := range succs {
+					buf = le.AppendUint64(buf, uint64(s))
+				}
+			}
+		}
+	}
+	return buf
+}
+
 // TestBlockTableMatchesReference drives BlockTable and the reference with
 // the same seeded streams of misses, lookups and cursor resets, over
 // geometries from one row to the paper's 2048 and block IDs from the whole
 // int64 range. After every step the lookups, Entries, Start and End must
 // agree. Halfway through, the table is swapped for its own decoded
 // checkpoint, whose groups are numbered in row order rather than in
-// insertion order; at the end both sides must encode to the same bytes.
+// insertion order. At the end the table must encode to the reference's
+// sparse bytes, and the reference's dense bytes must decode to tables that
+// encode to them too.
 func TestBlockTableMatchesReference(t *testing.T) {
 	const id = ExecID(7)
 	for _, rows := range []int{1, 7, 2048} {
@@ -186,8 +234,16 @@ func TestBlockTableMatchesReference(t *testing.T) {
 									cfg, seed, step, got, bt.Entries(), bt.Start, bt.End, want, ref.entries, ref.start, ref.end)
 							}
 						}
-						if !bytes.Equal(EncodeTables(ts), ref.encode(id)) {
+						sparse := ref.encodeSparse(id)
+						if !bytes.Equal(EncodeTables(ts), sparse) {
 							t.Fatalf("%+v seed %d: checkpoint bytes differ from the reference's", cfg, seed)
+						}
+						dense, err := DecodeTables(ref.encode(id))
+						if err != nil {
+							t.Fatalf("%+v seed %d: the reference's dense bytes: %v", cfg, seed, err)
+						}
+						if !bytes.Equal(EncodeTables(dense), sparse) {
+							t.Fatalf("%+v seed %d: the reference's dense bytes re-encode differently", cfg, seed)
 						}
 					}
 				}

@@ -17,14 +17,34 @@ package correlation
 //	version uint32   (currently 2)
 //	nameLen uint32   (v2 only; 1..64)
 //	name    []byte   (v2 only; printable ASCII policy name)
-//	payload          (policy-defined; for "correlation" see encode below)
+//	payload          (policy-defined; for "correlation" see below)
 //	crc32   uint32   IEEE, over everything preceding it
 //
 // Version 1 streams (pre-policy checkpoints) carry no name field; readers
 // treat them as policy "correlation", so old blobs keep loading. Everything
 // in the correlation payload is written in deterministic order (maps sorted
-// by ExecID, ways and successor lists in MRU order), so encoding the same
-// tables twice yields identical bytes — which the tests exploit.
+// by ExecID, rows in row order, ways and successor lists in MRU order), so
+// encoding the same tables twice yields identical bytes — which the tests
+// exploit.
+//
+// The correlation payload has two layouts. EncodeTables writes the sparse
+// one; DecodeTables reads both, so checkpoints written before the sparse
+// layout still resume:
+//
+//	zero    uint32   0 (sparse only)
+//	layout  uint32   1 (sparse only)
+//	config  4 × u32  NumRows, Assoc, NumSuccs, NumLevels
+//	exec    u32 count, then per ExecID: id, record count, records
+//	blocks  u32 count, then per ExecID: id i32, Start i64, End i64,
+//	                 last [NumLevels]i64, pendingStart u8, rows
+//
+// A dense table's rows are NumRows way counts, one per row, each followed
+// by its ways; an empty row is a zero count. A sparse table's rows are the
+// count of occupied rows, then each one's row index and way count (1 to
+// Assoc) and ways, in row order. A way is its tag i64 and, per level, a
+// successor count u32 and the successors i64. A dense payload opens with
+// NumRows, which is at least 1, so a leading zero word marks the sparse
+// layout.
 
 import (
 	"encoding/binary"
@@ -139,8 +159,10 @@ func EncodeTables(t *Tables) []byte {
 	return appendPayload(make([]byte, 0, payloadLen(t)), t)
 }
 
-// DecodeTables rebuilds tables from an EncodeTables payload. It returns
-// fresh tables that share nothing with the input slice.
+// DecodeTables rebuilds tables from a payload in either layout: sparse, as
+// EncodeTables writes it, or dense, as checkpoints written before the
+// sparse layout hold it. It returns fresh tables that share nothing with
+// the input slice.
 func DecodeTables(payload []byte) (*Tables, error) {
 	d := &decoder{buf: payload}
 	t := decodePayload(d)
@@ -184,19 +206,30 @@ func ReadCheckpoint(r io.Reader) (*Tables, error) {
 // successors) takes 20 slots.
 const maxGroupSlots = 1 << 10
 
+// maxNumRows bounds a decoded table's NumRows in either layout. An empty
+// row costs no bytes in a sparse payload, so the stream does not bound it.
+// The paper's tables have 2,048 rows (Table 6's largest 4,096);
+// page-granularity history, the alternative §4.2 rejects, would need 512
+// times that.
+const maxNumRows = 512 * 2048
+
+// sparseLayout is the layout number that follows a sparse payload's
+// leading zero word.
+const sparseLayout uint32 = 1
+
 // --- encoding ---
 
 // payloadLen is the exact length appendPayload writes for t.
 func payloadLen(t *Tables) int {
-	n := 4*4 + 4 + 4 // block-table config, exec-entry count, block-table count
+	n := 4 + 4 + 4*4 + 4 + 4 // layout, block-table config, exec-entry count, block-table count
 	for _, recs := range t.Exec.entries {
 		n += 4 + 4 + len(recs)*(HistoryLen+1)*4
 	}
 	for _, bt := range t.blocks {
 		levels := bt.cfg.NumLevels
-		n += 4 + 8 + 8 + 8*len(bt.last) + 1 + 4*bt.cfg.NumRows
+		n += 4 + 8 + 8 + 8*len(bt.last) + 1 + 4
 		for g, ways := range bt.nways {
-			n += 8 * int(ways)
+			n += 4 + 4 + 8*int(ways)
 			first := g * bt.cfg.Assoc * levels
 			for _, c := range bt.nsuccs[first : first+int(ways)*levels] {
 				n += 4 + 8*int(c)
@@ -208,6 +241,8 @@ func payloadLen(t *Tables) int {
 
 func appendPayload(buf []byte, t *Tables) []byte {
 	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, 0)
+	buf = le.AppendUint32(buf, sparseLayout)
 	// Block-table configuration (4 x i32).
 	buf = le.AppendUint32(buf, uint32(t.cfg.NumRows))
 	buf = le.AppendUint32(buf, uint32(t.cfg.Assoc))
@@ -250,16 +285,14 @@ func appendPayload(buf []byte, t *Tables) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
-		// Every row writes its way count, empty rows included, in row
-		// order.
+		// Only the occupied rows, in row order. Every group holds a way:
+		// find fills the way it adds a group for.
 		rows = bt.sortedRows(rows[:0])
-		next := 0
+		buf = le.AppendUint32(buf, uint32(len(rows)))
 		for _, rs := range rows {
-			buf = append(buf, make([]byte, 4*(rs.row-next))...)
+			buf = le.AppendUint32(buf, uint32(rs.row))
 			buf = appendGroup(buf, bt, rs.group)
-			next = rs.row + 1
 		}
-		buf = append(buf, make([]byte, 4*(bt.cfg.NumRows-next))...)
 	}
 	return buf
 }
@@ -285,6 +318,14 @@ func appendGroup(buf []byte, bt *BlockTable, g int) []byte {
 }
 
 func decodePayload(d *decoder) *Tables {
+	// A sparse payload opens with a zero word, a dense one with NumRows.
+	sparse := len(d.buf) >= 4 && binary.LittleEndian.Uint32(d.buf) == 0
+	if sparse {
+		d.take(4)
+		if layout := d.u32(); d.err == nil && layout != sparseLayout {
+			d.fail("unknown payload layout %d", layout)
+		}
+	}
 	cfg := BlockTableConfig{
 		NumRows:   int(d.i32()),
 		Assoc:     int(d.i32()),
@@ -296,6 +337,10 @@ func decodePayload(d *decoder) *Tables {
 	}
 	if cfg.NumRows < 1 || cfg.Assoc < 1 || cfg.NumSuccs < 1 || cfg.NumLevels < 1 {
 		d.fail("invalid block-table config %+v", cfg)
+		return nil
+	}
+	if cfg.NumRows > maxNumRows {
+		d.fail("block-table config %+v has more than %d rows", cfg, maxNumRows)
 		return nil
 	}
 	if cfg.Assoc > maxGroupSlots || cfg.NumSuccs > maxGroupSlots || cfg.NumLevels > maxGroupSlots ||
@@ -330,12 +375,13 @@ func decodePayload(d *decoder) *Tables {
 	nBlocks := int(d.u32())
 	for i := 0; i < nBlocks && d.err == nil; i++ {
 		id := ExecID(d.i32())
-		// Every decoded block table spends >= 4 bytes per row (the way
-		// count) and 8 per level (the last-miss block), so a config whose
-		// dimensions outrun the remaining stream is corrupt; reject it
-		// BEFORE NewBlockTable sizes its miss history from a hostile
-		// NumLevels. A row takes memory only once a way is read for it.
-		if !d.fits(cfg.NumRows, 4) || !d.fits(cfg.NumLevels, 8) {
+		// Every decoded block table spends 8 bytes per level (the
+		// last-miss block), and a dense one 4 per row (the way count), so
+		// a config whose dimensions outrun the remaining stream is
+		// corrupt; reject it BEFORE NewBlockTable sizes its miss history
+		// from a hostile NumLevels. A row takes memory only once a way is
+		// read for it.
+		if !d.fits(cfg.NumLevels, 8) || !sparse && !d.fits(cfg.NumRows, 4) {
 			return nil
 		}
 		bt := NewBlockTable(cfg)
@@ -345,16 +391,17 @@ func decodePayload(d *decoder) *Tables {
 			bt.last[l] = um.BlockID(d.i64())
 		}
 		bt.pendingStart = d.u8() != 0
-		// A first pass over a copy of the stream counts the rows that hold
-		// a way, so the slabs are allocated once, at their final size.
+		// A first pass over a copy of the stream checks the rows and counts
+		// those that hold a way, so the slabs are allocated once, at their
+		// final size.
 		scan := *d
-		groups := decodeRows(&scan, bt, false)
+		groups := decodeRows(&scan, bt, sparse, false)
 		if scan.err != nil {
 			d.err = scan.err
 			return nil
 		}
 		bt.reserve(groups)
-		decodeRows(d, bt, true)
+		decodeRows(d, bt, sparse, true)
 		t.blocks[id] = bt
 	}
 	if d.err != nil {
@@ -363,11 +410,36 @@ func decodePayload(d *decoder) *Tables {
 	return t
 }
 
-// decodeRows reads bt's NumRows row records and returns how many hold a
+// decodeRows reads bt's rows in either layout and returns how many hold a
 // way. Without fill it only checks them, allocating nothing; with fill it
 // also gives each such row a group and copies in its ways.
-func decodeRows(d *decoder, bt *BlockTable, fill bool) (groups int) {
+func decodeRows(d *decoder, bt *BlockTable, sparse, fill bool) (groups int) {
 	cfg := bt.cfg
+	if sparse {
+		n := int(d.u32())
+		// A listed row takes its index, its way count and at least one way.
+		if !d.fits(n, 4+4+8+4*cfg.NumLevels) {
+			return 0
+		}
+		for prev := -1; groups < n && d.err == nil; groups++ {
+			row := int(d.u32())
+			nWays := int(d.u32())
+			if d.err != nil {
+				return groups
+			}
+			if row <= prev || row >= cfg.NumRows {
+				d.fail("row %d listed after row %d (%d rows)", row, prev, cfg.NumRows)
+				return groups
+			}
+			if nWays == 0 {
+				d.fail("row %d listed with no ways", row)
+				return groups
+			}
+			prev = row
+			decodeGroup(d, bt, row, nWays, fill)
+		}
+		return groups
+	}
 	for row := 0; row < cfg.NumRows && d.err == nil; row++ {
 		// Most rows are empty, and an empty row takes no group: step over
 		// a run of zero way counts at once.
@@ -376,44 +448,50 @@ func decodeRows(d *decoder, bt *BlockTable, fill bool) (groups int) {
 			row += n - 1
 			continue
 		}
-		nWays := int(d.u32())
-		if !d.fits(nWays, 8+4*cfg.NumLevels) {
-			return groups
-		}
-		if nWays > cfg.Assoc {
-			d.fail("row %d has %d ways (assoc %d)", row, nWays, cfg.Assoc)
-			return groups
-		}
+		decodeGroup(d, bt, row, int(d.u32()), fill)
 		groups++
-		g := 0
+	}
+	return groups
+}
+
+// decodeGroup reads the nWays ways of row. Without fill it only checks
+// them; with fill it also gives the row a group and copies them in.
+func decodeGroup(d *decoder, bt *BlockTable, row, nWays int, fill bool) {
+	cfg := bt.cfg
+	if !d.fits(nWays, 8+4*cfg.NumLevels) {
+		return
+	}
+	if nWays > cfg.Assoc {
+		d.fail("row %d has %d ways (assoc %d)", row, nWays, cfg.Assoc)
+		return
+	}
+	g := 0
+	if fill {
+		g = bt.addGroup(row)
+		bt.nways[g] = int32(nWays)
+	}
+	for way := g * cfg.Assoc; way < g*cfg.Assoc+nWays; way++ {
+		tag := um.BlockID(d.i64())
 		if fill {
-			g = bt.addGroup(row)
-			bt.nways[g] = int32(nWays)
+			bt.tags[way] = tag
 		}
-		for way := g * cfg.Assoc; way < g*cfg.Assoc+nWays; way++ {
-			tag := um.BlockID(d.i64())
-			if fill {
-				bt.tags[way] = tag
+		for i := way * cfg.NumLevels; i < (way+1)*cfg.NumLevels; i++ {
+			nSuccs := int(d.u32())
+			if d.err != nil || !d.fits(nSuccs, 8) || nSuccs > cfg.NumSuccs {
+				d.fail("entry has %d successors (limit %d)", nSuccs, cfg.NumSuccs)
+				return
 			}
-			for i := way * cfg.NumLevels; i < (way+1)*cfg.NumLevels; i++ {
-				nSuccs := int(d.u32())
-				if d.err != nil || !d.fits(nSuccs, 8) || nSuccs > cfg.NumSuccs {
-					d.fail("entry has %d successors (limit %d)", nSuccs, cfg.NumSuccs)
-					return groups
-				}
-				if !fill {
-					d.take(8 * nSuccs)
-					continue
-				}
-				bt.nsuccs[i] = int32(nSuccs)
-				list := bt.succs[i*cfg.NumSuccs:][:nSuccs]
-				for s := range list {
-					list[s] = um.BlockID(d.i64())
-				}
+			if !fill {
+				d.take(8 * nSuccs)
+				continue
+			}
+			bt.nsuccs[i] = int32(nSuccs)
+			list := bt.succs[i*cfg.NumSuccs:][:nSuccs]
+			for s := range list {
+				list[s] = um.BlockID(d.i64())
 			}
 		}
 	}
-	return groups
 }
 
 // zeroWords returns how many of the first limit 4-byte words of buf are

@@ -193,7 +193,9 @@ func flipByte(b []byte, i int) []byte {
 // TestDecodeBoundsRowGeometry: a decoded table reserves its declared
 // geometry for each used row, so a geometry past maxGroupSlots is rejected
 // rather than allocated, while the same single row under the paper's
-// geometry, or one at the bound, decodes and re-encodes unchanged.
+// geometry, or one at the bound, decodes. Each verdict holds for the dense
+// single-row payload and for its hand-built sparse twin, and an accepted
+// payload of either layout re-encodes to the twin.
 func TestDecodeBoundsRowGeometry(t *testing.T) {
 	for _, g := range []struct {
 		assoc, succs uint32
@@ -207,13 +209,15 @@ func TestDecodeBoundsRowGeometry(t *testing.T) {
 		{0x7fffffff, 1, false},
 		{1, 0x7fffffff, false},
 	} {
-		payload := singleRowPayload(g.assoc, g.succs)
-		tbl, err := DecodeTables(payload)
-		if (err == nil) != g.ok {
-			t.Fatalf("assoc %d, %d successors: err %v, want ok=%v", g.assoc, g.succs, err, g.ok)
-		}
-		if err == nil && !bytes.Equal(EncodeTables(tbl), payload) {
-			t.Fatalf("assoc %d, %d successors: re-encoded payload differs", g.assoc, g.succs)
+		twin := sparsePayload(1, g.assoc, g.succs, 1, sparseRow(0, 1))
+		for layout, payload := range map[string][]byte{"dense": singleRowPayload(g.assoc, g.succs), "sparse": twin} {
+			tbl, err := DecodeTables(payload)
+			if (err == nil) != g.ok {
+				t.Fatalf("%s, assoc %d, %d successors: err %v, want ok=%v", layout, g.assoc, g.succs, err, g.ok)
+			}
+			if err == nil && !bytes.Equal(EncodeTables(tbl), twin) {
+				t.Fatalf("%s, assoc %d, %d successors: re-encoded payload differs from the sparse twin", layout, g.assoc, g.succs)
+			}
 		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,18 +43,93 @@ func envelopeV2(nameLen uint32, name string, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// singleRowPayload is a correlation payload whose one block table, of one
-// row and one level, holds a single way with a single successor, under the
-// given associativity and successor count.
+// u64le builds a little-endian 64-bit field for crafted payloads.
+func u64le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
+// singleRowPayload is a dense correlation payload whose one block table, of
+// one row and one level, holds a single way with a single successor, under
+// the given associativity and successor count.
 func singleRowPayload(assoc, succs uint32) []byte {
-	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	return bytes.Join([][]byte{
 		u32le(1), u32le(assoc), u32le(succs), u32le(1), // cfg rows/assoc/succs/levels
 		u32le(0),           // no exec entries
 		u32le(1), u32le(7), // one block table, id 7
-		u64(10), u64(11), u64(11), {0}, // start, end, last, pending
-		u32le(1), u64(10), u32le(1), u64(11), // row 0: one way, tag 10, successor 11
+		u64le(10), u64le(11), u64le(11), {0}, // start, end, last, pending
+		u32le(1), u64le(10), u32le(1), u64le(11), // row 0: one way, tag 10, successor 11
 	}, nil)
+}
+
+// sparsePayload is a sparse correlation payload whose one block table, of
+// one level, declares numRows rows, assoc ways and succs successors, and
+// lists count occupied rows; rows are the row records that follow.
+// sparsePayload(1, assoc, succs, 1, sparseRow(0, 1)) is the sparse twin of
+// singleRowPayload(assoc, succs).
+func sparsePayload(numRows, assoc, succs, count uint32, rows ...[]byte) []byte {
+	return bytes.Join(append([][]byte{
+		u32le(0), u32le(sparseLayout), // sparse layout
+		u32le(numRows), u32le(assoc), u32le(succs), u32le(1), // cfg rows/assoc/succs/levels
+		u32le(0),           // no exec entries
+		u32le(1), u32le(7), // one block table, id 7
+		u64le(10), u64le(11), u64le(11), {0}, // start, end, last, pending
+		u32le(count),
+	}, rows...), nil)
+}
+
+// sparseRow is the record of occupied row row with ways ways, each with
+// tag 10 and the single successor 11.
+func sparseRow(row, ways uint32) []byte {
+	rec := append(u32le(row), u32le(ways)...)
+	for range ways {
+		rec = bytes.Join([][]byte{rec, u64le(10), u32le(1), u64le(11)}, nil)
+	}
+	return rec
+}
+
+// hostilePayload is a payload that lies, with the words its decode error
+// must name.
+type hostilePayload struct {
+	name, wantSub string
+	payload       []byte
+}
+
+// hostileSparsePayloads are sparse payloads whose row records or geometry
+// lie.
+func hostileSparsePayloads() []hostilePayload {
+	unknownLayout := sparsePayload(4, 2, 4, 1, sparseRow(0, 1))
+	binary.LittleEndian.PutUint32(unknownLayout[4:], sparseLayout+1)
+	return []hostilePayload{
+		{"unknown-layout", "layout", unknownLayout},
+		{"row-repeated", "listed after", sparsePayload(4, 2, 4, 2, sparseRow(1, 1), sparseRow(1, 1))},
+		{"rows-out-of-order", "listed after", sparsePayload(4, 2, 4, 2, sparseRow(2, 1), sparseRow(1, 1))},
+		{"row-at-NumRows", "listed after", sparsePayload(4, 2, 4, 1, sparseRow(4, 1))},
+		{"row-without-ways", "no ways", sparsePayload(4, 2, 4, 2, sparseRow(0, 0), sparseRow(1, 2))},
+		{"ways-over-assoc", "assoc", sparsePayload(4, 2, 4, 1, sparseRow(0, 3))},
+		{"row-count-beyond-stream", "exceeds remaining", sparsePayload(4, 2, 4, 0x7fffffff, sparseRow(0, 1))},
+		{"NumRows-past-bound", "rows", sparsePayload(maxNumRows+1, 2, 4, 1, sparseRow(maxNumRows, 1))},
+	}
+}
+
+// TestSparseDecodeRejectsHostileRows: the sparse reader rejects every
+// lie of hostileSparsePayloads with an error that names it, and accepts
+// the same payloads told truthfully.
+func TestSparseDecodeRejectsHostileRows(t *testing.T) {
+	for _, c := range hostileSparsePayloads() {
+		if _, err := DecodeTables(c.payload); err == nil || !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%s: err %v, want one naming %q", c.name, err, c.wantSub)
+		}
+	}
+	for _, payload := range [][]byte{
+		sparsePayload(4, 2, 4, 2, sparseRow(1, 1), sparseRow(3, 2)),
+		sparsePayload(maxNumRows, 2, 4, 1, sparseRow(maxNumRows-1, 1)),
+	} {
+		tbl, err := DecodeTables(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeTables(tbl), payload) {
+			t.Fatal("accepted sparse payload re-encodes differently")
+		}
+	}
 }
 
 // FuzzReadCheckpoint feeds ReadCheckpoint adversarial streams. Whatever the
@@ -121,6 +199,16 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(envelope(nil)[:13])                                   // v1 truncated inside version field
 	v2 := envelopeV2(uint32(len("correlation")), "correlation", tablesPayload)
 	f.Add(v2[:14]) // v2 truncated before the name length completes
+	// The committed dense v2 checkpoint, which must load, and sparse
+	// payloads whose row records lie, which must not.
+	dense, err := os.ReadFile(filepath.Join("testdata", "envelope_v2.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dense)
+	for _, c := range hostileSparsePayloads() {
+		f.Add(envelope(c.payload))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The input size bounds every legitimate allocation; anything the
@@ -145,6 +233,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if again.cfg != tbl.cfg {
 			t.Fatalf("config drifted across roundtrip: %+v vs %+v", again.cfg, tbl.cfg)
+		}
+		var twice bytes.Buffer
+		if err := WriteCheckpoint(&twice, again); err != nil || !bytes.Equal(twice.Bytes(), out.Bytes()) {
+			t.Fatalf("re-decoded checkpoint re-encodes differently (err %v)", err)
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"deepum/internal/chaos"
 	"deepum/internal/core"
@@ -241,6 +242,8 @@ type exec struct {
 	now     sim.Time
 	cmdTime sim.Time // when the pending prefetch commands became available
 	gpuBusy sim.Duration
+	// launches counts kernel launches, to yield every yieldEvery of them.
+	launches int
 
 	// Run-lifecycle supervision (lifecycle.go): the supervising context, the
 	// absolute virtual-time deadline (0 = none), the status recorded by the
@@ -650,12 +653,22 @@ func (e *exec) iteration() error {
 // the hardware fault buffer is finite.
 const maxFaultBatch = 64
 
+// yieldEvery is how many kernel launches a run simulates between yields of
+// its processor. A run never blocks, so without them the goroutines that
+// share its processor (a server's request handlers) wait for Go's 10 ms
+// preemption; yielding at every launch made BenchmarkTrainBertDeepUM about
+// a quarter slower on 2 vCPUs.
+const yieldEvery = 16
+
 // kernel simulates one launch: the runtime callback, the faulting walk over
 // the kernel's UM-block accesses, and the roofline compute time, with the
 // migration thread pumping prefetch and pre-eviction work in the background.
 func (e *exec) kernel(k *workload.Kernel) error {
 	if e.interrupted() {
 		return errRunInterrupted
+	}
+	if e.launches++; e.launches%yieldEvery == 0 {
+		runtime.Gosched()
 	}
 	// An injected supervisor kill (scenario cancel-mid-iteration) fires on a
 	// launch count, deliberately unaligned to iteration boundaries.

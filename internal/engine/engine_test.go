@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"deepum/internal/chaos"
@@ -266,5 +268,38 @@ func TestPolicyString(t *testing.T) {
 	}
 	if Policy(99).String() != "unknown" {
 		t.Fatal("unknown policy string")
+	}
+}
+
+// TestRunYieldsBetweenLaunches: a run gives up its processor between
+// kernel launches, so a goroutine that shares the processor gets it at
+// least once per 64 launches of a bert-base b32 scale-64 DeepUM run, not
+// only when Go preempts the simulation.
+func TestRunYieldsBetweenLaunches(t *testing.T) {
+	prog, err := models.Build(models.Spec{Model: "bert-base"}, 32, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var turns atomic.Int64
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			turns.Add(1)
+			runtime.Gosched()
+		}
+	}()
+	res, err := Run(Config{Params: sim.DefaultParams().Scale(64), Program: prog, Policy: PolicyDeepUM,
+		DriverOptions: core.DefaultOptions(), Iterations: 4, Warmup: 3, Seed: 1})
+	stop.Store(true)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	launches := res.Driver.KernelLaunches
+	if n := turns.Load(); n*64 < launches {
+		t.Fatalf("the yielding goroutine ran %d times in %d launches; want at least one per 64", n, launches)
 	}
 }

@@ -207,6 +207,33 @@ func BenchmarkTrainBertDeepUM(b *testing.B) {
 	}
 }
 
+// trainBertAllocsBound caps the allocations of one warm train-bert Train.
+// A Train of seed 1 makes 12,208 (Go 1.24, amd64). The bound sits about
+// 25% above that count, so a change that puts an allocation back into a
+// per-fault or per-command path, such as a parked prefetch command that
+// escapes or a victim slice built per eviction, fails here rather than
+// only in the benchmark's allocs/op.
+const trainBertAllocsBound = 15300
+
+// TestTrainBertAllocs measures the allocations of one warm train-bert
+// Train, the benchmark workload's call, against trainBertAllocsBound. The
+// race detector's instrumentation more than doubles the count (29,103), so
+// the bound holds for uninstrumented builds only.
+func TestTrainBertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include its own")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Train(trainBert, trainBertConfig(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a warm train-bert Train allocates %.0f times", allocs)
+	if allocs > trainBertAllocsBound {
+		t.Fatalf("a warm train-bert Train allocates %.0f times, want at most %d", allocs, trainBertAllocsBound)
+	}
+}
+
 // TestTrainBertDecisionsPinned pins the decisions of BenchmarkTrainBertDeepUM's
 // runs, seeds 1-3: iteration time, faults per iteration, the access
 // checksum and every driver counter. Host-time work on the chain walk must

@@ -69,18 +69,17 @@ func CheckResidency(r *um.Residency) error {
 
 // CheckServed verifies every faulted block of one handling cycle was
 // actually served: after HandleGroups returns, each group's block must be
-// resident, be an unallocated region that maps to a zero page, or appear in
-// evictedInCycle — served and then displaced by a later group's eviction
-// under extreme pressure, which the real GPU replays as a fresh fault. This
-// is the "every access eventually served" guarantee — under any chaos
-// scenario a fault may be slow, but it may never be lost.
-func CheckServed(space *um.Space, groups []um.FaultGroup, evictedInCycle map[um.BlockID]bool) error {
+// resident in r, be an unallocated region that maps to a zero page, or
+// appear in evictedInCycle — served and then displaced by a later group's
+// eviction under extreme pressure, which the real GPU replays as a fresh
+// fault. This is the "every access eventually served" guarantee — under any
+// chaos scenario a fault may be slow, but it may never be lost.
+func CheckServed(space *um.Space, r *um.Residency, groups []um.FaultGroup, evictedInCycle map[um.BlockID]bool) error {
 	for _, g := range groups {
-		blk := space.Block(g.Block)
-		if blk.AllocatedPages == 0 {
+		if space.Block(g.Block).AllocatedPages == 0 {
 			continue
 		}
-		if !blk.Resident && !evictedInCycle[g.Block] {
+		if !r.Resident(g.Block) && !evictedInCycle[g.Block] {
 			return violated("served", "faulted block %d left unserved after its handling cycle", g.Block)
 		}
 	}

@@ -4,9 +4,10 @@
 // invalidation of UM blocks belonging to inactive PyTorch blocks.
 //
 // The driver is mechanism only: it owns the bounded prefetch queue, the
-// dedup and protected-set bookkeeping, the residency probe, observer hooks,
-// and health-gate plumbing. *What to fetch next* is delegated to a
-// pluggable policy (internal/policy); the paper's correlation chaser
+// dedup and protected-set bookkeeping, the capacity throttle, observer
+// hooks, and health-gate plumbing. *What to fetch next* is delegated to a
+// pluggable policy (internal/policy), which skips blocks the device's
+// residency bitmap already holds; the paper's correlation chaser
 // (internal/policy/correlation) is the default, selected by Options.Policy.
 //
 // On a real system the driver is a Linux kernel module with four kernel
@@ -51,13 +52,6 @@ type Options struct {
 	// default of 64, which models roughly ten milliseconds of link work at
 	// full block size. Scaled-down simulations shrink it proportionally.
 	TakeWindow int
-	// CapacityBytes is the device memory size; the prefetcher throttles the
-	// outstanding predicted set to a fraction of it so aggressive chaining
-	// cannot displace blocks that will be accessed sooner (§6.2: "aggressive
-	// prefetching may hurt performance ... and evicts pages that will be
-	// accessed soon"). Zero disables the throttle. The engine fills it in
-	// from the simulated machine.
-	CapacityBytes int64
 	// Policy names the prefetch policy deciding what to fetch next; the
 	// empty string selects the default ("correlation", the paper's chaser).
 	// See internal/policy for the registry.
@@ -124,14 +118,17 @@ type Driver struct {
 	// the pre-eviction policy must not evict them (§5.1).
 	protected um.BlockSet
 
-	// activeBytes tracks, per UM block, how many bytes belong to active
-	// PyTorch blocks; a block with zero active bytes is invalidatable.
-	activeBytes map[um.BlockID]int64
+	// activeBytes holds, indexed by UM block, how many bytes belong to
+	// active PyTorch blocks; a block with none is invalidatable. Its IDs
+	// come from the allocator's callbacks and resident victims, never from
+	// a checkpoint, so it is no larger than the space's block table.
+	activeBytes []int64
 
-	// resident, when set, lets the prefetching thread skip blocks already
-	// on the device: it issues no command for them and does not protect
-	// them, so a resident predicted block stays an eviction candidate.
-	resident func(um.BlockID) bool
+	// res is the device the driver prefetches into: its capacity bounds the
+	// protected set, and its bitmap lets the policy skip resident blocks,
+	// which get no command and no protection, so a resident predicted block
+	// stays an eviction candidate. Nil means neither.
+	res *um.Residency
 
 	// obs receives a prefetch-issue event per enqueued command; obsClock
 	// supplies the timestamp (the driver itself has no clock — the engine
@@ -143,7 +140,8 @@ type Driver struct {
 	// throttle speculation at the enqueue point.
 	gate HealthGate
 
-	// victimBuf backs the slice VictimsForPrefetch returns.
+	// victimBuf backs the slices VictimsForPrefetch and SelectVictims
+	// return. No caller asks for victims while it still walks earlier ones.
 	victimBuf []um.BlockID
 
 	Stats Stats
@@ -163,43 +161,33 @@ var (
 )
 
 // NewDriverFor returns a driver running the policy named by opts.Policy
-// (empty selects the default correlation chaser). It fails when the policy
-// is unknown or its warm state cannot be decoded — both conditions callers
-// want as typed errors before any run state exists.
-func NewDriverFor(opts Options) (*Driver, error) {
+// (empty selects the default correlation chaser) for the device whose
+// residency is res. The policy gets only res's bitmap. A nil res filters
+// nothing and leaves the protected set unthrottled. It fails when the
+// policy is unknown or its warm state cannot be decoded — both conditions
+// callers want as typed errors before any run state exists.
+func NewDriverFor(opts Options, res *um.Residency) (*Driver, error) {
 	if opts.Degree < 1 {
 		opts.Degree = 1
 	}
 	if opts.TableConfig.NumRows == 0 {
 		opts.TableConfig = correlation.DefaultBlockTableConfig()
 	}
+	var resident *um.Bitmap
+	if res != nil {
+		resident = res.Bitmap()
+	}
 	pol, err := policy.New(opts.Policy, policy.Options{
 		Prefetch:    opts.Prefetch,
 		Degree:      opts.Degree,
 		TableConfig: opts.TableConfig,
 		WarmPayload: opts.WarmPayload,
+		Resident:    resident,
 	})
 	if err != nil {
 		return nil, err
 	}
-	d := &Driver{
-		opts:        opts,
-		pol:         pol,
-		current:     correlation.NoExec,
-		activeBytes: make(map[um.BlockID]int64),
-	}
-	return d, nil
-}
-
-// NewDriver returns a driver with the given options, panicking on a policy
-// error. With a registered (or empty) Policy name and no hostile warm
-// payload, construction cannot fail; tests use this form.
-func NewDriver(opts Options) *Driver {
-	d, err := NewDriverFor(opts)
-	if err != nil {
-		panic(fmt.Sprintf("core: NewDriver: %v", err))
-	}
-	return d
+	return &Driver{opts: opts, pol: pol, current: correlation.NoExec, res: res}, nil
 }
 
 // Options returns the driver's configuration.
@@ -287,9 +275,6 @@ func (d *Driver) fillQueue(budget int) {
 		if d.queued.Has(b) {
 			continue
 		}
-		if d.resident != nil && d.resident(b) {
-			continue // already on the device: nothing to migrate
-		}
 		d.protected.Add(b)
 		d.queued.Add(b)
 		d.queue = append(d.queue, st.Cmd)
@@ -298,10 +283,6 @@ func (d *Driver) fillQueue(budget int) {
 		budget--
 	}
 }
-
-// SetResidencyProbe installs the device-residency check used to filter
-// prefetch commands.
-func (d *Driver) SetResidencyProbe(probe func(um.BlockID) bool) { d.resident = probe }
 
 // SetObserver installs the tracing recorder and the clock that timestamps
 // its events; a nil recorder disables emission.
@@ -485,13 +466,15 @@ func (d *Driver) CheckInvariants() error {
 }
 
 // protectLimit is the capacity throttle on the protected set: the predicted
-// set must fit comfortably in device memory or prefetching would evict its
-// own earlier predictions. Without a capacity there is no throttle.
+// set must fit comfortably in device memory or aggressive chaining would
+// displace blocks that will be accessed sooner (§6.2: "aggressive
+// prefetching may hurt performance ... and evicts pages that will be
+// accessed soon"). Without a device capacity there is no throttle.
 func (d *Driver) protectLimit() int64 {
-	if d.opts.CapacityBytes <= 0 {
+	if d.res == nil || d.res.Capacity() <= 0 {
 		return 1 << 62
 	}
-	return d.opts.CapacityBytes * 4 / sim.BlockSize
+	return d.res.Capacity() * 4 / sim.BlockSize
 }
 
 // BeginIteration clears the protected set; the engine calls it at iteration
@@ -518,7 +501,8 @@ func (d *Driver) Unprotect(b um.BlockID) {
 // displacing a block predicted for the next N kernels to make room for a
 // later prediction is self-defeating. ok is false when not enough
 // unprotected memory exists; the prefetch then waits. The victims live in
-// a buffer the driver reuses: the slice is valid until the next call.
+// a buffer the driver reuses: the slice is valid until the next call of
+// VictimsForPrefetch or SelectVictims.
 func (d *Driver) VictimsForPrefetch(r *um.Residency, need int64) ([]um.BlockID, bool) {
 	victims := d.victimBuf[:0]
 	var freed int64
@@ -540,9 +524,11 @@ func (d *Driver) VictimsForPrefetch(r *um.Residency, need int64) ([]um.BlockID, 
 // migrated, excluding blocks expected to be accessed by the currently
 // executing kernel and the next N kernels (the protected set maintained from
 // the correlation tables). When every resident block is protected it falls
-// back to plain LRM — the driver must free space to make progress.
+// back to plain LRM — the driver must free space to make progress. The
+// victims live in the buffer VictimsForPrefetch uses: the slice is valid
+// until the next call of either.
 func (d *Driver) SelectVictims(r *um.Residency, need int64) []um.BlockID {
-	var victims []um.BlockID
+	victims := d.victimBuf[:0]
 	var freed int64
 	r.WalkLRM(func(b um.BlockID) bool {
 		if d.protected.Has(b) {
@@ -550,27 +536,23 @@ func (d *Driver) SelectVictims(r *um.Residency, need int64) []um.BlockID {
 			return true
 		}
 		victims = append(victims, b)
-		freed += blockBytes(r, b)
+		freed += r.BlockResidentBytes(b)
 		return freed < need
 	})
-	if freed >= need {
-		return victims
+	if freed < need {
+		// Fallback when everything resident is predicted for upcoming
+		// kernels: sacrifice the most recently migrated blocks — those carry
+		// the farthest-future predictions, so dropping them wastes the least.
+		victims = victims[:0]
+		freed = 0
+		r.WalkMRM(func(b um.BlockID) bool {
+			victims = append(victims, b)
+			freed += r.BlockResidentBytes(b)
+			return freed < need
+		})
 	}
-	// Fallback when everything resident is predicted for upcoming kernels:
-	// sacrifice the most recently migrated blocks — those carry the
-	// farthest-future predictions, so dropping them wastes the least.
-	victims = victims[:0]
-	freed = 0
-	r.WalkMRM(func(b um.BlockID) bool {
-		victims = append(victims, b)
-		freed += blockBytes(r, b)
-		return freed < need
-	})
+	d.victimBuf = victims
 	return victims
-}
-
-func blockBytes(r *um.Residency, b um.BlockID) int64 {
-	return r.BlockResidentBytes(b)
 }
 
 // preevictWatermark is the share of device memory the pre-evictor keeps
@@ -611,10 +593,12 @@ func (d *Driver) adjustActive(base um.Addr, size int64, sign int64) {
 		if end-off < span {
 			span = end - off
 		}
-		d.activeBytes[b] += sign * span
-		if d.activeBytes[b] <= 0 {
-			delete(d.activeBytes, b)
+		if int(b) >= len(d.activeBytes) {
+			d.activeBytes = append(d.activeBytes, make([]int64, int(b)+1-len(d.activeBytes))...)
 		}
+		// A block's count never goes below zero: a release of bytes never
+		// counted active leaves it inactive, not in debt.
+		d.activeBytes[b] = max(0, d.activeBytes[b]+sign*span)
 		off += span
 	}
 }
@@ -626,8 +610,7 @@ func (d *Driver) CanInvalidate(b um.BlockID) bool {
 	if !d.opts.Invalidate {
 		return false
 	}
-	_, active := d.activeBytes[b]
-	return !active
+	return uint64(b) >= uint64(len(d.activeBytes)) || d.activeBytes[b] == 0
 }
 
 // NoteInvalidation counts a dropped victim.

@@ -13,7 +13,7 @@ import (
 func TestTakeQueuedWindow(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TakeWindow = 2
-	d := NewDriver(opts)
+	d := newDriver(t, opts)
 	// Learn a long chain within one kernel: blocks 1..10 in order, twice so
 	// successors exist.
 	for it := 0; it < 2; it++ {
@@ -51,7 +51,7 @@ func TestTakeQueuedWindow(t *testing.T) {
 
 // TestQueueFlushOnFault: a new fault discards the previous chain's commands.
 func TestQueueFlushOnFault(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	for it := 0; it < 2; it++ {
 		d.KernelLaunch(0)
 		for b := um.BlockID(1); b <= 5; b++ {
@@ -81,7 +81,7 @@ func TestQueueFlushOnFault(t *testing.T) {
 // TestNoteEvictionRequeues: a protected block evicted through the fallback
 // is immediately re-queued.
 func TestNoteEvictionRequeues(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	d.KernelLaunch(0)
 	d.protected.Add(77)
 	d.NoteEviction(77)
@@ -96,7 +96,7 @@ func TestNoteEvictionRequeues(t *testing.T) {
 	// Prefetch disabled: no requeue.
 	opts := DefaultOptions()
 	opts.Prefetch = false
-	d2 := NewDriver(opts)
+	d2 := newDriver(t, opts)
 	d2.protected.Add(5)
 	d2.NoteEviction(5)
 	if d2.IsQueued(5) {
@@ -104,12 +104,17 @@ func TestNoteEvictionRequeues(t *testing.T) {
 	}
 }
 
-// TestResidencyProbeFiltersCommands: resident blocks are predicted (and
-// protected) but produce no migration command.
+// TestResidencyProbeFiltersCommands: the policy skips blocks the device's
+// residency holds, so they get no migration command and no protection and
+// stay eviction candidates; the residency is read live, so a block that
+// leaves the device is queued on the next restart.
 func TestResidencyProbeFiltersCommands(t *testing.T) {
-	d := NewDriver(DefaultOptions())
-	resident := map[um.BlockID]bool{2: true}
-	d.SetResidencyProbe(func(b um.BlockID) bool { return resident[b] })
+	r := um.NewResidency(um.NewSpace(0), 64*sim.BlockSize)
+	r.Insert(2, 1, 0, 0)
+	d, err := NewDriverFor(DefaultOptions(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for it := 0; it < 2; it++ {
 		d.KernelLaunch(0)
 		for b := um.BlockID(1); b <= 3; b++ {
@@ -119,20 +124,28 @@ func TestResidencyProbeFiltersCommands(t *testing.T) {
 	}
 	d.KernelLaunch(0)
 	d.OnFault(1)
-	if d.IsQueued(2) {
-		t.Fatal("resident block got a migration command")
+	if d.IsQueued(2) || d.protected.Has(2) {
+		t.Fatal("resident block got a migration command or protection")
 	}
 	if !d.IsQueued(3) {
 		t.Fatal("non-resident successor missing from the queue")
+	}
+	r.Remove(2)
+	d.OnFault(1)
+	if !d.IsQueued(2) {
+		t.Fatal("block evicted from the device not queued on the next restart")
 	}
 }
 
 // TestUnprotectResumesThrottledChain: shrinking the protected set below the
 // capacity throttle resumes a paused chain.
 func TestUnprotectResumesThrottledChain(t *testing.T) {
-	opts := DefaultOptions()
-	opts.CapacityBytes = 2 * sim.BlockSize // throttle: <= 8x capacity in blocks
-	d := NewDriver(opts)
+	// throttle: at most 4x the device's capacity in blocks, so 8
+	r := um.NewResidency(um.NewSpace(0), 2*sim.BlockSize)
+	d, err := NewDriverFor(DefaultOptions(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for it := 0; it < 2; it++ {
 		d.KernelLaunch(0)
 		for b := um.BlockID(1); b <= 30; b++ {
@@ -158,7 +171,7 @@ func TestUnprotectResumesThrottledChain(t *testing.T) {
 // TestVictimsForPrefetchNeverFallsBack: unlike the demand path, prefetch
 // eviction reports failure instead of touching protected blocks.
 func TestVictimsForPrefetchNeverFallsBack(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	s := um.NewSpace(0)
 	r := um.NewResidency(s, 4*sim.BlockSize)
 	a, _ := s.Malloc(2 * sim.BlockSize)
@@ -182,7 +195,7 @@ func TestVictimsForPrefetchNeverFallsBack(t *testing.T) {
 // TestVictimsForPrefetchReusesBuffer: the victim walk appends into a
 // buffer the driver owns, so a warm walk allocates nothing.
 func TestVictimsForPrefetchReusesBuffer(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	s := um.NewSpace(0)
 	r := um.NewResidency(s, 8*sim.BlockSize)
 	a, _ := s.Malloc(8 * sim.BlockSize)
@@ -200,7 +213,7 @@ func TestVictimsForPrefetchReusesBuffer(t *testing.T) {
 
 // TestQueueCompaction: heavy pop traffic keeps the backing slice bounded.
 func TestQueueCompaction(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	for i := 0; i < 3*maxQueue; i++ {
 		d.queued.Add(um.BlockID(i))
 		d.queue = append(d.queue, PrefetchCommand{Block: um.BlockID(i)})
@@ -222,7 +235,7 @@ func TestChainCursorDeathCauses(t *testing.T) {
 	var c correlation.ChainCursor
 	c.Reset(ts, 0, h, 1)
 	for {
-		b, _ := c.Next()
+		b, _ := c.Next(nil)
 		if b == um.NoBlock {
 			break
 		}

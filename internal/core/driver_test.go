@@ -9,6 +9,17 @@ import (
 	"deepum/internal/um"
 )
 
+// newDriver builds a driver with no residency: the policy filters no
+// block as resident, and the protected set is not throttled.
+func newDriver(t testing.TB, opts Options) *Driver {
+	t.Helper()
+	d, err := NewDriverFor(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
 	if !o.Prefetch || !o.Preevict || !o.Invalidate {
@@ -24,7 +35,7 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestNewDriverClampsOptions(t *testing.T) {
-	d := NewDriver(Options{Degree: 0})
+	d := newDriver(t, Options{Degree: 0})
 	if d.Options().Degree != 1 {
 		t.Fatalf("degree = %d", d.Options().Degree)
 	}
@@ -61,7 +72,7 @@ func drainQueue(d *Driver) []PrefetchCommand {
 }
 
 func TestDriverLearnsAndPrefetchesAcrossKernels(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	// Warm-up iteration: tables learn, predictions may fail.
 	trainIteration(d)
 	drainQueue(d)
@@ -91,7 +102,7 @@ func TestDriverLearnsAndPrefetchesAcrossKernels(t *testing.T) {
 func TestDriverPrefetchDisabled(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Prefetch = false
-	d := NewDriver(opts)
+	d := newDriver(t, opts)
 	trainIteration(d)
 	d.KernelLaunch(0)
 	d.OnFault(10)
@@ -107,7 +118,7 @@ func TestDriverPrefetchDisabled(t *testing.T) {
 func TestDriverDegreeLimitsChaining(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Degree = 1
-	d := NewDriver(opts)
+	d := newDriver(t, opts)
 	// Three-kernel workload so the chain could run two kernels ahead.
 	iter := func() {
 		for k := correlation.ExecID(0); k < 3; k++ {
@@ -144,7 +155,7 @@ func TestDriverDegreeLimitsChaining(t *testing.T) {
 }
 
 func TestDriverFaultRestartsChain(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	trainIteration(d)
 	d.KernelLaunch(0)
 	d.OnFault(10)
@@ -156,7 +167,7 @@ func TestDriverFaultRestartsChain(t *testing.T) {
 }
 
 func TestDriverNoDuplicateQueueEntries(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	trainIteration(d)
 	trainIteration(d)
 	d.KernelLaunch(0)
@@ -187,7 +198,7 @@ func blocksOf(base um.Addr, n int64) []um.BlockID {
 }
 
 func TestSelectVictimsSkipsProtected(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	r, s := newResidency(4)
 	a, _ := s.Malloc(4 * sim.BlockSize)
 	bs := blocksOf(a, 4*sim.BlockSize)
@@ -207,7 +218,7 @@ func TestSelectVictimsSkipsProtected(t *testing.T) {
 }
 
 func TestSelectVictimsFallbackWhenAllProtected(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	r, s := newResidency(2)
 	a, _ := s.Malloc(2 * sim.BlockSize)
 	bs := blocksOf(a, 2*sim.BlockSize)
@@ -223,7 +234,7 @@ func TestSelectVictimsFallbackWhenAllProtected(t *testing.T) {
 
 func TestPreevictTarget(t *testing.T) {
 	opts := DefaultOptions()
-	d := NewDriver(opts)
+	d := newDriver(t, opts)
 	r, s := newResidency(2 * preevictWatermark)
 	a, _ := s.Malloc((2*preevictWatermark - 1) * sim.BlockSize)
 	for i, b := range blocksOf(a, (2*preevictWatermark-1)*sim.BlockSize) {
@@ -234,14 +245,14 @@ func TestPreevictTarget(t *testing.T) {
 		t.Fatalf("preevict target = %d, want one block", got)
 	}
 	opts.Preevict = false
-	d2 := NewDriver(opts)
+	d2 := newDriver(t, opts)
 	if d2.PreevictTarget(r) != 0 {
 		t.Fatal("disabled pre-eviction must return zero target")
 	}
 }
 
 func TestInvalidationTracksPTActivity(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	base := um.Addr(0)
 	size := int64(3 * sim.BlockSize)
 	if !d.CanInvalidate(0) {
@@ -275,14 +286,14 @@ func TestInvalidationTracksPTActivity(t *testing.T) {
 func TestInvalidationDisabled(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Invalidate = false
-	d := NewDriver(opts)
+	d := newDriver(t, opts)
 	if d.CanInvalidate(0) {
 		t.Fatal("invalidation disabled but CanInvalidate returned true")
 	}
 }
 
 func TestBeginIterationClearsProtection(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	d.protected.Add(1)
 	d.BeginIteration()
 	if d.protected.Len() != 0 {
@@ -291,7 +302,7 @@ func TestBeginIterationClearsProtection(t *testing.T) {
 }
 
 func TestDriverStatsCounters(t *testing.T) {
-	d := NewDriver(DefaultOptions())
+	d := newDriver(t, DefaultOptions())
 	d.NotePreeviction()
 	d.NoteInvalidation()
 	d.NotePrefetchUseful()

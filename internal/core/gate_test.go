@@ -26,7 +26,7 @@ func TestL3QueuesNothing(t *testing.T) {
 		for _, level := range []health.Level{health.L0, health.L3} {
 			opts := DefaultOptions()
 			opts.Policy = name
-			d := NewDriver(opts)
+			d := newDriver(t, opts)
 			d.SetHealthGate(health.Fixed(level))
 			for iter := 0; iter < 3; iter++ {
 				trainIteration(d)

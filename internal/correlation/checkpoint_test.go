@@ -90,8 +90,8 @@ func TestCheckpointChainEquivalence(t *testing.T) {
 		oc.Reset(ts, seed.exec, hist, seed.blk)
 		rc.Reset(got, seed.exec, hist, seed.blk)
 		for step := 0; step < 32; step++ {
-			ob, oe := oc.Next()
-			rb, re := rc.Next()
+			ob, oe := oc.Next(nil)
+			rb, re := rc.Next(nil)
 			if ob != rb || oe != re {
 				t.Fatalf("chain from (%d,%d) diverges at step %d: original (%d,%d), restored (%d,%d)",
 					seed.exec, seed.blk, step, ob, oe, rb, re)

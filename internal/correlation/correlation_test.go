@@ -249,11 +249,11 @@ func TestChainCursorWithinKernel(t *testing.T) {
 	h := [3]ExecID{NoExec, NoExec, NoExec}
 	var c ChainCursor
 	c.Reset(ts, 0, h, 100)
-	b, e := c.Next()
+	b, e := c.Next(nil)
 	if b != 101 || e != 0 {
 		t.Fatalf("first = (%d,%d), want (101,0)", b, e)
 	}
-	b, e = c.Next()
+	b, e = c.Next(nil)
 	if b != 102 || e != 0 {
 		t.Fatalf("second = (%d,%d), want (102,0)", b, e)
 	}
@@ -267,7 +267,7 @@ func TestChainCursorCrossesKernelBoundary(t *testing.T) {
 	var got []um.BlockID
 	var execs []ExecID
 	for {
-		b, e := c.Next()
+		b, e := c.Next(nil)
 		if b == um.NoBlock {
 			break
 		}
@@ -299,11 +299,11 @@ func TestChainCursorDeadWithoutPrediction(t *testing.T) {
 	h := [3]ExecID{NoExec, NoExec, NoExec}
 	var c ChainCursor
 	c.Reset(ts, 0, h, 1)
-	if b, _ := c.Next(); b != um.NoBlock {
+	if b, _ := c.Next(nil); b != um.NoBlock {
 		t.Fatalf("expected dead chain, got %d", b)
 	}
 	// Exhausted cursor stays exhausted.
-	if b, _ := c.Next(); b != um.NoBlock {
+	if b, _ := c.Next(nil); b != um.NoBlock {
 		t.Fatalf("dead cursor revived: %d", b)
 	}
 }
@@ -321,7 +321,7 @@ func TestChainCursorNoDuplicateEmission(t *testing.T) {
 	c.Reset(ts, 0, h, 1)
 	seen := map[um.BlockID]bool{}
 	for i := 0; i < 10; i++ {
-		b, _ := c.Next()
+		b, _ := c.Next(nil)
 		if b == um.NoBlock {
 			break
 		}

@@ -223,7 +223,7 @@ func TestChainCursorMatchesReference(t *testing.T) {
 			died := false
 			for step := 0; step < steps; step++ {
 				kernels := c.Kernels()
-				b, e := c.Next()
+				b, e := c.Next(nil)
 				rb, re := r.next()
 				if b != rb || e != re || c.Kernels() != r.kernels || c.DeathCause != r.cause {
 					t.Fatalf("trial %d restart %d step %d: cursor (%d,%d) kernels %d cause %d; reference (%d,%d) kernels %d cause %d",

@@ -159,17 +159,33 @@ func (c *ChainCursor) Kernels() int { return c.kernels }
 // chaining ends ... when the prefetching thread fails to predict the next
 // kernel to execute").
 //
+// Blocks in resident are already on the device, and Next steps over them
+// (a nil bitmap holds none). It never steps past the first block it hands
+// out in a kernel it has just entered, though: when that block is
+// resident, Next returns (NoBlock, the new kernel's ID) with the chain
+// still alive, so that the caller's degree check sees the new kernel count
+// exactly where it would have seen it had the block been returned and
+// dropped. The walk, and so every table's MRU order, is the same with any
+// bitmap.
+//
 // Walking a head moves its entry to the MRU way of its set, as a lookup
 // does, and later replacements depend on that order: the walk touches each
 // head once, in breadth-first discovery order, and only once every block
 // discovered before it has been handed out.
-func (c *ChainCursor) Next() (um.BlockID, ExecID) {
+func (c *ChainCursor) Next(resident *um.Bitmap) (um.BlockID, ExecID) {
+	kernels := c.kernels
 	for !c.dead {
 		p := c.plan
 		if c.emitted < c.avail {
 			b := p.blocks[c.emitted]
 			c.emitted++
-			return b, c.execID
+			if !resident.Has(b) {
+				return b, c.execID
+			}
+			if c.kernels != kernels {
+				return um.NoBlock, c.execID
+			}
+			continue
 		}
 		if c.walked == len(p.heads) {
 			c.advanceKernel()

@@ -225,15 +225,20 @@ type exec struct {
 	chaos   *chaos.Injector    // nil-safe: methods on a nil injector inject nothing
 	health  *health.Controller // nil-safe: a nil controller never degrades
 
-	bases      map[workload.TensorID]um.Addr
-	inputs     []workload.TensorID
-	prefetched map[um.BlockID]bool
+	bases  map[workload.TensorID]um.Addr
+	inputs []workload.TensorID
+	// prefetched marks, indexed by UM block, a prefetched block no kernel
+	// has touched since. Only migrate sets a mark, for a block inside the
+	// space's block table, so it grows no further than that table.
+	prefetched []bool
 	// execIDs maps a launch-command hash to its execution ID (launchID);
 	// nil without a driver, which is the only reader of the IDs.
 	execIDs map[uint64]correlation.ExecID
 	// pending is a prefetch command parked because eviction would have
-	// displaced protected blocks; retried on the next pump.
-	pending *core.PrefetchCommand
+	// displaced protected blocks, when parked is set; retried on the next
+	// pump.
+	pending core.PrefetchCommand
+	parked  bool
 	// evictedInCycle records blocks evicted while the current fault cycle
 	// runs, so the served-invariant check can tell "served then displaced"
 	// (legitimate; the GPU replays) from "silently lost" (a bug).
@@ -277,19 +282,18 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 	}
 	linkTL := &sim.Timeline{}
 	e := &exec{
-		cfg:        cfg,
-		params:     params,
-		space:      space,
-		res:        um.NewResidency(space, capacity),
-		link:       sim.NewDuplex(params, linkTL),
-		linkTL:     linkTL,
-		alloc:      torchalloc.New(space),
-		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
-		chaos:      cfg.Chaos,
-		health:     cfg.Health,
-		bases:      make(map[workload.TensorID]um.Addr),
-		prefetched: make(map[um.BlockID]bool),
-		accessSum:  fnvOffset,
+		cfg:       cfg,
+		params:    params,
+		space:     space,
+		res:       um.NewResidency(space, capacity),
+		link:      sim.NewDuplex(params, linkTL),
+		linkTL:    linkTL,
+		alloc:     torchalloc.New(space),
+		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
+		chaos:     cfg.Chaos,
+		health:    cfg.Health,
+		bases:     make(map[workload.TensorID]um.Addr),
+		accessSum: fnvOffset,
 	}
 	if e.chaos != nil {
 		e.link.SetPerturber(e.chaos)
@@ -312,9 +316,6 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 	var policy um.EvictionPolicy = um.LRMPolicy{}
 	var invalidator um.Invalidator = um.NoInvalidate{}
 	if cfg.Policy == PolicyDeepUM {
-		if cfg.DriverOptions.CapacityBytes == 0 {
-			cfg.DriverOptions.CapacityBytes = capacity
-		}
 		if cfg.DriverOptions.TakeWindow == 0 && params.ScaleDivisor > 1 {
 			w := 64 / int(params.ScaleDivisor)
 			if w < 4 {
@@ -331,7 +332,7 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 			}
 			cfg.DriverOptions.TableConfig = e.chaos.ShrinkTables(cfg.DriverOptions.TableConfig)
 		}
-		drv, err := core.NewDriverFor(cfg.DriverOptions)
+		drv, err := core.NewDriverFor(cfg.DriverOptions, e.res)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
@@ -363,10 +364,6 @@ func newExec(ctx context.Context, cfg Config) (*exec, error) {
 				}
 			}
 		}
-		e.driver.SetResidencyProbe(func(b um.BlockID) bool {
-			blk := e.space.Lookup(b)
-			return blk != nil && blk.Resident
-		})
 		e.alloc.OnActive = e.driver.OnPTActive
 		e.alloc.OnInactive = e.driver.OnPTInactive
 	}
@@ -714,14 +711,16 @@ func (e *exec) kernel(k *workload.Kernel) error {
 		}
 		t := touches[i]
 		blk := e.space.Block(t.block)
-		if !blk.Resident && e.driver != nil && e.speculate(e.now) && e.driver.TakeQueued(t.block) {
+		resident := e.res.Resident(t.block)
+		if !resident && e.driver != nil && e.speculate(e.now) && e.driver.TakeQueued(t.block) {
 			// A prefetch command for this block is already in the queue:
 			// the migration thread runs it ahead of the remaining queue
 			// (fault avoided; the GPU stalls on the in-flight transfer).
 			// Without room, or after a give-up, the access demand-faults.
 			e.migrate(t.block, e.now)
+			resident = e.res.Resident(t.block)
 		}
-		if blk.Resident {
+		if resident {
 			// Lead time before the stall adjustment: positive means the block
 			// was ready ahead of the access, negative means the GPU waits.
 			lead := int64(e.now) - int64(blk.ReadyAt)
@@ -740,8 +739,8 @@ func (e *exec) kernel(k *workload.Kernel) error {
 			if e.driver != nil {
 				e.driver.Unprotect(t.block)
 			}
-			if e.prefetched[t.block] {
-				delete(e.prefetched, t.block)
+			if e.isPrefetched(t.block) {
+				e.prefetched[t.block] = false
 				if e.driver != nil {
 					e.driver.NotePrefetchUseful()
 				}
@@ -766,7 +765,7 @@ func (e *exec) kernel(k *workload.Kernel) error {
 		j := i
 		for j < len(touches) && len(e.groupBuf) < batchCap {
 			tj := touches[j]
-			if e.space.Block(tj.block).Resident {
+			if e.res.Resident(tj.block) {
 				break
 			}
 			if e.driver != nil && e.speculate(e.now) && e.driver.TakeQueued(tj.block) {
@@ -793,7 +792,7 @@ func (e *exec) kernel(k *workload.Kernel) error {
 		}
 		// Every access eventually served: a handling cycle may be slowed by
 		// chaos but may never lose a faulted block.
-		if err := chaos.CheckServed(e.space, e.groupBuf, e.evictedInCycle); err != nil {
+		if err := chaos.CheckServed(e.space, e.res, e.groupBuf, e.evictedInCycle); err != nil {
 			return err
 		}
 		i = j
@@ -915,7 +914,7 @@ func (e *exec) pump(until sim.Time) {
 			// Everything evictable is predicted for upcoming kernels:
 			// displacing it would be self-defeating. Park the command and
 			// let demand faults or future frees make room.
-			e.pending = &cmd
+			e.pending, e.parked = cmd, true
 			return
 		}
 	}
@@ -947,7 +946,7 @@ const (
 // free zero-fill populate that is ready no earlier than zeroFillFloor.
 func (e *exec) migrate(b um.BlockID, zeroFillFloor sim.Time) migration {
 	blk := e.space.Lookup(b)
-	if blk == nil || blk.Resident || blk.AllocatedPages == 0 {
+	if blk == nil || blk.AllocatedPages == 0 || e.res.Resident(b) {
 		return migrated
 	}
 	need := blk.Bytes()
@@ -969,6 +968,9 @@ func (e *exec) migrate(b um.BlockID, zeroFillFloor sim.Time) migration {
 		}
 	}
 	e.res.Insert(b, blk.AllocatedPages, ready, ready)
+	if int(b) >= len(e.prefetched) {
+		e.prefetched = append(e.prefetched, make([]bool, int(b)+1-len(e.prefetched))...)
+	}
 	e.prefetched[b] = true
 	if e.obs != nil {
 		e.obs.Span(obs.KindPrefetch, obs.TrackDriver, int64(at), int64(ready), "", int64(b), need, 0)
@@ -1013,10 +1015,9 @@ func (e *exec) prefetchTransfer(at sim.Time, need int64) (ready sim.Time, ok boo
 
 // nextPrefetch returns the parked command first, then the driver queue.
 func (e *exec) nextPrefetch() (core.PrefetchCommand, bool) {
-	if e.pending != nil {
-		cmd := *e.pending
-		e.pending = nil
-		return cmd, true
+	if e.parked {
+		e.parked = false
+		return e.pending, true
 	}
 	return e.driver.NextPrefetch()
 }
@@ -1052,14 +1053,19 @@ func (e *exec) evictBackground(v um.BlockID, countPreevict bool) {
 // path calls it. A block still marked was prefetched and never touched, so
 // its transfer was waste.
 func (e *exec) dropPrefetched(b um.BlockID) {
-	if !e.prefetched[b] {
+	if !e.isPrefetched(b) {
 		return
 	}
-	delete(e.prefetched, b)
+	e.prefetched[b] = false
 	if e.obs != nil {
 		e.obs.Instant(obs.KindPrefetchWaste, obs.TrackDriver, int64(e.now), "", int64(b), 0, 0)
 	}
 	e.health.ObservePrefetchWaste(int64(e.now))
+}
+
+// isPrefetched reports whether b carries a prefetched mark.
+func (e *exec) isPrefetched(b um.BlockID) bool {
+	return uint64(b) < uint64(len(e.prefetched)) && e.prefetched[b]
 }
 
 // launchID numbers a kernel launch command as the DeepUM runtime does

@@ -49,6 +49,8 @@ type Chaser struct {
 	completedInChain int
 
 	gate policy.Gate
+	// resident holds the blocks already on the device; the walk skips them.
+	resident *um.Bitmap
 }
 
 // New builds the correlation policy. Warm state arrives as a checkpoint
@@ -79,6 +81,7 @@ func New(opts policy.Options) (policy.Policy, error) {
 		degree:   degree,
 		tables:   tables,
 		current:  corr.NoExec,
+		resident: opts.Resident,
 	}
 	for i := range c.history {
 		c.history[i] = corr.NoExec
@@ -131,29 +134,35 @@ func (c *Chaser) OnFault(b um.BlockID) bool {
 	return true
 }
 
-// Next advances the chain one block: gated by the ladder's degree cap,
-// paused at the degree-N boundary, dead when the chain runs out of
-// predictions.
+// Next advances the chain to its next non-resident block: gated by the
+// ladder's degree cap, paused at the degree-N boundary, dead when the chain
+// runs out of predictions. The cursor skips resident blocks itself but
+// comes back here on entering a kernel whose first block is resident, so
+// the cap and the boundary are checked after every kernel transition.
 func (c *Chaser) Next() policy.Step {
 	if !c.chaining {
 		return policy.Step{Out: policy.Pause}
 	}
-	degree := c.degree
-	if c.gate != nil {
-		if degree = c.gate.DegreeCap(degree); degree < 1 {
-			// Ladder at L3: the chain keeps learning, but issues nothing.
+	for {
+		degree := c.degree
+		if c.gate != nil {
+			if degree = c.gate.DegreeCap(degree); degree < 1 {
+				// Ladder at L3: the chain keeps learning, but issues nothing.
+				return policy.Step{Out: policy.Pause}
+			}
+		}
+		if c.cursor.Kernels()-c.completedInChain >= degree {
 			return policy.Step{Out: policy.Pause}
 		}
+		b, exec := c.cursor.Next(c.resident)
+		if b != um.NoBlock {
+			return policy.Step{Out: policy.Emit, Cmd: policy.Command{Block: b, Exec: exec}}
+		}
+		if c.cursor.DeathCause != corr.Alive {
+			c.chaining = false
+			return policy.Step{Out: policy.Dead, Cause: c.cursor.DeathCause}
+		}
 	}
-	if c.cursor.Kernels()-c.completedInChain >= degree {
-		return policy.Step{Out: policy.Pause}
-	}
-	b, exec := c.cursor.Next()
-	if b == um.NoBlock {
-		c.chaining = false
-		return policy.Step{Out: policy.Dead, Cause: c.cursor.DeathCause}
-	}
-	return policy.Step{Out: policy.Emit, Cmd: policy.Command{Block: b, Exec: exec}}
 }
 
 // NoteEviction implements policy.Policy; the protected-set requeue is

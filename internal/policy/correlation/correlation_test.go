@@ -20,39 +20,54 @@ func drain(p policy.Policy) int {
 
 // TestChaserRestartAllocatesNothing: once the tables are warm, a fault
 // restart and the chain walk it triggers — across kernel transitions up to
-// the degree boundary — allocate nothing.
+// the degree boundary — allocate nothing, whether or not the walk skips
+// resident blocks.
 func TestChaserRestartAllocatesNothing(t *testing.T) {
 	const kernels, blocks, degree = 6, 16, 4
-	p, err := New(policy.Options{Prefetch: true, Degree: degree})
-	if err != nil {
-		t.Fatal(err)
+	// Every other block of every kernel is resident in the filtered case.
+	res := um.NewResidency(um.NewSpace(0), 1<<40)
+	for b := um.BlockID(0); b < kernels*blocks; b += 2 {
+		res.Insert(b, 1, 0, 0)
 	}
-	// Three iterations of the same launch/fault stream warm the tables.
-	for iter := 0; iter < 3; iter++ {
-		for k := 0; k < kernels; k++ {
-			p.KernelLaunch(corr.ExecID(k))
-			for j := 0; j < blocks; j++ {
-				p.OnFault(um.BlockID(k*blocks + j))
-				drain(p)
+	for _, tc := range []struct {
+		name     string
+		resident *um.Bitmap
+		minEmits int // a restart's emits when the chain reaches degree kernels ahead
+	}{
+		{"unfiltered", nil, degree * blocks / 2},
+		{"filtered", res.Bitmap(), degree * blocks / 4},
+	} {
+		p, err := New(policy.Options{Prefetch: true, Degree: degree, Resident: tc.resident})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Three iterations of the same launch/fault stream warm the tables.
+		for iter := 0; iter < 3; iter++ {
+			for k := 0; k < kernels; k++ {
+				p.KernelLaunch(corr.ExecID(k))
+				for j := 0; j < blocks; j++ {
+					p.OnFault(um.BlockID(k*blocks + j))
+					drain(p)
+				}
+				p.KernelComplete(corr.ExecID(k))
 			}
-			p.KernelComplete(corr.ExecID(k))
 		}
-	}
-	p.KernelLaunch(0)
-	// Fault on kernel 0's blocks in turn. Two passes first, so every miss
-	// pair of the cycle is already in the table.
-	j := 0
-	restart := func() int {
-		p.OnFault(um.BlockID(j % blocks))
-		j++
-		return drain(p)
-	}
-	for i := 0; i < 2*blocks; i++ {
-		if n := restart(); n <= degree*blocks/2 {
-			t.Fatalf("restart %d emitted %d commands; the chain should reach %d kernels ahead", i, n, degree)
+		p.KernelLaunch(0)
+		// Fault on kernel 0's blocks in turn. Two passes first, so every miss
+		// pair of the cycle is already in the table.
+		j := 0
+		restart := func() int {
+			p.OnFault(um.BlockID(j % blocks))
+			j++
+			return drain(p)
 		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { restart() }); allocs != 0 {
-		t.Fatalf("a warm fault restart and its chain walk allocate %.1f times, want 0", allocs)
+		for i := 0; i < 2*blocks; i++ {
+			if n := restart(); n <= tc.minEmits {
+				t.Fatalf("%s: restart %d emitted %d commands; the chain should reach %d kernels ahead", tc.name, i, n, degree)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { restart() }); allocs != 0 {
+			t.Fatalf("%s: a warm fault restart and its chain walk allocate %.1f times, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -60,6 +60,8 @@ type Window struct {
 
 	// evicted maps block -> faultTick at eviction time.
 	evicted map[um.BlockID]int64
+	// resident holds the blocks already on the device; windows skip them.
+	resident *um.Bitmap
 }
 
 // New builds the demand-window policy; WarmPayload restores a Save snapshot.
@@ -69,6 +71,7 @@ func New(opts policy.Options) (policy.Policy, error) {
 		window:   windowInit,
 		exec:     correlation.NoExec,
 		evicted:  make(map[um.BlockID]int64),
+		resident: opts.Resident,
 	}
 	if len(opts.WarmPayload) > 0 {
 		if err := w.load(opts.WarmPayload); err != nil {
@@ -115,7 +118,9 @@ func (w *Window) OnFault(b um.BlockID) bool {
 }
 
 // Next emits the window one block at a time, skipping blocks inside the
-// eviction cool-down; a window never dies, it only runs out (Pause).
+// eviction cool-down and blocks already resident; a window never dies, it
+// only runs out (Pause). A resident block whose cool-down has expired still
+// leaves the cool-down map.
 func (w *Window) Next() policy.Step {
 	if !w.active {
 		return policy.Step{Out: policy.Pause}
@@ -134,6 +139,9 @@ func (w *Window) Next() policy.Step {
 				continue // still cooling down; skip, don't thrash
 			}
 			delete(w.evicted, b)
+		}
+		if w.resident.Has(b) {
+			continue
 		}
 		return policy.Step{Out: policy.Emit, Cmd: policy.Command{Block: b, Exec: w.exec}}
 	}

@@ -68,6 +68,8 @@ type Learned struct {
 	kernels  map[correlation.ExecID]*kernelState
 	current  correlation.ExecID
 	gate     policy.Gate
+	// resident holds the blocks already on the device; replay skips them.
+	resident *um.Bitmap
 
 	// Replay plan, rebuilt on every fault: walk seq[idx:] of exec, then
 	// chain into learned successors. kernelsEntered/completed implement the
@@ -100,6 +102,7 @@ func New(opts policy.Options) (policy.Policy, error) {
 		degree:   degree,
 		kernels:  make(map[correlation.ExecID]*kernelState),
 		current:  correlation.NoExec,
+		resident: opts.Resident,
 	}
 	if len(opts.WarmPayload) > 0 {
 		if err := l.load(opts.WarmPayload); err != nil {
@@ -216,7 +219,7 @@ func (l *Learned) OnFault(b um.BlockID) bool {
 }
 
 // Next replays the plan one block at a time, chaining into learned
-// successor kernels at sequence boundaries.
+// successor kernels at sequence boundaries and skipping resident blocks.
 func (l *Learned) Next() policy.Step {
 	p := &l.plan
 	if !p.active {
@@ -239,7 +242,7 @@ func (l *Learned) Next() policy.Step {
 			}
 			b := um.BlockID(int64(p.base) + int64(p.n)*p.delta)
 			p.n++
-			if b < 0 {
+			if b < 0 || l.resident.Has(b) {
 				continue
 			}
 			return policy.Step{Out: policy.Emit, Cmd: policy.Command{Block: b, Exec: p.exec}}
@@ -248,6 +251,9 @@ func (l *Learned) Next() policy.Step {
 		if ks != nil && p.idx < len(ks.seq) {
 			b := ks.seq[p.idx]
 			p.idx++
+			if l.resident.Has(b) {
+				continue
+			}
 			return policy.Step{Out: policy.Emit, Cmd: policy.Command{Block: b, Exec: p.exec}}
 		}
 		// Sequence exhausted: chain into the learned successor.

@@ -1,9 +1,10 @@
 // Package policy defines the pluggable prefetch-policy seam of the DeepUM
 // driver. The driver (internal/core) owns mechanism — the bounded prefetch
-// queue, dedup and protected-set bookkeeping, the residency probe, observer
-// hooks, and health-gate plumbing — while a Policy owns *what to fetch
-// next*: it watches the kernel-launch and fault streams and emits prefetch
-// commands one step at a time.
+// queue, dedup and protected-set bookkeeping, the capacity throttle,
+// observer hooks, and health-gate plumbing — while a Policy owns *what to
+// fetch next*: it watches the kernel-launch and fault streams and emits
+// prefetch commands one step at a time, skipping blocks the device's
+// residency bitmap (Options.Resident) already holds.
 //
 // Policies register themselves by name (Register, usually from init) so the
 // engine, the public facade, and the CLIs can select and enumerate them;
@@ -89,8 +90,9 @@ type Policy interface {
 	// produced them) and refills from the policy's new prediction.
 	OnFault(b um.BlockID) (restart bool)
 	// Next produces the next prediction step; the driver calls it in a
-	// budgeted loop and applies its own dedup, residency, and capacity
-	// filters to Emit steps.
+	// budgeted loop and applies its own dedup and capacity filters to Emit
+	// steps. A block in Options.Resident is never emitted: it is already on
+	// the device, so there is nothing to migrate.
 	Next() Step
 	// NoteEviction observes a block leaving the device (policy-side
 	// bookkeeping only; the driver handles protected-block requeue).
@@ -124,6 +126,11 @@ type Options struct {
 	// WarmPayload seeds the policy with its own Save output (the payload of
 	// a checkpoint envelope written under this policy's name).
 	WarmPayload []byte
+	// Resident is the device's residency bitmap, kept current by the
+	// residency manager; Next skips the blocks in it. Nil skips nothing. A
+	// policy keeps only the bitmap, never what owns it, since a finished
+	// run's Result keeps its policy alive.
+	Resident *um.Bitmap
 	// Seed is available to policies that need a deterministic tiebreaker.
 	Seed int64
 }

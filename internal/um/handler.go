@@ -192,7 +192,7 @@ func (h *Handler) HandleGroups(now sim.Time, groups []FaultGroup) sim.Time {
 		if pages > blk.AllocatedPages {
 			pages = blk.AllocatedPages
 		}
-		if blk.Resident {
+		if h.Res.Resident(g.Block) {
 			// Another entry of the same batch (or an in-flight prefetch)
 			// already migrated the block: wait for it to be ready, map only.
 			t = sim.Max(t, blk.ReadyAt)

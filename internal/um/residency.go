@@ -9,7 +9,11 @@ import (
 // least-recently-migrated eviction order that both the stock eviction policy
 // and DeepUM's pre-eviction policy (§5.1) walk.
 type Residency struct {
-	space    *Space
+	space *Space
+	// resident is the one record of which blocks are on the device. It is
+	// allocated apart from the residency so that a prefetch policy can hold
+	// it without keeping the space's block table alive.
+	resident *Bitmap
 	capacity int64 // bytes of device memory
 	used     int64 // bytes occupied by resident blocks
 	count    int   // resident blocks
@@ -20,8 +24,12 @@ type Residency struct {
 // NewResidency returns an empty residency manager for a device with the
 // given memory capacity in bytes.
 func NewResidency(space *Space, capacity int64) *Residency {
-	return &Residency{space: space, capacity: capacity, head: NoBlock, tail: NoBlock}
+	return &Residency{space: space, resident: &Bitmap{}, capacity: capacity, head: NoBlock, tail: NoBlock}
 }
+
+// Bitmap returns the set of resident blocks. It stays current as blocks
+// come and go; only the residency writes it.
+func (r *Residency) Bitmap() *Bitmap { return r.resident }
 
 // Capacity returns the device memory size in bytes.
 func (r *Residency) Capacity() int64 { return r.capacity }
@@ -35,8 +43,9 @@ func (r *Residency) Free() int64 { return r.capacity - r.used }
 // Count returns the number of resident blocks.
 func (r *Residency) Count() int { return r.count }
 
-// Resident reports whether block b is mapped on the device.
-func (r *Residency) Resident(b BlockID) bool { return r.space.Block(b).Resident }
+// Resident reports whether block b is mapped on the device. It never grows
+// the block table: a block outside it is not resident.
+func (r *Residency) Resident(b BlockID) bool { return r.resident.Has(b) }
 
 // BlockResidentBytes returns the device memory block b currently occupies.
 func (r *Residency) BlockResidentBytes(b BlockID) int64 {
@@ -56,14 +65,14 @@ func (r *Residency) Insert(b BlockID, pages int64, now, ready sim.Time) {
 	if pages < 1 {
 		pages = 1
 	}
-	if blk.Resident {
+	if r.resident.Has(b) {
 		r.unlink(b)
 		if pages > blk.ResidentPages {
 			r.used += (pages - blk.ResidentPages) * sim.PageSize
 			blk.ResidentPages = pages
 		}
 	} else {
-		blk.Resident = true
+		r.resident.add(b)
 		blk.ResidentPages = pages
 		r.used += pages * sim.PageSize
 		r.count++
@@ -79,10 +88,10 @@ func (r *Residency) Insert(b BlockID, pages int64, now, ready sim.Time) {
 // touches pages of a resident block that an earlier, smaller fault did not
 // cover (e.g. a second tensor sharing the block).
 func (r *Residency) TopUp(b BlockID, pages int64) {
-	blk := r.space.Block(b)
-	if !blk.Resident || pages <= 0 {
+	if !r.resident.Has(b) || pages <= 0 {
 		return
 	}
+	blk := r.space.Block(b)
 	total := blk.ResidentPages + pages
 	if total > blk.AllocatedPages {
 		total = blk.AllocatedPages
@@ -96,11 +105,11 @@ func (r *Residency) TopUp(b BlockID, pages int64) {
 // Remove unmaps block b from the device (eviction or invalidation). It is a
 // no-op for non-resident blocks.
 func (r *Residency) Remove(b BlockID) {
-	blk := r.space.Block(b)
-	if !blk.Resident {
+	if !r.resident.Has(b) {
 		return
 	}
-	blk.Resident = false
+	r.resident.remove(b)
+	blk := r.space.Block(b)
 	r.used -= blk.ResidentBytes()
 	blk.ResidentPages = 0
 	r.count--

@@ -42,11 +42,9 @@ type Block struct {
 	// AllocatedPages is the number of pages of this block that belong to a
 	// live UM allocation.
 	AllocatedPages int64
-	// Resident reports whether the block is mapped in GPU memory.
-	Resident bool
 	// ResidentPages is the number of pages materialized on the device while
-	// Resident: faulted pages for on-demand migration, all allocated pages
-	// for a prefetch.
+	// the block is resident (Residency.Resident): faulted pages for
+	// on-demand migration, all allocated pages for a prefetch.
 	ResidentPages int64
 	// HostPopulated reports whether the host backing store holds content
 	// for this block. A fresh allocation is unpopulated: its first GPU

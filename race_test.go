@@ -1,0 +1,7 @@
+//go:build race
+
+package deepum
+
+// raceEnabled reports a race-detector build, whose instrumentation
+// allocates on its own account.
+const raceEnabled = true

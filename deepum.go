@@ -284,8 +284,23 @@ func Train(w Workload, cfg Config) (*Result, error) {
 // partial run is useful. Config.Deadline adds a deterministic virtual-time
 // bound on top.
 func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) {
+	cfg, scenario, err := trainDefaults(w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := BuildProgram(w, cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	return trainProgram(ctx, prog, cfg, scenario)
+}
+
+// trainDefaults checks the workload and the parts of cfg that do not
+// depend on the program, fills cfg's defaults, and looks up its chaos
+// scenario.
+func trainDefaults(w Workload, cfg Config) (Config, chaos.Scenario, error) {
 	if w.Batch <= 0 {
-		return nil, fmt.Errorf("deepum: batch size must be positive, got %d", w.Batch)
+		return cfg, chaos.Scenario{}, fmt.Errorf("deepum: batch size must be positive, got %d", w.Batch)
 	}
 	if cfg.System == "" {
 		cfg.System = SystemDeepUM
@@ -302,19 +317,22 @@ func TrainContext(ctx context.Context, w Workload, cfg Config) (*Result, error) 
 	if cfg.Machine.GPUMemory == 0 {
 		cfg.Machine = sim.DefaultParams()
 	}
-	params := cfg.Machine.Scale(cfg.Scale)
-	if params.GPUMemory < sim.BlockSize {
-		return nil, fmt.Errorf("deepum: scaled GPU memory %d bytes is smaller than one %d-byte UM block (GPUMemory %d at scale 1/%d); raise Machine.GPUMemory or lower Scale",
+	if params := cfg.Machine.Scale(cfg.Scale); params.GPUMemory < sim.BlockSize {
+		return cfg, chaos.Scenario{}, fmt.Errorf("deepum: scaled GPU memory %d bytes is smaller than one %d-byte UM block (GPUMemory %d at scale 1/%d); raise Machine.GPUMemory or lower Scale",
 			params.GPUMemory, int64(sim.BlockSize), cfg.Machine.GPUMemory, cfg.Scale)
 	}
 	scenario, err := chaos.ByName(cfg.Chaos)
 	if err != nil {
-		return nil, fmt.Errorf("deepum: %w", err)
+		return cfg, scenario, fmt.Errorf("deepum: %w", err)
 	}
-	prog, err := models.Build(models.Spec{Model: w.Model, Dataset: w.Dataset}, w.Batch, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
+	return cfg, scenario, nil
+}
+
+// trainProgram runs prog, built for cfg.Scale, under cfg and its chaos
+// scenario, as trainDefaults returned them. It only reads prog, so the
+// chunks of one run can share it.
+func trainProgram(ctx context.Context, prog *workload.Program, cfg Config, scenario chaos.Scenario) (*Result, error) {
+	params := cfg.Machine.Scale(cfg.Scale)
 	if cfg.System != SystemDeepUM {
 		if cfg.Policy != "" {
 			return nil, &PolicyUnsupportedError{System: cfg.System, Policy: cfg.Policy}

@@ -384,6 +384,98 @@ func TestJournalAppendFaultRollsBack(t *testing.T) {
 			j.Close()
 			sameRecords(t, replaySurviving(t, f), []journal.Record{jrec(1), jrec(3)})
 		})
+		// The same fault on a batch's one write or fsync rolls back the
+		// whole batch.
+		t.Run(c.name+"/batch", func(t *testing.T) {
+			f := NewFaultFS(c.plan)
+			j, _, err := journal.OpenStream(f, "runs.journal", true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(jrec(1)); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := f.Inner().ReadFile("runs.journal")
+			if err := j.AppendBatch(jkey(2), jrec(2)); !errors.Is(err, c.want) {
+				t.Fatalf("batch error = %v, want %v", err, c.want)
+			}
+			if after, _ := f.Inner().ReadFile("runs.journal"); !bytes.Equal(after, before) {
+				t.Fatalf("failed batch changed the file: %d -> %d bytes", len(before), len(after))
+			}
+			if err := j.AppendBatch(jkey(3), jrec(3)); err != nil {
+				t.Fatalf("batch after the failed one: %v", err)
+			}
+			j.Close()
+			sameRecords(t, replaySurviving(t, f), []journal.Record{jrec(1), jkey(3), jrec(3)})
+		})
+	}
+}
+
+// jkey is the admission-key record that opens batch i of the batch
+// workloads, as a keyed submit journals one.
+func jkey(i int) journal.Record {
+	return journal.Record{Type: journal.RecAdmissionKey, RunID: uint64(i), Data: []byte(fmt.Sprintf("key-%d", i))}
+}
+
+// TestJournalAppendBatchCrashSweep kills the filesystem at every fsync
+// boundary of a workload that mixes two-record batches with single
+// appends: the reopened journal holds exactly the records of the calls
+// that returned nil before the crash, so a crash before a batch's one
+// fsync keeps none of it. A clean run's file is byte for byte the file an
+// Append per record writes.
+func TestJournalAppendBatchCrashSweep(t *testing.T) {
+	const batches = 5
+	workload := func(f *FaultFS, batched bool) (acked []journal.Record) {
+		j, _, err := journal.OpenStream(f, "runs.journal", true, nil)
+		if err != nil {
+			return nil
+		}
+		defer j.Close()
+		for i := 0; i < batches; i++ {
+			call := []journal.Record{jkey(i), jrec(i)}
+			if i%2 == 1 {
+				call = call[1:] // a lone record between batches
+			}
+			if batched {
+				err = j.AppendBatch(call...)
+			} else {
+				for _, r := range call {
+					if err = j.Append(r); err != nil {
+						break
+					}
+				}
+			}
+			if err != nil {
+				break // crashed mid-workload
+			}
+			acked = append(acked, call...)
+		}
+		return acked
+	}
+	clean := NewFaultFS(DiskFaults{})
+	if got := workload(clean, true); len(got) != batches+(batches+1)/2 {
+		t.Fatalf("clean run acknowledged %d records", len(got))
+	}
+	sequential := NewFaultFS(DiskFaults{})
+	workload(sequential, false)
+	got, _ := clean.Inner().ReadFile("runs.journal")
+	want, _ := sequential.Inner().ReadFile("runs.journal")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("batched journal is %d bytes, sequential appends write %d different ones", len(got), len(want))
+	}
+	total := clean.Boundaries()
+	if seq := sequential.Boundaries(); total >= seq {
+		t.Fatalf("batched workload took %d fsyncs, sequential appends %d", total, seq)
+	}
+	for b := 1; b <= total; b++ {
+		t.Run(fmt.Sprintf("boundary=%d", b), func(t *testing.T) {
+			f := NewFaultFS(DiskFaults{CrashAtBoundary: b})
+			acked := workload(f, true)
+			if !f.Crashed() {
+				t.Fatalf("boundary %d of %d never hit", b, total)
+			}
+			sameRecords(t, replaySurviving(t, f), acked)
+		})
 	}
 }
 

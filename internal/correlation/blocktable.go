@@ -81,6 +81,12 @@ type BlockTable struct {
 	// plan is the chain walk from Start, built on first use at each
 	// version (startPlan).
 	plan walkPlan
+	// stable is the MRU-stable flag: set once a replay of a conflict-free
+	// plan has walked its last head, cleared by RecordMiss and by any MRU
+	// move of a way other than way 0. While it holds, every head of plan
+	// sits at way 0 of its group, so replaying the plan's touches would
+	// change nothing.
+	stable bool
 }
 
 // walkPlan records one breadth-first chain walk of a block table: the
@@ -91,11 +97,23 @@ type BlockTable struct {
 type walkPlan struct {
 	blocks []um.BlockID
 	heads  []planHead
+	// words are the residency-bitmap words the blocks occupy, one entry
+	// per word, for a start plan whose heads are conflict-free: no two
+	// share a group. It is empty for any other plan, which is never
+	// stepped over.
+	words []planWord
 	// frontier is how many blocks the walk starts from; first is the first
 	// block emitted, 1 when a seed leads the frontier (it is walked, never
 	// emitted).
 	frontier, first int
 	version         uint64 // the table version the plan was built at
+}
+
+// planWord is one bitmap word of a plan: the word holding block at, and
+// the bits of the plan's blocks in it.
+type planWord struct {
+	at   um.BlockID
+	mask uint64
 }
 
 // planHead is head i = blocks[i] of a plan: after is len(blocks) once it
@@ -265,6 +283,7 @@ func (t *BlockTable) toFront(g, w int) {
 	if w == 0 {
 		return
 	}
+	t.stable = false
 	first, levels := g*t.cfg.Assoc, t.cfg.NumLevels
 	rotateRight(t.tags[first:][:w+1], 1)
 	rotateRight(t.nsuccs[first*levels:][:(w+1)*levels], levels)
@@ -285,6 +304,7 @@ func rotateRight[T any](s []T, k int) {
 // to the configured number of levels.
 func (t *BlockTable) RecordMiss(b um.BlockID) {
 	t.version++
+	t.stable = false
 	for level := 0; level < t.cfg.NumLevels; level++ {
 		pred := t.last[level]
 		if pred == um.NoBlock || pred == b {
@@ -344,13 +364,65 @@ func (t *BlockTable) SuccessorsAt(b um.BlockID, level int) []um.BlockID {
 	return t.succs[lo : lo+n : lo+n]
 }
 
+// planScratch is the plan builder's scratch space, reused across builds.
+type planScratch struct {
+	seen   um.BlockSet
+	sorted []um.BlockID
+}
+
 // startPlan returns the chain walk from Start at the table's current
-// version, building it on first use; seen is the builder's scratch set.
-func (t *BlockTable) startPlan(seen *um.BlockSet) *walkPlan {
-	if t.plan.version != t.version {
-		t.buildPlan(&t.plan, um.NoBlock, seen)
+// version, building it and its words on first use.
+func (t *BlockTable) startPlan(s *planScratch) *walkPlan {
+	if p := &t.plan; p.version != t.version {
+		t.buildPlan(p, um.NoBlock, &s.seen)
+		p.setWords(s)
 	}
 	return &t.plan
+}
+
+// setWords records the bitmap words of p's blocks, or none when two of
+// its heads share a group: replaying such a plan moves one of them off
+// way 0, so the table never stays MRU-stable under it. The words are
+// allocated at their exact count, and only when the last build's do not
+// fit.
+func (p *walkPlan) setWords(s *planScratch) {
+	p.words = p.words[:0]
+	s.seen.Reset()
+	for _, h := range p.heads {
+		if h.group >= 0 && !s.seen.Add(um.BlockID(h.group)) {
+			return
+		}
+	}
+	// Sorted, the blocks of one word are adjacent: a word is b>>6, and
+	// negative IDs form words of their own that no bitmap holds.
+	s.sorted = append(s.sorted[:0], p.blocks...)
+	slices.Sort(s.sorted)
+	n := 0
+	for i, b := range s.sorted {
+		if i == 0 || b>>6 != s.sorted[i-1]>>6 {
+			n++
+		}
+	}
+	if cap(p.words) < n {
+		p.words = make([]planWord, 0, n)
+	}
+	for i, b := range s.sorted {
+		if i == 0 || b>>6 != s.sorted[i-1]>>6 {
+			p.words = append(p.words, planWord{at: b})
+		}
+		p.words[len(p.words)-1].mask |= 1 << (uint64(b) & 63)
+	}
+}
+
+// allResident reports whether resident holds every block of p. A plan
+// without words never reads as all resident.
+func (p *walkPlan) allResident(resident *um.Bitmap) bool {
+	for _, w := range p.words {
+		if resident.Word(w.at)&w.mask != w.mask {
+			return false
+		}
+	}
+	return len(p.words) > 0
 }
 
 // buildPlan records into p the breadth-first walk from seed (unless it is

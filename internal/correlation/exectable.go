@@ -30,13 +30,32 @@ type ExecRecord struct {
 // kernel is retained: a wrong next-kernel prediction is expensive, so the
 // table trades memory for accuracy (§4.2).
 type ExecTable struct {
-	entries map[ExecID][]ExecRecord // records MRU-ordered, newest first
+	entries map[ExecID]*execEntry
 	records int64
+}
+
+// execEntry is the entry of one execution ID: its records, MRU-ordered,
+// newest first, and the ID's block table. A chain walk crosses kernels by
+// following these links, with no map lookup once they are filled.
+type execEntry struct {
+	recs []execRecord
+	// block is the ID's block table, set by the first walk that finds it.
+	// Nil means not known yet, never that the table does not exist.
+	block *BlockTable
+}
+
+// execRecord is an ExecRecord with a link to the entry of its Next. The
+// link is filled by the first walk that follows the record, since the
+// successor's entry may not exist when the record is made; nil means not
+// known yet.
+type execRecord struct {
+	ExecRecord
+	next *execEntry
 }
 
 // NewExecTable returns an empty execution-ID correlation table.
 func NewExecTable() *ExecTable {
-	return &ExecTable{entries: make(map[ExecID][]ExecRecord)}
+	return &ExecTable{entries: make(map[ExecID]*execEntry)}
 }
 
 // Record stores that kernel next was launched right after kernel cur, with
@@ -44,16 +63,20 @@ func NewExecTable() *ExecTable {
 // record identical to an existing one is moved to the front (MRU) instead of
 // duplicated.
 func (t *ExecTable) Record(cur ExecID, prev [HistoryLen]ExecID, next ExecID) {
-	recs := t.entries[cur]
+	e := t.entries[cur]
+	if e == nil {
+		e = &execEntry{}
+		t.entries[cur] = e
+	}
 	rec := ExecRecord{Prev: prev, Next: next}
-	for i, r := range recs {
-		if r == rec {
-			copy(recs[1:i+1], recs[:i])
-			recs[0] = rec
+	for i, r := range e.recs {
+		if r.ExecRecord == rec {
+			copy(e.recs[1:i+1], e.recs[:i])
+			e.recs[0] = r
 			return
 		}
 	}
-	t.entries[cur] = append([]ExecRecord{rec}, recs...)
+	e.recs = append([]execRecord{{ExecRecord: rec}}, e.recs...)
 	t.records++
 }
 
@@ -63,18 +86,31 @@ func (t *ExecTable) Record(cur ExecID, prev [HistoryLen]ExecID, next ExecID) {
 // two most recent, then one, then the most recent record of the entry.
 // It returns NoExec when cur has never been observed.
 func (t *ExecTable) Predict(cur ExecID, prev [HistoryLen]ExecID) ExecID {
-	recs := t.entries[cur]
-	if len(recs) == 0 {
-		return NoExec
+	if r := t.entries[cur].predict(prev); r != nil {
+		return r.Next
+	}
+	return NoExec
+}
+
+// predict returns the record Predict takes its answer from, or nil for a
+// nil entry or one without records.
+func (e *execEntry) predict(prev [HistoryLen]ExecID) *execRecord {
+	if e == nil || len(e.recs) == 0 {
+		return nil
+	}
+	recs := e.recs
+	if len(recs) == 1 {
+		// Every branch of the scan below returns a lone record.
+		return &recs[0]
 	}
 	for suffix := HistoryLen; suffix >= 1; suffix-- {
-		for _, r := range recs {
-			if matchSuffix(r.Prev, prev, suffix) {
-				return r.Next
+		for i := range recs {
+			if matchSuffix(recs[i].Prev, prev, suffix) {
+				return &recs[i]
 			}
 		}
 	}
-	return recs[0].Next
+	return &recs[0]
 }
 
 func matchSuffix(a, b [HistoryLen]ExecID, n int) bool {

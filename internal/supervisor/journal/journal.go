@@ -1,8 +1,16 @@
 // Package journal is the supervisor's crash-safe write-ahead log. Every
 // run-state transition the supervisor must survive a process kill —
-// submitted, started, checkpointed, finished — is appended as one framed,
-// CRC32-checksummed record and fsync'd before the transition takes effect,
+// submitted, started, checkpointed, finished — is appended as framed,
+// CRC32-checksummed records and fsync'd before the transition takes effect,
 // so a restarted supervisor reconstructs every run's state by replay.
+//
+// A transition that writes two records (a keyed submit's admission key and
+// submitted record; a run's last checkpoint and its finished or suspended
+// record) appends them with AppendBatch: one write and one fsync. The file
+// bytes are those two Appends would write, and a crash before the fsync
+// leaves what two fsyncs could already leave: nothing, or a prefix of the
+// batch that replay already handles (a dangling key, a checkpoint with no
+// finish).
 //
 // A journal is a framed file (see internal/store's frame codec) with
 // magic "DEEPUMWJ" and version 1. In each frame the tag is the record type,
@@ -183,12 +191,34 @@ func OpenStream(fs store.FS, path string, sync bool, fn func(Record) error) (*Jo
 // Append returns nil — the caller may then act on the transition. A failed
 // Append leaves the file as it was, or, if even that rollback fails, makes
 // every later Append fail.
-func (j *Journal) Append(r Record) error {
-	if err := r.validate(); err != nil {
-		return fmt.Errorf("journal: cannot append: %w", err)
+func (j *Journal) Append(r Record) error { return j.AppendBatch(r) }
+
+// AppendBatch frames recs into one buffer and writes and fsyncs it at
+// once; the file bytes are those of an Append per record, in order. Every
+// record is durable when AppendBatch returns nil. A record that can never
+// be journaled fails the whole batch before anything is written, and a
+// failed AppendBatch leaves the file as Append does. An empty batch
+// writes nothing.
+func (j *Journal) AppendBatch(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	if err := j.out.Append(store.AppendFrame(nil, byte(r.Type), r.RunID, r.Data)); err != nil {
-		return fmt.Errorf("journal: appending %s record: %w", r.Type, err)
+	n := 0
+	for _, r := range recs {
+		if err := r.validate(); err != nil {
+			return fmt.Errorf("journal: cannot append: %w", err)
+		}
+		n += store.FrameOverhead + len(r.Data)
+	}
+	buf := make([]byte, 0, n)
+	for _, r := range recs {
+		buf = store.AppendFrame(buf, byte(r.Type), r.RunID, r.Data)
+	}
+	if err := j.out.Append(buf); err != nil {
+		if len(recs) == 1 {
+			return fmt.Errorf("journal: appending %s record: %w", recs[0].Type, err)
+		}
+		return fmt.Errorf("journal: appending %d records: %w", len(recs), err)
 	}
 	return nil
 }

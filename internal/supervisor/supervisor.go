@@ -721,17 +721,17 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 		s.noteSubmission("error")
 		return 0, false, fmt.Errorf("supervisor: encoding spec: %w", err)
 	}
+	submitted := journal.Record{Type: journal.RecSubmitted, RunID: id, Data: data}
 	if opts.Key != "" {
-		// Key record BEFORE the spec record: a crash between the two leaves
-		// a dangling key that replay drops, so the client's retry creates
-		// exactly one run. The reverse order would leave a keyless run the
-		// retry duplicates.
-		if err := s.appendLocked(journal.Record{Type: journal.RecAdmissionKey, RunID: id, Data: []byte(opts.Key)}); err != nil {
-			s.noteSubmission("error")
-			return 0, false, err
-		}
+		// Key record BEFORE the spec record, in one write and one fsync: a
+		// crash that keeps only the first leaves a dangling key that replay
+		// drops, so the client's retry creates exactly one run. The reverse
+		// order would leave a keyless run the retry duplicates.
+		err = s.appendLocked(journal.Record{Type: journal.RecAdmissionKey, RunID: id, Data: []byte(opts.Key)}, submitted)
+	} else {
+		err = s.appendLocked(submitted)
 	}
-	if err := s.appendLocked(journal.Record{Type: journal.RecSubmitted, RunID: id, Data: data}); err != nil {
+	if err != nil {
 		s.noteSubmission("error")
 		return 0, false, err
 	}
@@ -1035,15 +1035,11 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	// runner that completed before noticing the cancel stays completed.
 	if r.suspendReason != "" && r.cancelReason == "" && !s.killed &&
 		runErr == nil && !panicked && RunState(out.Status) == StateCancelled {
-		if len(out.Checkpoint) > 0 {
-			s.countCheckpointLocked(ckStored)
-			if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: ckData}) == nil {
-				r.resume = out.Checkpoint
-				r.info.Checkpoints++
-			}
-		}
 		reason := r.suspendReason
-		_ = s.appendLocked(journal.Record{Type: journal.RecSuspended, RunID: r.info.ID, Data: []byte(reason)})
+		if s.journalEndLocked(r.info.ID, ckData, ckStored, journal.Record{Type: journal.RecSuspended, RunID: r.info.ID, Data: []byte(reason)}) {
+			r.resume = out.Checkpoint
+			r.info.Checkpoints++
+		}
 		r.suspendReason = ""
 		r.cancel = nil
 		r.info.State = StateSuspended
@@ -1077,19 +1073,21 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	r.info.Finished = &now
 	r.info.Outcome = &out
 	// A finished run never resumes: its last checkpoint is journaled, then
-	// dropped from memory along with the resume state it superseded.
-	if len(out.Checkpoint) > 0 {
-		s.countCheckpointLocked(ckStored)
-		if s.appendLocked(journal.Record{Type: journal.RecCheckpointed, RunID: r.info.ID, Data: ckData}) == nil {
-			r.info.Checkpoints++
-		}
-		out.Checkpoint = nil
-	}
+	// dropped from memory along with the resume state it superseded. So is
+	// its cancel func, which holds the run's context and, through it, the
+	// closures the context carries; execute's deferred cancel still
+	// releases the context.
+	out.Checkpoint = nil
 	r.resume = nil
+	r.cancel = nil
+	var finished []journal.Record
 	if data, err := json.Marshal(journalFinish{State: state, Reason: r.info.Reason, Outcome: &out}); err == nil {
 		// Best effort: a failed finish append means the next replay re-runs
 		// this run — at-least-once, never lost.
-		_ = s.appendLocked(journal.Record{Type: journal.RecFinished, RunID: r.info.ID, Data: data})
+		finished = append(finished, journal.Record{Type: journal.RecFinished, RunID: r.info.ID, Data: data})
+	}
+	if s.journalEndLocked(r.info.ID, ckData, ckStored, finished...) {
+		r.info.Checkpoints++
 	}
 	s.committed -= r.info.Demand
 	if panicked {
@@ -1464,12 +1462,31 @@ func (s *Supervisor) cancelAll(reason string) {
 	}
 }
 
-// appendLocked journals one record; caller holds mu. A killed supervisor
-// journals nothing (the kill-9 contract); a journal-less supervisor
-// appends nowhere successfully.
-func (s *Supervisor) appendLocked(rec journal.Record) error {
+// appendLocked journals recs in one write and one fsync; caller holds mu.
+// A killed supervisor journals nothing (the kill-9 contract); a
+// journal-less supervisor appends nowhere successfully.
+func (s *Supervisor) appendLocked(recs ...journal.Record) error {
 	if s.jl == nil || s.killed || s.jlClosed {
 		return nil
 	}
-	return s.jl.Append(rec)
+	return s.jl.AppendBatch(recs...)
+}
+
+// journalEndLocked journals run id's last checkpoint, whose payload data
+// ck is nil when the run has none, and then end, the record that ends the
+// run's execution, in one write and one fsync. It reports whether the
+// checkpoint is journaled. When the batch fails, end is still tried alone,
+// so a checkpoint that cannot be journaled never keeps the run's end out
+// of the journal. Caller holds mu.
+func (s *Supervisor) journalEndLocked(id uint64, ck []byte, stored bool, end ...journal.Record) bool {
+	if ck == nil {
+		_ = s.appendLocked(end...)
+		return false
+	}
+	s.countCheckpointLocked(stored)
+	if s.appendLocked(append([]journal.Record{{Type: journal.RecCheckpointed, RunID: id, Data: ck}}, end...)...) == nil {
+		return true
+	}
+	_ = s.appendLocked(end...)
+	return false
 }

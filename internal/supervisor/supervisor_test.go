@@ -1,6 +1,7 @@
 package supervisor
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"deepum/internal/chaos"
+	"deepum/internal/store"
 	"deepum/internal/supervisor/journal"
 )
 
@@ -541,6 +544,167 @@ func TestFinishedRunsDropCheckpoints(t *testing.T) {
 	}
 	if finals != runs {
 		t.Fatalf("journal holds %d final checkpoint records, want %d", finals, runs)
+	}
+}
+
+// syncLogFS is an in-memory filesystem that logs, for every Sync, the
+// bytes written since the previous one.
+type syncLogFS struct {
+	*store.MemFS
+	mu      sync.Mutex
+	pending []byte
+	synced  [][]byte
+}
+
+type syncLogFile struct {
+	store.File
+	fs *syncLogFS
+}
+
+func (f syncLogFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	f.fs.pending = append(f.fs.pending, p...)
+	f.fs.mu.Unlock()
+	return f.File.Write(p)
+}
+
+func (f syncLogFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.synced = append(f.fs.synced, f.fs.pending)
+	f.fs.pending = nil
+	f.fs.mu.Unlock()
+	return f.File.Sync()
+}
+
+func (fs *syncLogFS) OpenFile(path string) (store.File, error) {
+	f, err := fs.MemFS.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncLogFile{File: f, fs: fs}, nil
+}
+
+// TestJournalOneSyncPerTransition: every transition is one fsync, the two
+// that journal two records included. A keyed submit syncs its admission
+// key and its submitted record together, a suspension its checkpoint and
+// its suspended record, and a finished run its final checkpoint and its
+// finished record; the started record syncs alone.
+func TestJournalOneSyncPerTransition(t *testing.T) {
+	fs := &syncLogFS{MemFS: store.NewMemFS()}
+	running := make(chan struct{}, 1)
+	runner := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+		if len(resume) == 0 {
+			running <- struct{}{}
+			<-ctx.Done()
+			return Outcome{Status: string(StateCancelled), Checkpoint: []byte("suspended")}, nil
+		}
+		return Outcome{Status: string(StateCompleted), Checkpoint: []byte("final")}, nil
+	})
+	s, err := New(Config{Runner: runner, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, _, err := journal.OpenStream(fs, "runs.journal", true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.jl = jl
+	s.mu.Unlock()
+	id, _, err := s.SubmitWithOptions(0, RunSpec{Model: "bert-base", Batch: 8}, SubmitOptions{Key: "once"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if err := s.Suspend(id); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateCompleted || info.Checkpoints != 2 {
+		t.Fatalf("state %s with %d checkpoints, want completed with 2", info.State, info.Checkpoints)
+	}
+	drain(t, s)
+
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var got [][]string
+	for i, b := range fs.synced {
+		if i == 0 {
+			if len(b) != store.HeaderLen {
+				t.Fatalf("first sync wrote %d bytes, want the %d-byte header", len(b), store.HeaderLen)
+			}
+			continue
+		}
+		var recs []string
+		for len(b) > 0 {
+			f, n, ok := store.DecodeFrame(b)
+			if !ok {
+				t.Fatalf("sync %d wrote a partial frame", i)
+			}
+			recs = append(recs, journal.RecordType(f.Tag).String())
+			b = b[n:]
+		}
+		got = append(got, recs)
+	}
+	want := [][]string{
+		{"admission-key", "submitted"},
+		{"started"},
+		{"checkpointed", "suspended"},
+		{"started"},
+		{"checkpointed", "finished"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("records per sync %v, want %v", got, want)
+	}
+}
+
+// TestFinishJournaledWhenCheckpointBatchFails: when the batch of a run's
+// final checkpoint and its finished record fails, the finished record is
+// still journaled alone, so replay finds the run finished, and the
+// checkpoint that did not land is not counted.
+func TestFinishJournaledWhenCheckpointBatchFails(t *testing.T) {
+	// Syncs 1-3 are the header, the submitted record and the started
+	// record; sync 4 is the final checkpoint's batch.
+	fs := chaos.NewFaultFS(chaos.DiskFaults{FailSyncAt: 4})
+	runner := RunnerFunc(func(ctx context.Context, spec RunSpec, resume []byte, progress func([]byte)) (Outcome, error) {
+		return Outcome{Status: string(StateCompleted), Checkpoint: []byte("final")}, nil
+	})
+	s, err := New(Config{Runner: runner, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, _, err := journal.OpenStream(fs, "runs.journal", true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.jl = jl
+	s.mu.Unlock()
+	id, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateCompleted || info.Checkpoints != 0 {
+		t.Fatalf("state %s with %d checkpoints, want completed with 0", info.State, info.Checkpoints)
+	}
+	drain(t, s)
+	data, _ := fs.Inner().ReadFile("runs.journal")
+	var recs []journal.Record
+	if _, err := journal.ReplayStream(bytes.NewReader(data), func(r journal.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(types(recs)); got != "[submitted started finished]" {
+		t.Fatalf("journal holds %s, want [submitted started finished]", got)
 	}
 }
 

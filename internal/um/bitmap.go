@@ -18,6 +18,19 @@ func (m *Bitmap) Has(b BlockID) bool {
 	return w < uint64(len(m.words)) && m.words[w]&(1<<(uint64(b)&63)) != 0
 }
 
+// Word returns the word of the set that holds b: bit i is block
+// b&^63 + i. Like Has it never grows the set: for a nil Bitmap, a
+// negative ID or one past the last word it returns an empty word.
+func (m *Bitmap) Word(b BlockID) uint64 {
+	if m == nil {
+		return 0
+	}
+	if w := uint64(b) >> 6; w < uint64(len(m.words)) {
+		return m.words[w]
+	}
+	return 0
+}
+
 // add inserts b, growing the words to cover it; b must not be negative.
 func (m *Bitmap) add(b BlockID) {
 	w := int(b >> 6)

@@ -83,3 +83,46 @@ func TestResidencyBitmapOutOfRange(t *testing.T) {
 		t.Fatal("a nil bitmap holds a block")
 	}
 }
+
+// TestBitmapWordMatchesHas holds Word to Has: for every block of a random
+// set, bit b&63 of Word(b) is Has(b), and the word is the same for every
+// block of one 64-block word. A nil bitmap, a negative ID and a word past
+// the end read as empty, and reading grows nothing.
+func TestBitmapWordMatchesHas(t *testing.T) {
+	for trial := int64(0); trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		r := NewResidency(NewSpace(0), 1<<40)
+		span := 1 + rng.Intn(600)
+		for i := 0; i < span/2; i++ {
+			r.Insert(BlockID(rng.Intn(span)), 1, 0, 0)
+		}
+		m := r.Bitmap()
+		words := len(m.words)
+		for b := BlockID(0); b < BlockID(words*64+128); b++ {
+			w := m.Word(b)
+			if got := w>>(uint64(b)&63)&1 == 1; got != m.Has(b) {
+				t.Fatalf("trial %d: bit %d of Word(%d) is %v, Has says %v", trial, b&63, b, got, m.Has(b))
+			}
+			if w != m.Word(b&^63) {
+				t.Fatalf("trial %d: Word(%d) = %#x, Word(%d) = %#x", trial, b, w, b&^63, m.Word(b&^63))
+			}
+			if b >= BlockID(words*64) && w != 0 {
+				t.Fatalf("trial %d: Word(%d) past the last word is %#x", trial, b, w)
+			}
+		}
+		for _, b := range []BlockID{-1, NoBlock, -64, -65, math.MinInt64, math.MaxInt64, BlockID(words) << 6, 1 << 40} {
+			if w := m.Word(b); w != 0 {
+				t.Fatalf("trial %d: Word(%d) = %#x, want an empty word", trial, b, w)
+			}
+		}
+		if len(m.words) != words {
+			t.Fatalf("trial %d: reads grew the bitmap %d -> %d words", trial, words, len(m.words))
+		}
+	}
+	var none *Bitmap
+	for _, b := range []BlockID{0, 63, NoBlock, math.MaxInt64} {
+		if none.Word(b) != 0 {
+			t.Fatalf("a nil bitmap's Word(%d) is not empty", b)
+		}
+	}
+}

@@ -168,13 +168,22 @@ func runTrain(ctx context.Context, spec RunSpec, resume []byte, progress func([]
 			return supervisor.Outcome{}, fmt.Errorf("deepum: decoding resume checkpoint: %w", err)
 		}
 		cfg.ResumeState = st
-		// TrainContext rejects a spec whose Policy disagrees with the
+		// trainProgram rejects a spec whose Policy disagrees with the
 		// envelope's recorded policy name.
 		// Policy state is warm; one warmup iteration rebuilds GPU residency.
 		cfg.Warmup = 1
 	}
 	progress(nil) // liveness before the first (potentially long) chunk
 
+	// Every chunk trains on one program: the engine only reads it.
+	cfg, scenario, err := trainDefaults(w, cfg)
+	if err != nil {
+		return supervisor.Outcome{}, err
+	}
+	prog, err := BuildProgram(w, cfg.Scale)
+	if err != nil {
+		return supervisor.Outcome{}, err
+	}
 	// An unchunked run, and any run of a system without warm state, is one
 	// chunk of all its iterations.
 	total := cfg.Iterations
@@ -185,7 +194,7 @@ func runTrain(ctx context.Context, spec RunSpec, resume []byte, progress func([]
 	var agg runAggregate
 	for {
 		cfg.Iterations = min(chunk, total-agg.iterations)
-		res, err := TrainContext(ctx, w, cfg)
+		res, err := trainProgram(ctx, prog, cfg, scenario)
 		if err != nil {
 			return supervisor.Outcome{}, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deepum/internal/um"
@@ -285,4 +286,119 @@ func TestChainCursorMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("covered %v; causes %v", cover, causes)
+}
+
+// TestLaunchesDuringWalkMatchReference records kernel transitions while a
+// walk is cut or paused, as KernelLaunch does between two fills of the
+// prefetch queue, and holds the cursor, which crosses kernels by link,
+// step for step to the reference walk, which looks each kernel up by ID
+// through ExecTable.Predict. Most records go to a kernel without an entry:
+// the cursor's current kernel, or one that so far appears only as a
+// successor. A walk reaches both before their entry exists, and must
+// still cross from them once it does.
+func TestLaunchesDuringWalkMatchReference(t *testing.T) {
+	cover := map[string]int{}
+	for trial := int64(0); trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		execs := []ExecID{0, 1, -2, math.MaxInt32, math.MinInt32}
+		for len(execs) < 5+rng.Intn(6) {
+			execs = append(execs, ExecID(rng.Int31()))
+		}
+		blocks := randomBlocks(rng, 8+rng.Intn(40))
+		orig := randomTables(rng, execs, blocks)
+		ref, err := DecodeTables(EncodeTables(orig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pick := func() ExecID { return execs[rng.Intn(len(execs))] }
+		var c ChainCursor
+		for restart := 0; restart < 40; restart++ {
+			var hist [HistoryLen]ExecID
+			for k := range hist {
+				hist[k] = pick()
+			}
+			exec, seed := pick(), blocks[rng.Intn(len(blocks))]
+			c.Reset(orig, exec, hist, seed)
+			r := newRefCursor(ref, exec, hist, seed)
+			for step := 0; step < 400; step++ {
+				if rng.Intn(6) == 0 {
+					cur, next := pick(), pick()
+					switch rng.Intn(3) {
+					case 0:
+						cur = c.ExecID()
+					case 1:
+						cur = successorOnly(orig, rng, cur)
+					}
+					if orig.Exec.entries[cur] == nil {
+						if cur == c.ExecID() {
+							cover["current kernel's first record"]++
+						} else {
+							cover["successor-only kernel's first record"]++
+						}
+					}
+					if rng.Intn(4) == 0 {
+						next = ExecID(rng.Int31()) // a kernel seen only as a successor
+						execs = append(execs, next)
+					}
+					var prev [HistoryLen]ExecID
+					for k := range prev {
+						prev[k] = pick()
+					}
+					for _, ts := range []*Tables{orig, ref} {
+						ts.Exec.Record(cur, prev, next)
+						ts.Block(next).ResetCursor()
+					}
+				}
+				b, e := c.Next(nil)
+				rb, re := r.next()
+				if b != rb || e != re || c.Kernels() != r.kernels || c.DeathCause != r.cause {
+					t.Fatalf("trial %d restart %d step %d: cursor (%d,%d) kernels %d cause %d; reference (%d,%d) kernels %d cause %d",
+						trial, restart, step, b, e, c.Kernels(), c.DeathCause, rb, re, r.kernels, r.cause)
+				}
+				if b == um.NoBlock {
+					break
+				}
+			}
+			if rng.Intn(3) == 0 {
+				id, b := pick(), blocks[rng.Intn(len(blocks))]
+				orig.Block(id).RecordMiss(b)
+				ref.Block(id).RecordMiss(b)
+			}
+		}
+		for id, bt := range ref.blocks {
+			if orig.blocks[id] == nil {
+				if bt.Entries() != 0 || bt.Start != um.NoBlock {
+					t.Fatalf("trial %d: reference grew a non-empty table for exec %d", trial, id)
+				}
+				delete(ref.blocks, id)
+			}
+		}
+		if !bytes.Equal(EncodeTables(orig), EncodeTables(ref)) {
+			t.Fatalf("trial %d: tables diverged", trial)
+		}
+	}
+	for _, k := range []string{"current kernel's first record", "successor-only kernel's first record"} {
+		if cover[k] == 0 {
+			t.Errorf("no launch covered %q (covered %v)", k, cover)
+		}
+	}
+	t.Logf("covered %v", cover)
+}
+
+// successorOnly returns a kernel that is some record's successor but has
+// no entry of its own, or def when there is none.
+func successorOnly(ts *Tables, rng *rand.Rand, def ExecID) ExecID {
+	var ids []ExecID
+	for _, e := range ts.Exec.entries {
+		for _, r := range e.recs {
+			if ts.Exec.entries[r.Next] == nil {
+				ids = append(ids, r.Next)
+			}
+		}
+	}
+	if len(ids) == 0 {
+		return def
+	}
+	slices.Sort(ids)
+	return ids[rng.Intn(len(ids))]
 }

@@ -33,7 +33,6 @@ import (
 	"deepum/internal/experiments"
 	"deepum/internal/federation"
 	"deepum/internal/health"
-	"deepum/internal/metrics"
 	"deepum/internal/models"
 	"deepum/internal/policy"
 	"deepum/internal/sim"
@@ -286,15 +285,6 @@ const MaxIdempotencyKeyLen = admission.MaxKeyLen
 // call it before admission so a malformed key is a clean client error, not
 // a supervisor rejection.
 func ValidateIdempotencyKey(key string) error { return admission.ValidateKey(key) }
-
-// MetricsRegistry re-exports the Prometheus-style registry returned by
-// Supervisor.Metrics and Federation.Metrics, so serving layers can scrape
-// (WriteText) without importing internal/metrics.
-type MetricsRegistry = metrics.Registry
-
-// NewMetricsRegistry returns an empty registry (custom backends and test
-// doubles that must satisfy a Metrics() *MetricsRegistry contract).
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // --- checkpoint store types ---
 

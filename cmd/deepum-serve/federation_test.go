@@ -70,9 +70,10 @@ func submitOnEveryShard(t *testing.T, ts *httptest.Server, fed *deepum.Federatio
 	return byShard
 }
 
-// TestServeMetricsScrapeFederation: federation mode serves the federation
-// registry — every per-shard series pre-registered (zeros at first scrape)
-// plus the HTTP counters, and the series move after a failover.
+// TestServeMetricsScrapeFederation: federation mode serves the
+// federation's families — every per-shard series present at the first
+// scrape, at zero — plus the HTTP counters, and the series move after a
+// failover.
 func TestServeMetricsScrapeFederation(t *testing.T) {
 	ts, fed := testFederationServer(t, 3, instant(), 0)
 
@@ -97,7 +98,7 @@ func TestServeMetricsScrapeFederation(t *testing.T) {
 	}
 
 	// First scrape, before any run or failover: the whole fleet is visible
-	// at zero (the pre-registration contract).
+	// at zero.
 	body := scrape()
 	for shard := 0; shard < 3; shard++ {
 		for _, want := range []string{

@@ -59,7 +59,7 @@ func FuzzSubmitSpec(f *testing.F) {
 		if len(body) > 2<<20 {
 			body = body[:2<<20]
 		}
-		fb := &fakeBackend{reg: deepum.NewMetricsRegistry()}
+		fb := &fakeBackend{}
 		srv := &server{b: fb, stats: func() any { return nil }}
 		req := httptest.NewRequest("POST", "/runs", strings.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")

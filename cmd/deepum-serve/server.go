@@ -4,11 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"deepum"
+	"deepum/internal/metrics"
 )
 
 // backend is what the HTTP layer needs from the run-admission plane; both
@@ -32,7 +37,9 @@ type backend interface {
 	// queue's observed drain rate, for rejections that carry none of their
 	// own (drain, handoff windows).
 	RetryAfterHint() time.Duration
-	Metrics() *deepum.MetricsRegistry
+	// WriteMetrics renders the backend's metric families in the Prometheus
+	// text format.
+	WriteMetrics(io.Writer) error
 }
 
 // supervisorBackend adapts the single supervisor's ID-taking submit
@@ -51,8 +58,8 @@ func (b supervisorBackend) SubmitWithOptions(spec deepum.RunSpec, opts deepum.Su
 // "back off and retry" (429/503, both with Retry-After) from "this spec
 // can never be admitted" (422). Every handler runs under a per-request
 // context deadline (requestTimeout; 0 disables) so one slow request cannot
-// hold a connection open indefinitely. GET /metrics scrapes the backend's
-// Prometheus registry plus per-route HTTP request counters.
+// hold a connection open indefinitely. GET /metrics renders the backend's
+// metric families plus per-route HTTP request counts.
 func newServer(sup *deepum.Supervisor, requestTimeout time.Duration) http.Handler {
 	s := &server{b: supervisorBackend{sup}, stats: func() any { return sup.Stats() }}
 	return buildServer(s, requestTimeout)
@@ -70,25 +77,32 @@ func newFederationServer(fed *deepum.Federation, requestTimeout, handoffGrace ti
 }
 
 func buildServer(s *server, requestTimeout time.Duration) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /runs", s.submit)
-	mux.HandleFunc("GET /runs", s.list)
-	mux.HandleFunc("GET /runs/{id}", s.get)
-	mux.HandleFunc("POST /runs/{id}/cancel", s.cancel)
-	mux.HandleFunc("POST /runs/{id}/resume", s.resume)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", s.ready)
-	mux.HandleFunc("GET /metrics", s.metrics)
+	routes := map[string]http.HandlerFunc{
+		"POST /runs":             s.submit,
+		"GET /runs":              s.list,
+		"GET /runs/{id}":         s.get,
+		"POST /runs/{id}/cancel": s.cancel,
+		"POST /runs/{id}/resume": s.resume,
+		"GET /readyz":            s.ready,
+		"GET /metrics":           s.metrics,
+		"GET /healthz": func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		},
+	}
 	if s.fed != nil {
-		mux.HandleFunc("GET /shards", s.shards)
+		routes["GET /shards"] = s.shards
+	}
+	mux := http.NewServeMux()
+	s.requests = map[string]*atomic.Int64{unmatched: new(atomic.Int64)}
+	for pattern, h := range routes {
+		mux.HandleFunc(pattern, h)
+		s.requests[pattern] = new(atomic.Int64)
 	}
 	// withDeadline wraps outside countRequests: the counter must hand the
 	// mux the same *Request it later reads r.Pattern from (WithContext
 	// copies the request, so a deadline layer between them would hide the
 	// matched route).
-	return withDeadline(requestTimeout, countRequests(s.b.Metrics(), mux))
+	return withDeadline(requestTimeout, s.countRequests(mux))
 }
 
 // withDeadline bounds each request with a context deadline. Handlers that
@@ -106,18 +120,20 @@ func withDeadline(timeout time.Duration, next http.Handler) http.Handler {
 	})
 }
 
-// countRequests counts every request by method and matched route pattern
-// (bounded label cardinality: unmatched paths collapse to their 404).
-func countRequests(reg *deepum.MetricsRegistry, next http.Handler) http.Handler {
+// unmatched is the route a request that matched no pattern counts under.
+const unmatched = "unmatched"
+
+// countRequests counts every request by its matched route pattern, in the
+// table buildServer fixed from the mux's patterns (bounded label
+// cardinality: every path that matches none counts as unmatched).
+func (s *server) countRequests(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		next.ServeHTTP(w, r)
-		route := r.Pattern
-		if route == "" {
-			route = "unmatched"
+		n, ok := s.requests[r.Pattern]
+		if !ok {
+			n = s.requests[unmatched]
 		}
-		reg.Counter("deepum_http_requests_total",
-			"HTTP requests served, by matched route.",
-			map[string]string{"route": route}).Inc()
+		n.Add(1)
 	})
 }
 
@@ -126,6 +142,9 @@ type server struct {
 	stats func() any
 	fed   *deepum.Federation // nil in single-supervisor mode
 	grace time.Duration      // handoff-window 503s older than this become 500s
+	// requests counts requests by route pattern; its keys are fixed when
+	// the server is built, so handlers only read the map.
+	requests map[string]*atomic.Int64
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
@@ -332,10 +351,18 @@ func (s *server) shards(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// metrics serves the Prometheus text exposition format (version 0.0.4).
+// metrics serves the Prometheus text exposition format (version 0.0.4):
+// the backend's families, then the per-route request counts.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.b.Metrics().WriteText(w)
+	if err := s.b.WriteMetrics(w); err != nil {
+		return
+	}
+	fam := metrics.Family{Name: "deepum_http_requests_total", Help: "HTTP requests served, by matched route.", Type: "counter"}
+	for _, route := range slices.Sorted(maps.Keys(s.requests)) {
+		fam.Series = append(fam.Series, metrics.Series{Labels: []string{"route", route}, Value: float64(s.requests[route].Load())})
+	}
+	metrics.Write(w, []metrics.Family{fam})
 }
 
 func runID(w http.ResponseWriter, r *http.Request) (uint64, bool) {

@@ -279,8 +279,8 @@ func TestServeMetricsScrape(t *testing.T) {
 		"# TYPE deepum_supervisor_runs gauge",
 		"deepum_supervisor_run_seconds_count 1",
 		`deepum_http_requests_total{route="POST /runs"} 1`,
-		// Admission retry-safety family: pre-registered, so a scrape before
-		// any shed or dedup event still shows the series at zero.
+		// Admission retry-safety family: rendered from the first scrape, so
+		// a scrape before any shed or dedup event shows the series at zero.
 		"# TYPE deepum_admission_shed_total counter",
 		"deepum_admission_shed_total 0",
 		"# TYPE deepum_admission_dedup_hits_total counter",
@@ -389,7 +389,6 @@ func TestServeIdempotencyKey(t *testing.T) {
 type fakeBackend struct {
 	submitErr error
 	hint      time.Duration
-	reg       *deepum.MetricsRegistry
 }
 
 func (f *fakeBackend) Submit(deepum.RunSpec) (uint64, error) { return 1, f.submitErr }
@@ -402,11 +401,10 @@ func (f *fakeBackend) Resume(uint64) error                { return nil }
 func (f *fakeBackend) List() []deepum.RunInfo             { return nil }
 func (f *fakeBackend) Accepting() bool                    { return true }
 func (f *fakeBackend) RetryAfterHint() time.Duration      { return f.hint }
-func (f *fakeBackend) Metrics() *deepum.MetricsRegistry   { return f.reg }
+func (f *fakeBackend) WriteMetrics(io.Writer) error       { return nil }
 
 func newFakeServer(t *testing.T, fb *fakeBackend) *httptest.Server {
 	t.Helper()
-	fb.reg = deepum.NewMetricsRegistry()
 	srv := &server{b: fb, stats: func() any { return nil }}
 	ts := httptest.NewServer(buildServer(srv, 10*time.Second))
 	t.Cleanup(ts.Close)

@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,6 +163,11 @@ type stormLedger struct {
 	handoffs, live, adoptedFiles int
 	handoffResumed               int // adopted runs resumed from a checkpoint
 	timeoutsAfterSend, dedupHits int64
+	// scrapedDedup and scrapedHandoffs sum deepum_admission_dedup_hits_total
+	// and deepum_federation_handoffs_total over the federation's rendered
+	// metrics, as a scraper that sums a family by name reads them.
+	scrapedDedup    int64
+	scrapedHandoffs int
 	// revocations, suspends and resumes sum over every shard, the killed
 	// one included.
 	revocations, suspends, resumes int64
@@ -276,6 +282,10 @@ func checkStorm(l stormLedger) []string {
 	}
 	if l.timeoutsAfterSend == 0 || l.dedupHits == 0 {
 		failf("retries: %d timeout(s)-after-send, %d dedup hit(s); want both > 0", l.timeoutsAfterSend, l.dedupHits)
+	}
+	if l.scrapedDedup != l.dedupHits || l.scrapedHandoffs != l.handoffs {
+		failf("metrics: deepum_admission_dedup_hits_total sums to %d against %d in Stats, deepum_federation_handoffs_total to %d against %d in the ledger",
+			l.scrapedDedup, l.dedupHits, l.scrapedHandoffs, l.handoffs)
 	}
 	if l.revocations == 0 || l.suspends == 0 || l.resumes == 0 {
 		failf("escalation: %d revocation(s), %d suspend(s), %d resume(s); want each > 0",
@@ -468,6 +478,11 @@ func storm(opts stormOptions) (stormLedger, error) {
 	l.handoffs, l.live, l.adoptedFiles = fst.Handoffs, fst.Live, len(adopted)
 	l.handoffResumed = report.Resumed
 	l.timeoutsAfterSend, l.dedupHits = nf.TimeoutsAfterSend, fst.DedupHits
+	var exposition bytes.Buffer
+	_ = fed.WriteMetrics(&exposition) // a bytes.Buffer takes every write
+	sums := sumFamilies(exposition.String())
+	l.scrapedDedup = int64(sums["deepum_admission_dedup_hits_total"])
+	l.scrapedHandoffs = int(sums["deepum_federation_handoffs_total"])
 	fmt.Printf("arbiter    %d revocation(s), %d suspension(s), %d resume(s) across %d shards; %d dedup hits\n",
 		l.revocations, l.suspends, l.resumes, stormShards, l.dedupHits)
 	if opts.store {
@@ -589,6 +604,23 @@ func chooseFedVictim(fed *deepum.Federation) int {
 		return false
 	})
 	return victim
+}
+
+// sumFamilies sums every sample of each family in a text exposition, by
+// family name.
+func sumFamilies(text string) map[string]float64 {
+	sums := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			name, _, _ := strings.Cut(line[:i], "{")
+			sums[name] += v
+		}
+	}
+	return sums
 }
 
 // waitFor polls cond every millisecond until it holds or limit passes.

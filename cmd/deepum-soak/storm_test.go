@@ -33,6 +33,8 @@ func cleanLedger() stormLedger {
 		handoffResumed:    1,
 		timeoutsAfterSend: 1,
 		dedupHits:         1,
+		scrapedDedup:      1,
+		scrapedHandoffs:   1,
 		revocations:       1,
 		suspends:          1,
 		resumes:           1,
@@ -102,12 +104,14 @@ func TestCheckStormReportsEachFault(t *testing.T) {
 		{"non-retryable status", func(l *stormLedger) {
 			l.badStatus = []string{"key storm-9: status 400"}
 		}, "non-retryable submit"},
-		{"two handoffs", func(l *stormLedger) { l.handoffs = 2 }, "failover"},
+		{"two handoffs", func(l *stormLedger) { l.handoffs, l.scrapedHandoffs = 2, 2 }, "failover"},
 		{"no shard died", func(l *stormLedger) { l.live = stormShards }, "failover"},
 		{"journal not retired", func(l *stormLedger) { l.adoptedFiles = 0 }, "failover"},
 		{"handoff resumed nothing", func(l *stormLedger) { l.handoffResumed = 0 }, "resumed no run"},
 		{"zero timeouts-after-send", func(l *stormLedger) { l.timeoutsAfterSend = 0 }, "retries"},
-		{"zero dedup hits", func(l *stormLedger) { l.dedupHits = 0 }, "retries"},
+		{"zero dedup hits", func(l *stormLedger) { l.dedupHits, l.scrapedDedup = 0, 0 }, "retries"},
+		{"scraped dedup hits differ", func(l *stormLedger) { l.scrapedDedup = 2 }, "metrics:"},
+		{"scraped handoffs differ", func(l *stormLedger) { l.scrapedHandoffs = 0 }, "metrics:"},
 		{"zero revocations", func(l *stormLedger) { l.revocations = 0 }, "escalation"},
 		{"zero suspends", func(l *stormLedger) { l.suspends = 0 }, "escalation"},
 		{"zero resumes", func(l *stormLedger) { l.resumes = 0 }, "escalation"},

@@ -279,7 +279,8 @@ func TestTrainRunnerRejectsForeignResume(t *testing.T) {
 
 // TestSupervisorSeesLadderMoves: a health-enabled TrainRunner run under a
 // supervisor streams every in-run ladder move to the supervisor. The
-// deepum_health_transitions_total series sum to the outcome's transition
+// per-level transition counts in Stats (what
+// deepum_health_transitions_total renders) sum to the outcome's transition
 // count, and RunInfo.HealthLevel holds the level of the last move.
 func TestSupervisorSeesLadderMoves(t *testing.T) {
 	s, err := NewSupervisor(SupervisorConfig{Workers: 1})
@@ -306,11 +307,11 @@ func TestSupervisorSeesLadderMoves(t *testing.T) {
 		t.Fatal("the ladder never moved; the run no longer exercises the reporter")
 	}
 	var sum int64
-	for _, level := range []string{"L0", "L1", "L2", "L3"} {
-		sum += s.Metrics().Counter("deepum_health_transitions_total", "", map[string]string{"level": level}).Value()
+	for _, n := range s.Stats().HealthTransitions {
+		sum += n
 	}
 	if sum != int64(rep.Transitions) {
-		t.Fatalf("deepum_health_transitions_total sums to %d, outcome reports %d transitions", sum, rep.Transitions)
+		t.Fatalf("Stats.HealthTransitions sums to %d, outcome reports %d transitions", sum, rep.Transitions)
 	}
 	last := rep.TransitionLog[len(rep.TransitionLog)-1]
 	if info.HealthLevel != int(last.To) {

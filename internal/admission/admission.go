@@ -98,18 +98,6 @@ func (t *KeyTable) Len() int {
 	return len(t.m)
 }
 
-// Snapshot copies the table (federation restart rebuilds its global key map
-// from each shard's snapshot).
-func (t *KeyTable) Snapshot() map[string]uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]uint64, len(t.m))
-	for k, v := range t.m {
-		out[k] = v
-	}
-	return out
-}
-
 // ShedError rejects a submission whose propagated client deadline cannot be
 // met by the current drain rate. It is distinct from queue-full: the queue
 // may have room; admitting the run would only burn a worker slot on work

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"deepum/internal/admission"
-	"deepum/internal/metrics"
 	"deepum/internal/obs"
 	"deepum/internal/store"
 	"deepum/internal/supervisor"
@@ -80,7 +79,6 @@ type Config struct {
 type Federation struct {
 	cfg   Config
 	epoch time.Time
-	prom  *metrics.Registry
 
 	store *store.Store // shared checkpoint store (nil without StorePath)
 
@@ -94,17 +92,18 @@ type Federation struct {
 	topo       chan struct{}
 	handoffs   int
 	rebalances int
-	// keyBound is the federation-wide idempotency index: key -> run ID, fed
-	// from fresh keyed submits, shard snapshots at restart, and adopted
-	// keys at handoff (so a retry that lands after a kill still dedups).
+	// handoffRejections counts requests rejected because their shard is
+	// dead awaiting handoff.
+	handoffRejections int
 	// keyPending singleflights concurrent submits carrying the same unbound
 	// key: the first caller resolves, the rest wait on its entry instead of
-	// racing two runs into different shards.
-	keyBound   map[string]uint64
+	// racing two runs into different shards. A bound key is found in the
+	// shards' own key tables (lookupKeyLocked).
 	keyPending map[string]*keyEntry
-	// fedDedup counts retries resolved at the federation front door
-	// (keyBound / keyPending) — these never reach a shard supervisor, so
-	// shard counters cannot see them. Stats adds it to the shard totals.
+	// fedDedup counts retries resolved at the federation front door (a
+	// shard's key table or keyPending); these never reach a shard's
+	// admission, so shard counters cannot see them. Stats adds it to the
+	// shard totals.
 	fedDedup atomic.Int64
 }
 
@@ -182,11 +181,9 @@ func New(cfg Config) (*Federation, error) {
 	f := &Federation{
 		cfg:        cfg,
 		epoch:      time.Now(),
-		prom:       metrics.NewRegistry(),
 		owner:      map[uint64]int{},
 		topo:       make(chan struct{}),
 		nextID:     1,
-		keyBound:   map[string]uint64{},
 		keyPending: map[string]*keyEntry{},
 	}
 	if cfg.StorePath != "" {
@@ -245,17 +242,7 @@ func New(cfg Config) (*Federation, error) {
 				f.nextID = info.ID + 1
 			}
 		}
-		// Rebuild the global idempotency index from the shard's replayed key
-		// table. A run duplicated across journals by a mid-handoff crash
-		// binds its key to the same run ID on both copies, so first-wins is
-		// consistent with the duplicate-cancel above.
-		for key, id := range sh.sup.AdmissionKeys() {
-			if _, dup := f.keyBound[key]; !dup {
-				f.keyBound[key] = id
-			}
-		}
 	}
-	f.initMetrics()
 	return f, nil
 }
 
@@ -284,10 +271,9 @@ func (f *Federation) SubmitWithOptions(spec supervisor.RunSpec, opts supervisor.
 	}
 	for {
 		f.mu.Lock()
-		if id, ok := f.keyBound[opts.Key]; ok {
+		if id, ok := f.lookupKeyLocked(opts.Key); ok {
 			f.mu.Unlock()
 			f.fedDedup.Add(1)
-			f.prom.Counter(mDedupHits, "", nil).Inc()
 			return id, true, nil
 		}
 		if e, ok := f.keyPending[opts.Key]; ok {
@@ -295,7 +281,6 @@ func (f *Federation) SubmitWithOptions(spec supervisor.RunSpec, opts supervisor.
 			<-e.done
 			if e.err == nil {
 				f.fedDedup.Add(1)
-				f.prom.Counter(mDedupHits, "", nil).Inc()
 				return e.id, true, nil
 			}
 			// The resolver failed without binding the key; this waiter loops
@@ -307,20 +292,30 @@ func (f *Federation) SubmitWithOptions(spec supervisor.RunSpec, opts supervisor.
 		f.keyPending[opts.Key] = e
 		f.mu.Unlock()
 
+		// The shard bound the key before it returned, so a submit that takes
+		// f.mu after this delete finds the binding in the shard's table.
 		id, dedup, err := f.submitFresh(spec, opts)
 		f.mu.Lock()
 		delete(f.keyPending, opts.Key)
-		if err == nil {
-			f.keyBound[opts.Key] = id
-		}
 		f.mu.Unlock()
 		e.id, e.err = id, err
 		close(e.done)
-		if err == nil && dedup {
-			f.prom.Counter(mDedupHits, "", nil).Inc()
-		}
 		return id, dedup, err
 	}
+}
+
+// lookupKeyLocked resolves a bound idempotency key from the shards' key
+// tables, which journal replay and handoff adoption rebuild. Dead shards
+// are searched too: a killed shard keeps its table, and a key bound there
+// resolves to its run until the handoff moves the run (and the key) to a
+// successor. Caller holds mu.
+func (f *Federation) lookupKeyLocked(key string) (uint64, bool) {
+	for _, sh := range f.shards {
+		if id, ok := sh.sup.LookupKey(key); ok {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // submitFresh runs one admission attempt: assign a global ID, route it,
@@ -335,8 +330,8 @@ func (f *Federation) submitFresh(spec supervisor.RunSpec, opts supervisor.Submit
 	sh := f.shards[ord]
 	if !sh.alive {
 		err := f.handoffErrLocked(sh)
+		f.handoffRejections++
 		f.mu.Unlock()
-		f.prom.Counter(mHandoffRejections, "", nil).Inc()
 		return 0, false, err
 	}
 	f.owner[id] = ord
@@ -351,15 +346,11 @@ func (f *Federation) submitFresh(spec supervisor.RunSpec, opts supervisor.Submit
 		// later, not a "federation draining" signal that is not true.
 		if !sh.alive && errors.Is(err, supervisor.ErrShuttingDown) {
 			herr := f.handoffErrLocked(sh)
+			f.handoffRejections++
 			f.mu.Unlock()
-			f.prom.Counter(mHandoffRejections, "", nil).Inc()
 			return 0, false, herr
 		}
 		f.mu.Unlock()
-		var shed *admission.ShedError
-		if errors.As(err, &shed) {
-			f.prom.Counter(mShedRejections, "", nil).Inc()
-		}
 		return 0, false, &ShardError{Shard: ord, Err: err}
 	}
 	if dedup {
@@ -368,7 +359,6 @@ func (f *Federation) submitFresh(spec supervisor.RunSpec, opts supervisor.Submit
 		f.mu.Unlock()
 		return got, true, nil
 	}
-	f.prom.Counter(mShardSubmissions, "", shardLabel(ord)).Inc()
 	return got, false, nil
 }
 
@@ -644,7 +634,6 @@ func (f *Federation) Handoff(ordinal int) (HandoffReport, error) {
 		rep.Finished += r.Finished
 		rep.Skipped += r.Skipped
 		rep.Successors[succ] = len(groups[succ])
-		f.prom.Counter(mShardAdopted, "", shardLabel(succ)).Add(int64(r.Queued + r.Finished))
 		f.note("adopt", ordinal, int64(len(groups[succ])), int64(succ))
 	}
 	// The rename is the handoff's commit point on disk: once the journal is
@@ -657,16 +646,6 @@ func (f *Federation) Handoff(ordinal int) (HandoffReport, error) {
 	for id, succ := range successor {
 		f.owner[id] = succ
 	}
-	// Adopted idempotency keys join the global index with ownership: a
-	// retry arriving after the kill resolves to the adopted run instead of
-	// admitting a duplicate on a survivor.
-	for _, a := range adoptions {
-		if a.Key != "" {
-			if _, bound := f.keyBound[a.Key]; !bound {
-				f.keyBound[a.Key] = a.ID
-			}
-		}
-	}
 	f.ring = newRing
 	sh.handoff = nil
 	f.handoffs++
@@ -674,8 +653,6 @@ func (f *Federation) Handoff(ordinal int) (HandoffReport, error) {
 	close(f.topo)
 	f.topo = make(chan struct{})
 	f.mu.Unlock()
-	f.prom.Counter(mHandoffs, "", nil).Inc()
-	f.prom.Counter(mRebalances, "", nil).Inc()
 	f.note("handoff", ordinal, int64(rep.Runs), -1)
 	f.note("rebalance", ordinal, int64(len(live)), -1)
 	return rep, nil
@@ -757,15 +734,18 @@ func (f *Federation) Shards() []ShardStats {
 
 // Stats is the federation-wide aggregate.
 type Stats struct {
-	Shards     int    `json:"shards"`
-	Live       int    `json:"live"`
-	Handoffs   int    `json:"handoffs"`
-	Rebalances int    `json:"rebalances"`
-	NextID     uint64 `json:"next_id"`
-	Queued     int    `json:"queued"`
-	Running    int    `json:"running"`
-	Suspended  int    `json:"suspended"`
-	Terminal   int    `json:"terminal"`
+	Shards     int `json:"shards"`
+	Live       int `json:"live"`
+	Handoffs   int `json:"handoffs"`
+	Rebalances int `json:"rebalances"`
+	// HandoffRejections counts requests rejected because their shard was
+	// dead awaiting handoff.
+	HandoffRejections int    `json:"handoff_rejections"`
+	NextID            uint64 `json:"next_id"`
+	Queued            int    `json:"queued"`
+	Running           int    `json:"running"`
+	Suspended         int    `json:"suspended"`
+	Terminal          int    `json:"terminal"`
 	// Suspends and Resumes total the arbiter suspend-to-checkpoint cycles
 	// across live shards.
 	Suspends int64 `json:"suspends"`
@@ -783,10 +763,11 @@ type Stats struct {
 func (f *Federation) Stats() Stats {
 	f.mu.Lock()
 	st := Stats{
-		Shards:     len(f.shards),
-		Handoffs:   f.handoffs,
-		Rebalances: f.rebalances,
-		NextID:     f.nextID,
+		Shards:            len(f.shards),
+		Handoffs:          f.handoffs,
+		Rebalances:        f.rebalances,
+		HandoffRejections: f.handoffRejections,
+		NextID:            f.nextID,
 	}
 	var liveShards []*shard
 	for _, sh := range f.shards {
@@ -857,11 +838,6 @@ func (f *Federation) Drain(ctx context.Context) error {
 // Store exposes the shared checkpoint store (nil unless Config.StorePath
 // was set) for scrubbing and audits.
 func (f *Federation) Store() *store.Store { return f.store }
-
-// Metrics exposes the federation's Prometheus registry (per-shard series
-// plus ring/handoff counters). Shard supervisors keep their own
-// registries; the federation registry is the one deepum-serve scrapes.
-func (f *Federation) Metrics() *metrics.Registry { return f.prom }
 
 // note emits one shard-lifecycle event: Name is the action, Block the
 // shard ordinal, Arg the run count, Arg2 the peer ordinal (-1 if none).

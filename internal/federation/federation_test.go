@@ -322,13 +322,14 @@ func TestShardErrorWrapsTypedRejections(t *testing.T) {
 func TestFederationMetricsPreRegistered(t *testing.T) {
 	f := newTestFederation(t, 4, quickRunner())
 	var buf bytes.Buffer
-	if err := f.Metrics().WriteText(&buf); err != nil {
-		t.Fatalf("WriteText: %v", err)
+	if err := f.WriteMetrics(&buf); err != nil {
+		t.Fatalf("WriteMetrics: %v", err)
 	}
 	text := buf.String()
 	// Every per-shard series must exist before any event touched it.
 	for i := 0; i < 4; i++ {
-		for _, name := range []string{mShardUp, mShardAdopted, mShardSubmissions, mShardQueued, mShardRunning} {
+		for _, name := range []string{"deepum_shard_up", "deepum_shard_adopted_runs_total",
+			"deepum_shard_submissions_total", "deepum_shard_queued_runs", "deepum_shard_running_runs"} {
 			want := fmt.Sprintf(`%s{shard="%d"}`, name, i)
 			if !bytes.Contains(buf.Bytes(), []byte(want)) {
 				t.Fatalf("first scrape missing %s\n%s", want, text)
@@ -336,10 +337,10 @@ func TestFederationMetricsPreRegistered(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		mHandoffs + " 0",
-		mRebalances + " 0",
-		mHandoffRejections + " 0",
-		mShardsLive + " 4",
+		"deepum_federation_handoffs_total 0",
+		"deepum_federation_ring_rebalances_total 0",
+		"deepum_federation_handoff_rejections_total 0",
+		"deepum_federation_shards_live 4",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("first scrape missing %q\n%s", want, text)
@@ -350,14 +351,14 @@ func TestFederationMetricsPreRegistered(t *testing.T) {
 		t.Fatalf("Failover: %v", err)
 	}
 	buf.Reset()
-	if err := f.Metrics().WriteText(&buf); err != nil {
-		t.Fatalf("WriteText: %v", err)
+	if err := f.WriteMetrics(&buf); err != nil {
+		t.Fatalf("WriteMetrics: %v", err)
 	}
 	for _, want := range []string{
 		`deepum_shard_up{shard="2"} 0`,
-		mHandoffs + " 1",
-		mRebalances + " 1",
-		mShardsLive + " 3",
+		"deepum_federation_handoffs_total 1",
+		"deepum_federation_ring_rebalances_total 1",
+		"deepum_federation_shards_live 3",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("post-failover scrape missing %q\n%s", want, buf.String())

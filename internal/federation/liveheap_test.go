@@ -15,13 +15,13 @@ import (
 // alive on an oversubscribed, store-backed two-shard federation that takes
 // keyed submits. A finished run stays listed for Get and for key
 // deduplication, so it keeps its RunInfo (spec, outcome, timestamps), its
-// done channel and two key bindings, the federation's and its shard's:
-// about 800 bytes with a runner that simulates nothing, over 3,000 runs
-// after 200 warm-up runs (Go 1.24, amd64, with or without -race). A run
-// that kept its cancel func held its context and the closures it carries,
-// about 100 bytes more; one that kept its checkpoints held hundreds of KB.
-// The bound, 1 KiB, is about a quarter above the measured count, for map
-// growth and allocator rounding.
+// done channel and its key binding in its shard's key table: about 770
+// bytes with a runner that simulates nothing, over 3,000 runs after 200
+// warm-up runs (Go 1.24, amd64, with or without -race). A run that kept
+// its cancel func held its context and the closures it carries, about 100
+// bytes more; one that kept its checkpoints held hundreds of KB. The
+// bound, 1 KiB, is about a third above the measured count, for map growth
+// and allocator rounding.
 func TestFinishedRunLiveBytes(t *testing.T) {
 	const warm, runs, bound = 200, 3000, 1024
 	dir := t.TempDir()

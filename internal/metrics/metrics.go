@@ -1,7 +1,9 @@
 // Package metrics holds the result-table representation shared by the
 // experiment harness, the bench targets, and the CLI tools: simple tables
 // with aligned text rendering, plus the geometric-mean helper the paper uses
-// for its summary bars (GMEAN in Figures 9, 12, 13).
+// for its summary bars (GMEAN in Figures 9, 12, 13). It also writes the
+// Prometheus text exposition the serving stack renders from its Stats
+// snapshots (Write).
 package metrics
 
 import (

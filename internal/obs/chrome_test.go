@@ -31,7 +31,7 @@ func goldenEvents() []Event {
 		{TS: 6_000, Kind: KindStall, Track: TrackGPU, Block: 5, Arg: 250},
 		{TS: 7_000, Kind: KindBreaker, Track: TrackBreaker, Name: "closed->open"},
 		{TS: 8_000, Kind: KindQueueDepth, Track: TrackDriver, Name: "faultq", Arg: 5},
-		{TS: 9_000, Kind: KindMark, Track: TrackRun, Name: "checkpoint"},
+		{TS: 9_000, Kind: KindPressure, Track: TrackArbiter, Name: "revoke", Block: 3, Arg: 1 << 20, Arg2: 870_000},
 	}
 }
 
@@ -141,12 +141,12 @@ func TestReadChromeTraceRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"not json":      `{"traceEvents": [`,
 		"empty":         `{"traceEvents": []}`,
-		"missing name":  `{"traceEvents": [{"ph":"i","ts":1,"pid":1,"tid":0,"s":"t","args":{"k":"mark"}}]}`,
-		"bad pid":       `{"traceEvents": [{"name":"m","ph":"i","ts":1,"pid":7,"tid":0,"args":{"k":"mark"}}]}`,
-		"bad tid":       `{"traceEvents": [{"name":"m","ph":"i","ts":1,"pid":1,"tid":99,"args":{"k":"mark"}}]}`,
-		"bad phase":     `{"traceEvents": [{"name":"m","ph":"Z","ts":1,"pid":1,"tid":0,"args":{"k":"mark"}}]}`,
-		"negative ts":   `{"traceEvents": [{"name":"m","ph":"i","ts":-1,"pid":1,"tid":0,"args":{"k":"mark"}}]}`,
-		"ts backwards":  `{"traceEvents": [{"name":"m","ph":"i","ts":5,"pid":1,"tid":0,"args":{"k":"mark"}},{"name":"m","ph":"i","ts":4,"pid":1,"tid":0,"args":{"k":"mark"}}]}`,
+		"missing name":  `{"traceEvents": [{"ph":"i","ts":1,"pid":1,"tid":10,"s":"t","args":{"k":"pressure"}}]}`,
+		"bad pid":       `{"traceEvents": [{"name":"m","ph":"i","ts":1,"pid":7,"tid":10,"args":{"k":"pressure"}}]}`,
+		"bad tid":       `{"traceEvents": [{"name":"m","ph":"i","ts":1,"pid":1,"tid":99,"args":{"k":"pressure"}}]}`,
+		"bad phase":     `{"traceEvents": [{"name":"m","ph":"Z","ts":1,"pid":1,"tid":10,"args":{"k":"pressure"}}]}`,
+		"negative ts":   `{"traceEvents": [{"name":"m","ph":"i","ts":-1,"pid":1,"tid":10,"args":{"k":"pressure"}}]}`,
+		"ts backwards":  `{"traceEvents": [{"name":"m","ph":"i","ts":5,"pid":1,"tid":10,"args":{"k":"pressure"}},{"name":"m","ph":"i","ts":4,"pid":1,"tid":10,"args":{"k":"pressure"}}]}`,
 		"X without dur": `{"traceEvents": [{"name":"m","ph":"X","ts":1,"pid":1,"tid":0,"args":{"k":"kernel"}}]}`,
 		"negative dur":  `{"traceEvents": [{"name":"m","ph":"X","ts":1,"dur":-2,"pid":1,"tid":0,"args":{"k":"kernel"}}]}`,
 		"missing kind":  `{"traceEvents": [{"name":"m","ph":"i","ts":1,"pid":1,"tid":0}]}`,

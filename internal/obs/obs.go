@@ -68,8 +68,6 @@ const (
 	KindBreaker
 	// KindQueueDepth is a counter sample. Name = queue name, Arg = depth.
 	KindQueueDepth
-	// KindMark is a generic instant annotation. Name = label.
-	KindMark
 	// KindHealth is a health-controller sample. Ladder transitions carry
 	// Name = "L<from>-><L<to>" with Arg = new level and Arg2 = the driving
 	// component; score samples carry Name = component name with Arg = score
@@ -125,8 +123,6 @@ func (k Kind) String() string {
 		return "breaker"
 	case KindQueueDepth:
 		return "queue-depth"
-	case KindMark:
-		return "mark"
 	case KindHealth:
 		return "health"
 	case KindShard:

@@ -10,7 +10,7 @@ import (
 func TestRecorderAppendsInOrder(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		r.Instant(KindMark, TrackRun, int64(i*100), "m", 0, int64(i), 0)
+		r.Instant(KindPressure, TrackArbiter, int64(i*100), "m", 0, int64(i), 0)
 	}
 	ev := r.Events()
 	if len(ev) != 5 || r.Len() != 5 {
@@ -29,7 +29,7 @@ func TestRecorderAppendsInOrder(t *testing.T) {
 func TestRecorderRingOverwritesOldest(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Instant(KindMark, TrackRun, int64(i), "m", 0, int64(i), 0)
+		r.Instant(KindPressure, TrackArbiter, int64(i), "m", 0, int64(i), 0)
 	}
 	ev := r.Events()
 	if len(ev) != 4 {
@@ -67,7 +67,7 @@ func TestRecorderCapEviction(t *testing.T) {
 	// A zero capacity selects DefaultCapacity: no overflow for small loads.
 	big := NewRecorder(0)
 	for i := 0; i < 100; i++ {
-		big.Instant(KindMark, TrackRun, int64(i), "m", 0, 0, 0)
+		big.Instant(KindPressure, TrackArbiter, int64(i), "m", 0, 0, 0)
 	}
 	if big.Dropped() != 0 || len(big.Events()) != 100 {
 		t.Fatal("default-cap recorder dropped small load")
@@ -83,7 +83,7 @@ func TestKindString(t *testing.T) {
 		KindLinkTransfer: "link-transfer", KindPrefetchIssue: "prefetch-issue",
 		KindPrefetch: "prefetch", KindPrefetchHit: "prefetch-hit",
 		KindPrefetchWaste: "prefetch-waste", KindStall: "stall",
-		KindBreaker: "breaker", KindQueueDepth: "queue-depth", KindMark: "mark",
+		KindBreaker: "breaker", KindQueueDepth: "queue-depth",
 		KindHealth: "health", KindShard: "shard", KindPressure: "pressure",
 		Kind(99): "none",
 	}
@@ -113,7 +113,7 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Instant(KindMark, TrackRun, int64(i), "w", int64(g), int64(i), 0)
+				r.Instant(KindPressure, TrackArbiter, int64(i), "w", int64(g), int64(i), 0)
 			}
 		}(g)
 	}
@@ -124,7 +124,7 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 }
 
 func TestKindAndTrackNamesRoundTrip(t *testing.T) {
-	for k := KindIteration; k <= KindMark; k++ {
+	for k := KindIteration; k <= KindPressure; k++ {
 		got, ok := kindByName(k.String())
 		if !ok || got != k {
 			t.Fatalf("kindByName(%q) = %v, %v", k.String(), got, ok)

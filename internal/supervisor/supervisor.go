@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,8 +111,6 @@ type Supervisor struct {
 	wg     sync.WaitGroup
 	waitWG sync.Once
 
-	prom *metrics.Registry
-
 	// keys maps idempotency keys to run IDs (rebuilt from RecAdmissionKey
 	// records on replay); shedder models queue drain for deadline-aware
 	// admission. Both carry their own locks and never take s.mu.
@@ -157,6 +156,17 @@ type Supervisor struct {
 	// resumptions of suspended runs.
 	suspends int64
 	resumes  int64
+	// Serving counts, read by Stats and rendered by MetricFamilies:
+	// admission results, terminal transitions by state, ladder moves by
+	// target level, watchdog cancels, recovered runner panics, and the
+	// queue-wait (by admission class) and run-duration histograms.
+	subs            Submissions
+	finished        map[RunState]int64
+	healthMoves     [4]int64
+	watchdogCancels int64
+	workerPanics    int64
+	queueWait       map[string]*metrics.Histogram
+	runSeconds      *metrics.Histogram
 
 	// arb is the oversubscription arbiter (nil when Oversubscribe is off;
 	// every arbiter method is nil-safe). arbStop ends its tick loop once.
@@ -240,9 +250,14 @@ func New(cfg Config) (*Supervisor, error) {
 		nextID:      1,
 		workersDone: make(chan struct{}),
 		killedCh:    make(chan struct{}),
-		prom:        metrics.NewRegistry(),
 		keys:        admission.NewKeyTable(),
 		shedder:     admission.NewShedder(admission.ShedOptions{}),
+		finished:    map[RunState]int64{},
+		queueWait: map[string]*metrics.Histogram{
+			classDeadline:   metrics.NewHistogram(queueWaitBuckets),
+			classBestEffort: metrics.NewHistogram(queueWaitBuckets),
+		},
+		runSeconds: metrics.NewHistogram(runSecondsBuckets),
 	}
 	s.qcond = sync.NewCond(&s.mu)
 	if cfg.Oversubscribe {
@@ -264,7 +279,6 @@ func New(cfg Config) (*Supervisor, error) {
 		s.arb = arb
 		s.arbStop = make(chan struct{})
 	}
-	s.initMetrics()
 	if cfg.JournalPath != "" {
 		// Stream the journal through the adoption folder: the fold keeps
 		// only the latest checkpoint payload per run, so recovery memory is
@@ -647,14 +661,14 @@ type SubmitOptions struct {
 func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptions) (uint64, bool, error) {
 	if opts.Key != "" {
 		if err := admission.ValidateKey(opts.Key); err != nil {
-			s.noteSubmission("error")
+			s.countSubmitError()
 			return 0, false, err
 		}
 		// Fast path: a bound key resolves before estimation, quota, and
 		// drain checks ever run — a retry must succeed whatever the door's
 		// current state is.
 		if prev, ok := s.keys.Lookup(opts.Key); ok {
-			s.noteDedup()
+			s.dedupHits.Add(1)
 			return prev, true, nil
 		}
 	}
@@ -662,7 +676,7 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 	if demand == 0 && s.cfg.Estimate != nil {
 		d, err := s.cfg.Estimate(spec)
 		if err != nil {
-			s.noteSubmission("error")
+			s.countSubmitError()
 			return 0, false, fmt.Errorf("supervisor: estimating memory demand: %w", err)
 		}
 		demand = d
@@ -675,50 +689,48 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 		// Re-check under the admission lock: a concurrent submit with the
 		// same key may have bound it between the fast path and here.
 		if prev, ok := s.keys.Lookup(opts.Key); ok {
-			s.noteDedup()
+			s.dedupHits.Add(1)
 			return prev, true, nil
 		}
 	}
 	if s.draining || s.killed {
-		s.noteSubmission("shutting_down")
+		s.subs.ShuttingDown++
 		return 0, false, ErrShuttingDown
 	}
 	if quota := s.perRunQuota(); quota > 0 && demand > quota {
 		// With oversubscription on, the per-run quota is the whole budget,
 		// so this fires only for runs that could never fit the device even
 		// alone — the one rejection the arbiter cannot argue with.
-		s.noteSubmission("quota")
+		s.subs.Quota++
 		return 0, false, &QuotaError{Demand: demand, Limit: quota, PerRun: true}
 	}
 	if s.arb == nil && s.cfg.GPUMemoryBudget > 0 && s.committed+demand > s.cfg.GPUMemoryBudget {
 		// The hard aggregate rejection. Under oversubscription the arbiter
 		// admits past the budget and keeps everyone alive by soft grants,
 		// revocation, and suspend-to-checkpoint instead.
-		s.noteSubmission("quota")
+		s.subs.Quota++
 		return 0, false, &QuotaError{Demand: demand, Limit: s.cfg.GPUMemoryBudget, Committed: s.committed}
 	}
 	// Deadline-aware shedding: admitting a run whose client will have
 	// abandoned it by the time it starts only burns a worker slot.
 	if err := s.shedder.Decide(len(s.queued), opts.Deadline); err != nil {
-		s.noteSubmission("shed")
-		s.prom.Counter("deepum_admission_shed_total", "", nil).Inc()
 		return 0, false, err
 	}
 	// Submissions respect the queue-depth bound (backpressure); only
 	// replay and adoption may push past it.
 	if len(s.queued) >= s.cfg.QueueDepth {
-		s.noteSubmission("queue_full")
+		s.subs.QueueFull++
 		return 0, false, &QueueFullError{Depth: s.cfg.QueueDepth, RetryAfter: s.shedder.RetryAfter(len(s.queued))}
 	}
 	if id == 0 {
 		id = s.nextID
 	} else if _, exists := s.runs[id]; exists {
-		s.noteSubmission("error")
+		s.subs.Errors++
 		return 0, false, fmt.Errorf("supervisor: run id %d already exists", id)
 	}
 	data, err := json.Marshal(journalSpec{Spec: spec, Demand: demand})
 	if err != nil {
-		s.noteSubmission("error")
+		s.subs.Errors++
 		return 0, false, fmt.Errorf("supervisor: encoding spec: %w", err)
 	}
 	submitted := journal.Record{Type: journal.RecSubmitted, RunID: id, Data: data}
@@ -732,7 +744,7 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 		err = s.appendLocked(submitted)
 	}
 	if err != nil {
-		s.noteSubmission("error")
+		s.subs.Errors++
 		return 0, false, err
 	}
 	if opts.Key != "" {
@@ -753,17 +765,22 @@ func (s *Supervisor) SubmitWithOptions(id uint64, spec RunSpec, opts SubmitOptio
 	s.runs[id] = r
 	s.order = append(s.order, id)
 	s.committed += demand
-	s.noteSubmission("accepted")
+	s.subs.Accepted++
 	s.queued = append(s.queued, id)
 	s.qcond.Signal()
 	return id, false, nil
 }
 
-// AdmissionKeys snapshots the key table (the federation rebuilds its
-// global key map from shard snapshots at restart).
-func (s *Supervisor) AdmissionKeys() map[string]uint64 {
-	return s.keys.Snapshot()
+// countSubmitError counts a submission rejected before the admission lock
+// is taken (a malformed key, a failed estimate).
+func (s *Supervisor) countSubmitError() {
+	s.mu.Lock()
+	s.subs.Errors++
+	s.mu.Unlock()
 }
+
+// LookupKey resolves an idempotency key to the run it is bound to.
+func (s *Supervisor) LookupKey(key string) (uint64, bool) { return s.keys.Lookup(key) }
 
 // RetryAfterHint prices a jittered backoff hint from the shedder's drain
 // model for rejection paths that carry no typed Retry-After of their own
@@ -849,8 +866,7 @@ func (s *Supervisor) execute(id uint64) {
 	// suspended run is not an admission — it would poison both models.
 	if wait := now.Sub(r.info.Submitted); wait >= 0 && !resumedFromSuspend {
 		s.shedder.ObserveStart(wait)
-		s.prom.Histogram("deepum_admission_queue_wait_seconds", "",
-			map[string]string{"class": r.class}, queueWaitBuckets).Observe(wait.Seconds())
+		s.queueWait[r.class].Observe(wait.Seconds())
 	}
 	if resumedFromSuspend {
 		s.resumes++
@@ -983,30 +999,28 @@ func (s *Supervisor) watchdog(r *run, timeout time.Duration) {
 		case <-tick.C:
 			last := time.Unix(0, r.heartbeat.Load())
 			if silent := time.Since(last); silent > timeout {
-				if s.cancelRun(r, fmt.Sprintf("watchdog: no progress for %v (timeout %v)", silent.Round(time.Millisecond), timeout)) {
-					s.prom.Counter("deepum_supervisor_watchdog_cancels_total", "", nil).Inc()
-				}
+				s.watchdogCancel(r, fmt.Sprintf("watchdog: no progress for %v (timeout %v)", silent.Round(time.Millisecond), timeout))
 				return
 			}
 		}
 	}
 }
 
-// cancelRun cancels a running run's context with a reason; no-op for runs
-// that are not running. Reports whether it actually cancelled.
-func (s *Supervisor) cancelRun(r *run, reason string) bool {
+// watchdogCancel cancels a running run's context with the watchdog's
+// reason and counts the cancel; no-op for runs that are not running.
+func (s *Supervisor) watchdogCancel(r *run, reason string) {
 	s.mu.Lock()
 	if r.info.State != StateRunning {
 		s.mu.Unlock()
-		return false
+		return
 	}
 	if r.cancelReason == "" {
 		r.cancelReason = reason
 	}
+	s.watchdogCancels++
 	cancel := r.cancel
 	s.mu.Unlock()
 	cancel()
-	return true
 }
 
 // finalize moves a run to its terminal state, journals the finish, and
@@ -1091,7 +1105,7 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	}
 	s.committed -= r.info.Demand
 	if panicked {
-		s.prom.Counter("deepum_supervisor_worker_panics_total", "", nil).Inc()
+		s.workerPanics++
 	}
 	s.noteFinished(state, r.info.Started, now)
 	close(r.done)
@@ -1307,12 +1321,42 @@ type Stats struct {
 	StoreGCs         int64
 	StoreGCReclaimed int64
 	StoreGCFailures  int64
+	// Submissions counts admission decisions by result.
+	Submissions Submissions
+	// QueueDepth is the submission queue's length, which admission bounds
+	// and the shedder prices: queued and suspended runs waiting for a
+	// worker, plus runs cancelled while queued that no worker popped yet.
+	QueueDepth int
+	// Ended splits Terminal by state. Finished counts the terminal
+	// transitions made on this supervisor, by state; history replayed or
+	// adopted from a journal is in Ended only.
+	Ended    map[RunState]int
+	Finished map[RunState]int64
+	// HealthLevel is the worst degradation-ladder level across running
+	// runs; HealthTransitions counts in-run ladder moves by target level.
+	HealthLevel       int
+	HealthTransitions [4]int64
+	// WatchdogCancels counts runs the hang watchdog cancelled;
+	// WorkerPanics counts runner panics the worker pool recovered.
+	WatchdogCancels int64
+	WorkerPanics    int64
+}
+
+// Submissions counts admission decisions by result. Deadline sheds are
+// Stats.Sheds (the shedder keeps them) and key dedups Stats.DedupHits.
+type Submissions struct {
+	Accepted, QueueFull, Quota, ShuttingDown, Errors int64
 }
 
 // Stats snapshots the aggregate state.
 func (s *Supervisor) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+// statsLocked is Stats; caller holds mu.
+func (s *Supervisor) statsLocked() Stats {
 	st := Stats{
 		CommittedBytes:           s.committed,
 		Budget:                   s.cfg.GPUMemoryBudget,
@@ -1334,6 +1378,13 @@ func (s *Supervisor) Stats() Stats {
 		StoreGCs:                 s.gcRuns.Load(),
 		StoreGCReclaimed:         s.gcReclaimed.Load(),
 		StoreGCFailures:          s.gcFailures.Load(),
+		Submissions:              s.subs,
+		QueueDepth:               len(s.queued),
+		Ended:                    map[RunState]int{},
+		Finished:                 maps.Clone(s.finished),
+		HealthTransitions:        s.healthMoves,
+		WatchdogCancels:          s.watchdogCancels,
+		WorkerPanics:             s.workerPanics,
 	}
 	for _, r := range s.runs {
 		switch r.info.State {
@@ -1341,10 +1392,12 @@ func (s *Supervisor) Stats() Stats {
 			st.Queued++
 		case StateRunning:
 			st.Running++
+			st.HealthLevel = max(st.HealthLevel, int(r.healthLevel.Load()))
 		case StateSuspended:
 			st.Suspended++
 		default:
 			st.Terminal++
+			st.Ended[r.info.State]++
 		}
 	}
 	return st

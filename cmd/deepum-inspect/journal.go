@@ -1,22 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
 
+	"deepum/internal/store"
+	"deepum/internal/supervisor"
 	"deepum/internal/supervisor/journal"
 )
 
 // runJournal implements `deepum-inspect journal <path>`: dump and verify a
 // supervisor run journal without opening it for writing — record counts by
-// type, a per-run lifecycle summary, and integrity findings (CRC failures,
-// torn-tail offset). Exit status 0 means the file parsed cleanly to EOF;
-// 2 means a torn tail or CRC failure was found (the intact prefix is still
-// reported — that prefix is exactly what a restarted supervisor replays).
+// type, the per-run state a restart would replay (each finished run's
+// terminal state, the checkpoint each other run would resume from), and
+// integrity findings (CRC failures, torn-tail offset). Exit status 0 means
+// the file parsed cleanly to EOF; 2 means a torn tail or CRC failure was
+// found (the intact prefix is still reported — that prefix is exactly what
+// a restarted supervisor replays).
 //
 // With -audit and two or more journal paths it instead cross-checks a shard
 // federation's journals (see auditJournals): every run must live on exactly
@@ -67,74 +70,33 @@ func runJournal(args []string) {
 		fmt.Printf("integrity    clean to EOF\n")
 	}
 
-	// Per-run lifecycle: last record type wins as the run's state.
-	type runSummary struct {
-		id          uint64
-		key         string
-		submitted   bool
-		attempts    int
-		checkpoints int
-		suspends    int
-		finished    bool
-		state       string
-	}
-	runs := map[uint64]*runSummary{}
-	var order []uint64
+	// Per-run state, folded as a restarting supervisor replays it: a
+	// finished run shows its terminal state, any other run the checkpoint
+	// a restart would resume it from.
+	folder := supervisor.NewAdoptionFolder()
 	for _, r := range recs {
-		rs := runs[r.RunID]
-		if rs == nil {
-			rs = &runSummary{id: r.RunID}
-			runs[r.RunID] = rs
-			order = append(order, r.RunID)
-		}
-		switch r.Type {
-		case journal.RecAdmissionKey:
-			rs.key = string(r.Data)
-		case journal.RecSubmitted:
-			rs.submitted = true
-		case journal.RecStarted:
-			rs.attempts++
-		case journal.RecCheckpointed:
-			if len(r.Data) > 0 {
-				rs.checkpoints++
-			}
-		case journal.RecSuspended:
-			rs.suspends++
-		case journal.RecFinished:
-			rs.finished = true
-			// The finish payload is JSON with a "state" field; stay
-			// tolerant of records this build cannot parse.
-			var fin struct {
-				State string `json:"state"`
-			}
-			if json.Unmarshal(r.Data, &fin) == nil && fin.State != "" {
-				rs.state = fin.State
-			} else {
-				rs.state = "finished"
-			}
-		}
+		folder.Add(r)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	fmt.Printf("\n%-8s %-10s %-8s %-11s %-8s %-22s %s\n", "run", "submitted", "starts", "checkpoints", "suspends", "key", "state")
+	runs := byID(folder)
+	fmt.Printf("\n%-8s %-8s %-11s %-8s %-22s %s\n", "run", "starts", "checkpoints", "suspends", "key", "state")
 	interrupted, keyed := 0, 0
-	for _, id := range order {
-		rs := runs[id]
-		state := rs.state
-		if !rs.finished {
-			state = "interrupted (would resume on restart)"
+	for _, a := range runs {
+		state := string(a.State)
+		if !a.Terminal {
+			state = "interrupted; " + resumesFrom(a)
 			interrupted++
 		}
 		key := "-"
-		if rs.key != "" {
+		if a.Key != "" {
 			keyed++
-			key = rs.key
+			key = a.Key
 			if len(key) > 20 {
 				key = key[:17] + "..."
 			}
 		}
-		fmt.Printf("%-8d %-10v %-8d %-11d %-8d %-22s %s\n", rs.id, rs.submitted, rs.attempts, rs.checkpoints, rs.suspends, key, state)
+		fmt.Printf("%-8d %-8d %-11d %-8d %-22s %s\n", a.ID, a.Attempts, a.Checkpoints, a.Suspends, key, state)
 	}
-	fmt.Printf("\n%d run(s), %d interrupted, %d keyed\n", len(order), interrupted, keyed)
+	fmt.Printf("\n%d run(s), %d interrupted, %d keyed\n", len(runs), interrupted, keyed)
 
 	if *verbose {
 		fmt.Println()
@@ -145,6 +107,25 @@ func runJournal(args []string) {
 	if stats.TornOffset >= 0 || stats.CRCFailures > 0 {
 		os.Exit(2)
 	}
+}
+
+// byID returns the runs a folder holds, in run-ID order.
+func byID(f *supervisor.AdoptionFolder) []supervisor.Adoption {
+	runs := f.Adoptions()
+	sort.Slice(runs, func(i, j int) bool { return runs[i].ID < runs[j].ID })
+	return runs
+}
+
+// resumesFrom names the checkpoint a restart resumes an unfinished run
+// from: its latest, as a store reference or inline bytes.
+func resumesFrom(a supervisor.Adoption) string {
+	if len(a.Resume) == 0 {
+		return "restarts cold"
+	}
+	if k, ok := store.DecodeRef(a.Resume); ok {
+		return fmt.Sprintf("resumes from checkpoint %d (store key %s)", a.Checkpoints, k)
+	}
+	return fmt.Sprintf("resumes from checkpoint %d (%d bytes inline)", a.Checkpoints, len(a.Resume))
 }
 
 // auditJournals cross-checks a shard federation's journals after a failover

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"deepum/internal/store"
+	"deepum/internal/supervisor"
 	"deepum/internal/supervisor/journal"
 )
 
@@ -84,52 +85,30 @@ func runStore(args []string) {
 		live          = map[store.Key]bool{}     // latest refs of unfinished runs
 	)
 	for _, jpath := range fs.Args()[1:] {
-		type latest struct {
-			key      store.Key
-			isRef    bool
-			finished bool
-		}
-		runs := map[uint64]*latest{}
+		folder := supervisor.NewAdoptionFolder()
 		_, err := journal.ReplayStreamFile(jpath, func(rec journal.Record) error {
-			switch rec.Type {
-			case journal.RecCheckpointed:
-				l := runs[rec.RunID]
-				if l == nil {
-					l = &latest{}
-					runs[rec.RunID] = l
-				}
-				if k, ok := store.DecodeRef(rec.Data); ok {
+			if rec.Type == journal.RecCheckpointed {
+				if _, ok := store.DecodeRef(rec.Data); ok {
 					refRecords++
-					l.key, l.isRef = k, true
 				} else if len(rec.Data) > 0 {
 					inlineRecords++
-					l.isRef = false
-				}
-			case journal.RecFinished:
-				if l := runs[rec.RunID]; l != nil {
-					l.finished = true
 				}
 			}
+			folder.Add(rec)
 			return nil
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deepum-inspect: %v\n", err)
 			os.Exit(1)
 		}
-		ids := make([]uint64, 0, len(runs))
-		for id := range runs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			l := runs[id]
-			if !l.isRef || l.finished {
+		for _, a := range byID(folder) {
+			k, ok := store.DecodeRef(a.Resume)
+			if a.Terminal || !ok {
 				continue
 			}
-			live[l.key] = true
-			if rep.Index[l.key] == 0 {
-				dangling[l.key] = append(dangling[l.key],
-					fmt.Sprintf("%s#run%d", jpath, id))
+			live[k] = true
+			if rep.Index[k] == 0 {
+				dangling[k] = append(dangling[k], fmt.Sprintf("%s#run%d", jpath, a.ID))
 			}
 		}
 	}

@@ -72,9 +72,6 @@ type Options struct {
 	// Sustain is how long (ns) smoothed pressure must hold above revokeAt /
 	// suspendAt before the arbiter revokes / suspends.
 	Sustain int64
-	// OnEvent, when set, is called (unlocked) for every grant-state change —
-	// the hook the supervisor's obs/metrics export rides on.
-	OnEvent func(Event)
 }
 
 func (o Options) withDefaults() Options {
@@ -85,46 +82,6 @@ func (o Options) withDefaults() Options {
 		o.Sustain = DefaultSustain
 	}
 	return o
-}
-
-// EventKind tags a grant-state change.
-type EventKind uint8
-
-// Event kinds.
-const (
-	EventGrant   EventKind = iota // a run acquired its soft grant
-	EventRelease                  // a run released its grant
-	EventRevoke                   // a burst share was revoked
-	EventRestore                  // a revoked burst share was restored
-	EventSuspend                  // a run was named a suspend victim
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EventGrant:
-		return "grant"
-	case EventRelease:
-		return "release"
-	case EventRevoke:
-		return "revoke"
-	case EventRestore:
-		return "restore"
-	case EventSuspend:
-		return "suspend"
-	}
-	return fmt.Sprintf("kind-%d", uint8(k))
-}
-
-// Event is one grant-state change, delivered through Options.OnEvent.
-type Event struct {
-	Kind     EventKind
-	RunID    uint64
-	Priority int
-	// Bytes is the grant delta the event moved (grant size for grant/release
-	// /suspend, burst size for revoke/restore).
-	Bytes int64
-	// Pressure is the smoothed pressure after the change.
-	Pressure float64
 }
 
 // grant is one running run's share of the budget.
@@ -222,18 +179,15 @@ func (a *Arbiter) Acquire(ts int64, id uint64, demand int64, priority int) {
 		burst = 0
 	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.stepLocked(ts)
 	if old, ok := a.grants[id]; ok {
 		// Re-acquire (a resumed run): replace the stale grant.
 		a.granted -= old.floor + old.burst
 	}
-	g := &grant{id: id, priority: priority, demand: demand, floor: floor, burst: burst, fullBurst: burst}
-	a.grants[id] = g
+	a.grants[id] = &grant{id: id, priority: priority, demand: demand, floor: floor, burst: burst, fullBurst: burst}
 	a.granted += floor + burst
 	a.grantCount++
-	ev := a.eventLocked(EventGrant, g, floor+burst)
-	a.mu.Unlock()
-	a.fire(ev)
 }
 
 // Release drops a run's grant when it leaves execution (finished, failed,
@@ -243,18 +197,15 @@ func (a *Arbiter) Release(ts int64, id uint64) {
 		return
 	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	g, ok := a.grants[id]
 	if !ok {
-		a.mu.Unlock()
 		return
 	}
 	a.stepLocked(ts)
 	delete(a.grants, id)
 	a.granted -= g.floor + g.burst
 	a.releaseCount++
-	ev := a.eventLocked(EventRelease, g, g.floor+g.burst)
-	a.mu.Unlock()
-	a.fire(ev)
 }
 
 // Pressure returns the smoothed pressure signal clamped to [0,1].
@@ -304,8 +255,8 @@ func (a *Arbiter) Tick(ts int64) Decision {
 	if a == nil {
 		return Decision{}
 	}
-	var evs []Event
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.stepLocked(ts)
 	var d Decision
 
@@ -318,11 +269,9 @@ func (a *Arbiter) Tick(ts int64) Decision {
 		} else if ts-a.revokeSince >= a.opt.Sustain {
 			if g := a.revokeVictimLocked(); g != nil {
 				a.granted -= g.burst
-				b := g.burst
 				g.burst, g.revoked = 0, true
 				a.revocations++
 				d.Revoked = append(d.Revoked, g.id)
-				evs = append(evs, a.eventLocked(EventRevoke, g, b))
 			}
 		}
 	case a.smoothed < revokeAt/2:
@@ -332,7 +281,6 @@ func (a *Arbiter) Tick(ts int64) Decision {
 			a.granted += g.burst
 			a.restores++
 			d.Restored = append(d.Restored, g.id)
-			evs = append(evs, a.eventLocked(EventRestore, g, g.burst))
 		}
 	default:
 		a.revokeSince = 0
@@ -348,15 +296,10 @@ func (a *Arbiter) Tick(ts int64) Decision {
 				g.suspending = true
 				a.suspensions++
 				d.Suspend = append(d.Suspend, g.id)
-				evs = append(evs, a.eventLocked(EventSuspend, g, g.floor+g.burst))
 			}
 		}
 	} else {
 		a.suspendSince = 0
-	}
-	a.mu.Unlock()
-	for _, ev := range evs {
-		a.fire(ev)
 	}
 	return d
 }
@@ -474,16 +417,6 @@ func (a *Arbiter) sortedLocked() []*grant {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
-}
-
-func (a *Arbiter) eventLocked(k EventKind, g *grant, bytes int64) Event {
-	return Event{Kind: k, RunID: g.id, Priority: g.priority, Bytes: bytes, Pressure: clamp01(a.smoothed)}
-}
-
-func (a *Arbiter) fire(ev Event) {
-	if a.opt.OnEvent != nil {
-		a.opt.OnEvent(ev)
-	}
 }
 
 func clamp01(v float64) float64 {

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"deepum/internal/admission"
-	"deepum/internal/obs"
 	"deepum/internal/store"
 	"deepum/internal/supervisor"
 )
@@ -69,16 +68,12 @@ type Config struct {
 	// kill shards in-process (where the page cache survives) should set
 	// it, for the same reason as JournalNoSync.
 	StoreNoSync bool
-	// Obs, when set, receives shard-lifecycle events (kill, adopt, handoff,
-	// rebalance) on the shard track.
-	Obs *obs.Recorder
 }
 
 // Federation is the sharded front-end. All methods are safe for
 // concurrent use.
 type Federation struct {
-	cfg   Config
-	epoch time.Time
+	cfg Config
 
 	store *store.Store // shared checkpoint store (nil without StorePath)
 
@@ -180,7 +175,6 @@ func New(cfg Config) (*Federation, error) {
 	}
 	f := &Federation{
 		cfg:        cfg,
-		epoch:      time.Now(),
 		owner:      map[uint64]int{},
 		topo:       make(chan struct{}),
 		nextID:     1,
@@ -538,7 +532,6 @@ func (f *Federation) Kill(ordinal int) error {
 	sh.alive = false
 	sh.handoff = &handoffState{since: time.Now()}
 	f.mu.Unlock()
-	f.note("kill", ordinal, 0, -1)
 	sh.sup.Kill()
 	return nil
 }
@@ -634,7 +627,6 @@ func (f *Federation) Handoff(ordinal int) (HandoffReport, error) {
 		rep.Finished += r.Finished
 		rep.Skipped += r.Skipped
 		rep.Successors[succ] = len(groups[succ])
-		f.note("adopt", ordinal, int64(len(groups[succ])), int64(succ))
 	}
 	// The rename is the handoff's commit point on disk: once the journal is
 	// *.adopted, a federation restart will not resurrect the dead shard's
@@ -653,8 +645,6 @@ func (f *Federation) Handoff(ordinal int) (HandoffReport, error) {
 	close(f.topo)
 	f.topo = make(chan struct{})
 	f.mu.Unlock()
-	f.note("handoff", ordinal, int64(rep.Runs), -1)
-	f.note("rebalance", ordinal, int64(len(live)), -1)
 	return rep, nil
 }
 
@@ -838,13 +828,3 @@ func (f *Federation) Drain(ctx context.Context) error {
 // Store exposes the shared checkpoint store (nil unless Config.StorePath
 // was set) for scrubbing and audits.
 func (f *Federation) Store() *store.Store { return f.store }
-
-// note emits one shard-lifecycle event: Name is the action, Block the
-// shard ordinal, Arg the run count, Arg2 the peer ordinal (-1 if none).
-func (f *Federation) note(action string, ordinal int, runs, peer int64) {
-	if f.cfg.Obs == nil {
-		return
-	}
-	f.cfg.Obs.Instant(obs.KindShard, obs.TrackShard,
-		time.Since(f.epoch).Nanoseconds(), action, int64(ordinal), runs, peer)
-}

@@ -51,9 +51,9 @@ func FuzzReadChromeTrace(f *testing.F) {
 	// before they reach a float→int conversion.
 	hostile := []string{
 		// ts far past the precision bound.
-		`{"traceEvents":[{"name":"m","ph":"i","ts":1e308,"pid":1,"tid":10,"args":{"k":"pressure"}}]}`,
+		`{"traceEvents":[{"name":"m","ph":"i","ts":1e308,"pid":1,"tid":8,"args":{"k":"health"}}]}`,
 		// ts just over the bound (2^51 ns = 2251799813685.248 µs).
-		`{"traceEvents":[{"name":"m","ph":"i","ts":2251799813686,"pid":1,"tid":10,"args":{"k":"pressure"}}]}`,
+		`{"traceEvents":[{"name":"m","ph":"i","ts":2251799813686,"pid":1,"tid":8,"args":{"k":"health"}}]}`,
 		// Negative and non-finite durations.
 		`{"traceEvents":[{"name":"k","ph":"X","ts":1,"dur":-5,"pid":1,"tid":1,"args":{"k":"kernel"}}]}`,
 		`{"traceEvents":[{"name":"k","ph":"X","ts":1,"dur":1e999,"pid":1,"tid":1,"args":{"k":"kernel"}}]}`,
@@ -66,9 +66,9 @@ func FuzzReadChromeTrace(f *testing.F) {
 		`{"traceEvents":[{"name":"k","ph":"C","ts":1,"pid":1,"tid":1,"args":{"k":"kernel"}}]}`,
 		// Valid shape, sub-ns fractional timestamp (rounds, must stay
 		// canonical on re-read).
-		`{"traceEvents":[{"name":"m","ph":"i","ts":0.0004,"pid":1,"tid":10,"args":{"k":"pressure"}}]}`,
+		`{"traceEvents":[{"name":"m","ph":"i","ts":0.0004,"pid":1,"tid":8,"args":{"k":"health"}}]}`,
 		// Timestamp right at the precision bound.
-		`{"traceEvents":[{"name":"m","ph":"i","ts":2251799813685.248,"pid":1,"tid":10,"args":{"k":"pressure"}}]}`,
+		`{"traceEvents":[{"name":"m","ph":"i","ts":2251799813685.248,"pid":1,"tid":8,"args":{"k":"health"}}]}`,
 	}
 	for _, h := range hostile {
 		f.Add([]byte(h))

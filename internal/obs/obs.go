@@ -1,18 +1,17 @@
 // Package obs is the structured event-tracing layer of the UM substrate:
 // typed, timestamped events covering the fault-handling pipeline, the
 // prefetch lifecycle, evictions, link occupancy, circuit-breaker
-// transitions, and queue depths, accumulated in a lock-light bounded ring
-// buffer and exported as Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing) or as an offline analysis report, including a
-// per-kernel breakdown of faults, evictions, prefetches and stalls.
+// transitions, health-ladder samples and queue depths, accumulated in a
+// bounded ring buffer and exported as Chrome trace-event JSON (loadable in
+// Perfetto or chrome://tracing) or as an offline analysis report,
+// including a per-kernel breakdown of faults, evictions, prefetches and
+// stalls.
 //
 // The package is deliberately dependency-free: timestamps are plain int64
-// nanoseconds so the same event stream carries the engine's virtual
-// (simulated) time and the serving stack's wall-clock time (shard and
-// arbiter tracks) without importing either clock. Attachment is designed
-// to be zero-cost when disabled — every emit site in the substrate guards
-// on a nil *Recorder, so a run without tracing pays one predictable branch
-// per site and allocates nothing.
+// nanoseconds of the engine's virtual (simulated) time, so it imports no
+// clock. Attachment is designed to be zero-cost when disabled — every emit
+// site in the substrate guards on a nil *Recorder, so a run without
+// tracing pays one predictable branch per site and allocates nothing.
 package obs
 
 import "sync"
@@ -73,18 +72,6 @@ const (
 	// component; score samples carry Name = component name with Arg = score
 	// in parts-per-million and Arg2 = the component.
 	KindHealth
-	// KindShard is a federation shard-lifecycle event. Name = the action
-	// ("kill", "handoff", "adopt", "rebalance"), Block = the shard ordinal
-	// the action concerns, Arg = the action's count payload (runs adopted,
-	// live shards after a rebalance), Arg2 = the peer shard ordinal for
-	// "adopt" (the successor that took the runs).
-	KindShard
-	// KindPressure is a memory-arbiter grant event under oversubscription.
-	// Name = the arbiter action ("grant", "release", "revoke", "restore",
-	// "suspend"), Block = the run ID the action concerns, Arg = the grant
-	// bytes the action moved, Arg2 = the smoothed pressure in
-	// parts-per-million.
-	KindPressure
 )
 
 // Evict flag bits for KindEvict.Arg2.
@@ -125,17 +112,13 @@ func (k Kind) String() string {
 		return "queue-depth"
 	case KindHealth:
 		return "health"
-	case KindShard:
-		return "shard"
-	case KindPressure:
-		return "pressure"
 	}
 	return "none"
 }
 
 // kindByName is the inverse of Kind.String, used by the trace reader.
 func kindByName(s string) (Kind, bool) {
-	for k := KindIteration; k <= KindPressure; k++ {
+	for k := KindIteration; k.String() != "none"; k++ {
 		if k.String() == s {
 			return k, true
 		}
@@ -167,12 +150,6 @@ const (
 	// TrackHealth carries degradation-ladder transitions and component
 	// score samples.
 	TrackHealth
-	// TrackShard carries federation shard-lifecycle events (kills,
-	// handoffs, adoptions, ring rebalances) on the wall clock.
-	TrackShard
-	// TrackArbiter carries memory-arbiter grant events (KindPressure) on
-	// the wall clock. Appended after TrackShard: tids are stable.
-	TrackArbiter
 	numTracks
 )
 
@@ -194,17 +171,12 @@ func (t Track) String() string {
 		return "breaker"
 	case TrackHealth:
 		return "health"
-	case TrackShard:
-		return "shard"
-	case TrackArbiter:
-		return "arbiter"
 	}
 	return "unknown"
 }
 
-// Event is one timestamped occurrence. TS and Dur are nanoseconds on the
-// recorder's clock (virtual time for the simulation, wall time for the
-// serving stack); Dur is zero for instants and counter samples.
+// Event is one timestamped occurrence. TS and Dur are nanoseconds of
+// virtual time; Dur is zero for instants and counter samples.
 // The per-kind payload conventions are documented on the Kind constants.
 type Event struct {
 	TS    int64

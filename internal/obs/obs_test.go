@@ -10,7 +10,7 @@ import (
 func TestRecorderAppendsInOrder(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		r.Instant(KindPressure, TrackArbiter, int64(i*100), "m", 0, int64(i), 0)
+		r.Instant(KindHealth, TrackHealth, int64(i*100), "m", 0, int64(i), 0)
 	}
 	ev := r.Events()
 	if len(ev) != 5 || r.Len() != 5 {
@@ -29,7 +29,7 @@ func TestRecorderAppendsInOrder(t *testing.T) {
 func TestRecorderRingOverwritesOldest(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Instant(KindPressure, TrackArbiter, int64(i), "m", 0, int64(i), 0)
+		r.Instant(KindHealth, TrackHealth, int64(i), "m", 0, int64(i), 0)
 	}
 	ev := r.Events()
 	if len(ev) != 4 {
@@ -67,7 +67,7 @@ func TestRecorderCapEviction(t *testing.T) {
 	// A zero capacity selects DefaultCapacity: no overflow for small loads.
 	big := NewRecorder(0)
 	for i := 0; i < 100; i++ {
-		big.Instant(KindPressure, TrackArbiter, int64(i), "m", 0, 0, 0)
+		big.Instant(KindHealth, TrackHealth, int64(i), "m", 0, 0, 0)
 	}
 	if big.Dropped() != 0 || len(big.Events()) != 100 {
 		t.Fatal("default-cap recorder dropped small load")
@@ -84,8 +84,7 @@ func TestKindString(t *testing.T) {
 		KindPrefetch: "prefetch", KindPrefetchHit: "prefetch-hit",
 		KindPrefetchWaste: "prefetch-waste", KindStall: "stall",
 		KindBreaker: "breaker", KindQueueDepth: "queue-depth",
-		KindHealth: "health", KindShard: "shard", KindPressure: "pressure",
-		Kind(99): "none",
+		KindHealth: "health", Kind(99): "none",
 	}
 	for k, want := range kinds {
 		if k.String() != want {
@@ -113,7 +112,7 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Instant(KindPressure, TrackArbiter, int64(i), "w", int64(g), int64(i), 0)
+				r.Instant(KindHealth, TrackHealth, int64(i), "w", int64(g), int64(i), 0)
 			}
 		}(g)
 	}
@@ -124,7 +123,7 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 }
 
 func TestKindAndTrackNamesRoundTrip(t *testing.T) {
-	for k := KindIteration; k <= KindPressure; k++ {
+	for k := KindIteration; k.String() != "none"; k++ {
 		got, ok := kindByName(k.String())
 		if !ok || got != k {
 			t.Fatalf("kindByName(%q) = %v, %v", k.String(), got, ok)
@@ -150,7 +149,7 @@ func TestKindAndTrackNamesRoundTrip(t *testing.T) {
 	}
 	// Tids are the Chrome trace's thread IDs: the tracks after the reserved
 	// slot must keep their numbers so existing traces keep their labels.
-	for tr, tid := range map[Track]int{TrackHealth: 8, TrackShard: 9, TrackArbiter: 10} {
+	for tr, tid := range map[Track]int{TrackHealth: 8} {
 		if int(tr) != tid {
 			t.Fatalf("track %q has tid %d, want %d", tr, int(tr), tid)
 		}
@@ -226,6 +225,21 @@ func TestAnalyze(t *testing.T) {
 	for _, want := range []string{"link utilisation", "fault handling", "prefetch", "closed->open", "faultq=7"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestAnalyzeConsumesEveryKind checks that every kind has a reader: a
+// one-event trace of each kind must move some field of the analysis
+// beyond the event count and span, which a kind-less event moves too.
+func TestAnalyzeConsumesEveryKind(t *testing.T) {
+	one := func(k Kind) *Analysis {
+		return Analyze([]Event{{Dur: 1, Arg: 1, Kind: k, Name: "x"}})
+	}
+	base := one(KindNone)
+	for k := KindIteration; k.String() != "none"; k++ {
+		if reflect.DeepEqual(one(k), base) {
+			t.Errorf("kind %q: Analyze reads nothing from it", k)
 		}
 	}
 }

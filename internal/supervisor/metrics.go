@@ -5,9 +5,7 @@ import (
 	"io"
 	"time"
 
-	"deepum/internal/arbiter"
 	"deepum/internal/metrics"
-	"deepum/internal/obs"
 )
 
 // Prometheus exposition. Every family is rendered at scrape time from one
@@ -104,11 +102,11 @@ func (s *Supervisor) MetricFamilies() (Stats, []metrics.Family) {
 				Help: "Simulated GPU memory currently granted (floors plus live bursts)."},
 			metrics.Family{Name: "deepum_arbiter_events_total", Help: "Arbiter grant-lifecycle events by action.", Type: "counter",
 				Series: []metrics.Series{
-					labeled("action", arbiter.EventGrant.String(), a.Grants),
-					labeled("action", arbiter.EventRelease.String(), a.Releases),
-					labeled("action", arbiter.EventRevoke.String(), a.Revocations),
-					labeled("action", arbiter.EventRestore.String(), a.Restores),
-					labeled("action", arbiter.EventSuspend.String(), a.Suspensions),
+					labeled("action", "grant", a.Grants),
+					labeled("action", "release", a.Releases),
+					labeled("action", "revoke", a.Revocations),
+					labeled("action", "restore", a.Restores),
+					labeled("action", "suspend", a.Suspensions),
 				}})
 	}
 	return st, fams
@@ -146,16 +144,4 @@ func (s *Supervisor) noteHealth(r *run, level int) {
 		r.info.HealthLevel = level
 	}
 	s.mu.Unlock()
-}
-
-// noteArbiter mirrors one arbiter grant-lifecycle event into the obs trace
-// (the arbiter counts it in its own Stats). It is called from the
-// arbiter's event hook, which may fire while a supervisor method holds
-// s.mu — it must therefore never take s.mu itself.
-func (s *Supervisor) noteArbiter(ev arbiter.Event) {
-	if s.cfg.Obs == nil {
-		return
-	}
-	s.cfg.Obs.Instant(obs.KindPressure, obs.TrackArbiter, time.Now().UnixNano(),
-		ev.Kind.String(), int64(ev.RunID), ev.Bytes, int64(ev.Pressure*1e6))
 }

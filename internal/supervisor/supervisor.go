@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,6 @@ import (
 	"deepum/internal/admission"
 	"deepum/internal/arbiter"
 	"deepum/internal/metrics"
-	"deepum/internal/obs"
 	"deepum/internal/store"
 	"deepum/internal/supervisor/journal"
 )
@@ -60,9 +60,6 @@ type Config struct {
 	// ArbiterTick is the wall-clock cadence of arbiter escalation ticks
 	// (pressure smoothing, revocation, suspension). Defaults to 10ms.
 	ArbiterTick time.Duration
-	// Obs, when non-nil, receives a KindPressure event on TrackArbiter for
-	// every arbiter grant-state change (wall-clock timestamps).
-	Obs *obs.Recorder
 	// StoreGCThreshold enables reference-counted checkpoint-store garbage
 	// collection: after a run finishes, if the fraction of store keys not
 	// referenced by any live (non-terminal) run's resume state exceeds the
@@ -264,13 +261,6 @@ func New(cfg Config) (*Supervisor, error) {
 		aopt := cfg.Arbiter
 		if aopt.Budget == 0 {
 			aopt.Budget = cfg.GPUMemoryBudget
-		}
-		userEvent := aopt.OnEvent
-		aopt.OnEvent = func(ev arbiter.Event) {
-			s.noteArbiter(ev)
-			if userEvent != nil {
-				userEvent(ev)
-			}
 		}
 		arb, err := arbiter.New(aopt)
 		if err != nil {
@@ -842,7 +832,8 @@ func (s *Supervisor) execute(id uint64) {
 	s.mu.Lock()
 	r := s.runs[id]
 	if r == nil || (r.info.State != StateQueued && r.info.State != StateSuspended) || s.killed {
-		// Cancelled while queued (already finalized) or hard-stopped.
+		// Cancelled between its pop and here (already finalized) or
+		// hard-stopped.
 		s.mu.Unlock()
 		return
 	}
@@ -1112,21 +1103,32 @@ func (s *Supervisor) finalize(r *run, out Outcome, runErr error, panicked bool) 
 	s.maybeStoreGC()
 }
 
-// finalizeQueuedLocked cancels a run that never started (or is suspended,
-// waiting to resume). Caller holds mu.
+// finalizeQueuedLocked cancels a run that waits in the queue, one that
+// never started or one suspended and waiting to resume: it leaves the
+// queue, drops its resume state as finalize does, and its finish is
+// journaled. Caller holds mu.
 func (s *Supervisor) finalizeQueuedLocked(r *run, reason string) {
+	s.unqueueLocked(r.info.ID)
 	out := &Outcome{Status: string(StateCancelled)}
 	r.info.State = StateCancelled
 	r.info.Reason = reason
 	now := time.Now()
 	r.info.Finished = &now
 	r.info.Outcome = out
+	r.resume = nil
 	if data, err := json.Marshal(journalFinish{State: StateCancelled, Reason: reason, Outcome: out}); err == nil {
 		_ = s.appendLocked(journal.Record{Type: journal.RecFinished, RunID: r.info.ID, Data: data})
 	}
 	s.committed -= r.info.Demand
 	s.noteFinished(StateCancelled, r.info.Started, now)
 	close(r.done)
+}
+
+// unqueueLocked removes id from the submission queue. Caller holds mu.
+func (s *Supervisor) unqueueLocked(id uint64) {
+	if i := slices.Index(s.queued, id); i >= 0 {
+		s.queued = slices.Delete(s.queued, i, i+1)
+	}
 }
 
 // Cancel stops a run: a queued run is finalized immediately, a running run
@@ -1141,8 +1143,7 @@ func (s *Supervisor) Cancel(id uint64) error {
 	}
 	switch r.info.State {
 	case StateQueued, StateSuspended:
-		// A suspended run sits in the queue like a queued one; its stale
-		// queue entry is skipped by execute after finalization here.
+		// A suspended run waits in the queue like a queued one.
 		s.finalizeQueuedLocked(r, "cancelled by api")
 		s.mu.Unlock()
 		return nil
@@ -1204,12 +1205,7 @@ func (s *Supervisor) Resume(id uint64) error {
 		return ErrNotSuspended
 	}
 	r.force = true
-	for i, q := range s.queued {
-		if q == id {
-			s.queued = append(s.queued[:i], s.queued[i+1:]...)
-			break
-		}
-	}
+	s.unqueueLocked(id)
 	s.queued = append([]uint64{id}, s.queued...)
 	s.qcond.Broadcast()
 	return nil
@@ -1325,7 +1321,7 @@ type Stats struct {
 	Submissions Submissions
 	// QueueDepth is the submission queue's length, which admission bounds
 	// and the shedder prices: queued and suspended runs waiting for a
-	// worker, plus runs cancelled while queued that no worker popped yet.
+	// worker.
 	QueueDepth int
 	// Ended splits Terminal by state. Finished counts the terminal
 	// transitions made on this supervisor, by state; history replayed or
@@ -1422,9 +1418,10 @@ func (s *Supervisor) Accepting() bool {
 
 // Drain shuts down gracefully: admission stops (ErrShuttingDown), queued
 // and running runs finish normally. If ctx expires first, the drain
-// escalates — queued runs are cancelled outright and running runs have
-// their contexts cancelled — and Drain still waits for the workers to wind
-// down before closing the journal. Safe to call more than once.
+// escalates — queued and suspended runs are cancelled outright and running
+// runs have their contexts cancelled — and Drain still waits for the
+// workers to wind down before closing the journal. Safe to call more than
+// once.
 func (s *Supervisor) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -1498,7 +1495,7 @@ func (s *Supervisor) cancelAll(reason string) {
 	var cancels []context.CancelFunc
 	for _, r := range s.runs {
 		switch r.info.State {
-		case StateQueued:
+		case StateQueued, StateSuspended:
 			s.finalizeQueuedLocked(r, reason)
 		case StateRunning:
 			if r.cancelReason == "" {

@@ -267,6 +267,42 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	drain(t, s)
 }
 
+// TestCancelQueuedFreesSlot: a run cancelled while it waits in the queue
+// leaves the queue at once, so its slot admits the next submission.
+func TestCancelQueuedFreesSlot(t *testing.T) {
+	release := make(chan struct{})
+	s, err := New(Config{Runner: gatedRunner(release), Workers: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, running, StateRunning)
+	queued, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Cancel(queued); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.QueueDepth != 0 || st.Queued != 0 {
+		t.Fatalf("after cancelling the queued run: queue depth %d, queued %d; want 0, 0", st.QueueDepth, st.Queued)
+	}
+	next, err := s.Submit(RunSpec{Model: "bert-base", Batch: 8})
+	if err != nil {
+		t.Fatalf("submit into the freed slot: %v", err)
+	}
+	close(release)
+	for _, id := range []uint64{running, next} {
+		if info, err := s.Wait(id); err != nil || info.State != StateCompleted {
+			t.Fatalf("run %d: %s, %v; want completed", id, info.State, err)
+		}
+	}
+	drain(t, s)
+}
+
 // waitState polls until the run reaches the given state (bounded).
 func waitState(t *testing.T, s *Supervisor, id uint64, want RunState) {
 	t.Helper()

@@ -267,6 +267,73 @@ func TestSuspendResumeAPIErrors(t *testing.T) {
 	drain(t, s)
 }
 
+// suspendBehind leaves run a executing on the one worker and run b
+// suspended, waiting in the queue behind it: b is suspended while a is
+// queued, so the worker takes a first, and a blocks until cancelled.
+func suspendBehind(t *testing.T) (s *Supervisor, a, b uint64) {
+	t.Helper()
+	ready := map[int64]chan struct{}{2: make(chan struct{})}
+	s, err := New(Config{Runner: suspendableRunner(3, ready), Workers: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = s.Submit(RunSpec{Model: "bert-base", Batch: 8, Seed: 2, Iterations: 6}); err != nil {
+		t.Fatal(err)
+	}
+	<-ready[2]
+	if a, err = s.Submit(RunSpec{Model: "bert-base", Batch: 8, Seed: 1, Iterations: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Suspend(b); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, b, StateSuspended)
+	waitState(t, s, a, StateRunning)
+	return s, a, b
+}
+
+// TestDrainEscalationEndsSuspendedRuns: a drain whose deadline passes
+// cancels a suspended run waiting in the queue, as it does a queued one,
+// instead of starting it again.
+func TestDrainEscalationEndsSuspendedRuns(t *testing.T) {
+	s, a, b := suspendBehind(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("escalated drain = %v, want DeadlineExceeded", err)
+	}
+	ia, _ := s.Get(a)
+	ib, _ := s.Get(b)
+	if ia.State != StateCancelled || ib.State != StateCancelled {
+		t.Fatalf("escalated drain left running %s, suspended %s; want both cancelled", ia.State, ib.State)
+	}
+	if ib.Attempts != 1 || !contains(ib.Reason, "drain") {
+		t.Fatalf("suspended run: %d attempts, reason %q; want 1 and the drain escalation", ib.Attempts, ib.Reason)
+	}
+}
+
+// TestCancelSuspendedDropsResume: cancelling a suspended run ends it
+// without a resume checkpoint in memory and takes it out of the queue.
+func TestCancelSuspendedDropsResume(t *testing.T) {
+	s, a, b := suspendBehind(t)
+	if err := s.Cancel(b); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	left := len(s.runs[b].resume)
+	s.mu.Unlock()
+	if info, _ := s.Get(b); info.State != StateCancelled || left != 0 {
+		t.Fatalf("cancelled suspended run: %s with %d resume bytes; want cancelled with none", info.State, left)
+	}
+	if st := s.Stats(); st.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after cancelling the suspended run, want 0", st.QueueDepth)
+	}
+	if err := s.Cancel(a); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s)
+}
+
 // TestResumeForcesGatedRun: Resume is the operator override — it must
 // restart a suspended run even while the arbiter reports no headroom.
 func TestResumeForcesGatedRun(t *testing.T) {

@@ -4,7 +4,7 @@ package deepum
 // tracing to a run: pass one in Config.Observe and the engine records
 // typed events — fault batches, link transfers, the full prefetch
 // lifecycle (issue, transfer, hit, waste), evictions, breaker transitions,
-// per-iteration and per-kernel spans — into a fixed-capacity ring buffer.
+// per-iteration and per-kernel spans — into a bounded ring buffer.
 // Afterwards, export the buffer as a Chrome trace (WriteChromeTrace, loads
 // in Perfetto / chrome://tracing) or reduce it offline (Analyze).
 //
@@ -13,8 +13,9 @@ package deepum
 // check, adds no allocations, and is verified by BenchmarkTrainNoObserver
 // to leave the fault-handler hot path at 0 allocs/op. With an observer
 // attached, recording one event is a mutex-guarded struct copy into a
-// preallocated ring; memory is bounded by TraceOptions.Capacity and old
-// events are overwritten (Dropped counts the overwrites).
+// ring that starts empty and grows by append up to TraceOptions.Capacity
+// events; after that old events are overwritten (Dropped counts the
+// overwrites).
 
 import (
 	"io"
@@ -26,7 +27,9 @@ import (
 type TraceOptions struct {
 	// Capacity bounds the event ring buffer (in events, not bytes). Once
 	// full, the oldest events are overwritten and counted in Dropped.
-	// 0 selects the default (1M events, ~56 MB).
+	// 0 selects the default (1M events). The ring grows by append as
+	// events arrive, at 64 bytes an event, so a full default ring holds
+	// about 64 MiB (a little more with append's spare capacity).
 	Capacity int
 }
 
@@ -38,7 +41,7 @@ type Observer struct {
 	rec *obs.Recorder
 }
 
-// NewObserver builds an Observer with a preallocated event ring.
+// NewObserver builds an Observer with an empty event ring.
 func NewObserver(opts TraceOptions) *Observer {
 	cap := opts.Capacity
 	if cap <= 0 {
